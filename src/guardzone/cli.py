@@ -6,9 +6,11 @@ runs the Monte Carlo oracle against every analytic quantity in scope.
 
 Outputs are CSV (default) with a leading ``# manifest <hash>`` comment,
 or JSON via ``--format json``. When ``--out`` is given, a sidecar
-``<out>.manifest.json`` records scenario, command, seed, version,
-timestamp, and the config hash; the report itself never contains a
-timestamp, so identical inputs give identical report bytes.
+``<out>.manifest.json`` records scenario, command, seed (``validate``
+only; null otherwise), version, timestamp, and the config hash; the
+report itself never contains a timestamp, so identical inputs give
+identical report bytes. ``--seed`` and ``--trials`` are options of
+``validate`` only.
 
 Exit codes: 0 success, 1 validation failure, 2 input error.
 """
@@ -412,14 +414,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_text, cost=False, aloha=False, sweep=False):
+    def add(name, fn, help_text, cost=False, aloha=False, sweep=False,
+            oracle=False):
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--scenario", required=True,
                         help="scenario JSON path or preset name (fig1..fig5)")
         sp.add_argument("--grid", default=None,
                         help="'lo:hi:count' log grid or comma-separated values")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--trials", type=int, default=100_000)
+        if oracle:
+            sp.add_argument("--seed", type=int, default=0)
+            sp.add_argument("--trials", type=int, default=100_000)
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
         sp.add_argument("--out", default=None)
         if cost:
@@ -446,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
         "all multi-observation decision rules at one radius", aloha=True)
     add("validate", cmd_validate,
         "Monte Carlo oracle vs. analytic quantities at 3 standard errors",
-        aloha=True)
+        aloha=True, oracle=True)
     return parser
 
 

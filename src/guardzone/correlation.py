@@ -5,9 +5,9 @@ correlation of the two Bernoulli indicators is
 
     rho(chi) = expm1(B - C) / sqrt(expm1(A) * expm1(B))
 
-with the exponents of :mod:`guardzone.single_obs` rewritten as functions
-of chi: ``B = a * chi**delta`` and ``C = a * int_I(chi, delta)`` for the
-single scale ``a = density * c_n * sigma**delta``. The correlation
+with the exponents A, B, C of :mod:`guardzone.single_obs`, which defines
+B, C and B - C as functions of chi and of the single scale
+``a = density * c_n * sigma**delta``. The correlation
 vanishes at both extremes and peaks at some ``chi > 1`` solving
 
     (1 - chi) * exp(B) + (1 + chi) * exp(C) = 2.
@@ -25,9 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize
 
-from . import specfn
 from .params import ModelParams, derive
-from .single_obs import prior_exponent
+from .single_obs import _B, _BmC, _C, _scale, prior_exponent
 
 
 @dataclass(frozen=True)
@@ -40,27 +39,25 @@ class BracketError(RuntimeError):
     """No sign change found for the stationarity equation."""
 
 
-def _coeff(p: ModelParams) -> tuple[float, float]:
-    """(a, delta) with a = density * c_n * sigma**delta."""
-    d = derive(p)
-    return p.density * d.c_n * d.sigma**d.delta, d.delta
+def _scaled_rho(a: float, delta: float, chi: float) -> float:
+    """rho * sqrt(expm1(A)): the part of the correlation that depends on chi."""
+    B = _B(a, delta, chi)
+    # expm1(B) = exp(B) * (-expm1(-B)); keeping exp(-B/2) outside the
+    # square root avoids overflow for large chi, where B is huge but the
+    # numerator stays bounded by expm1(a * kappa)
+    return math.expm1(_BmC(a, delta, chi)) * math.exp(-0.5 * B) / math.sqrt(
+        -math.expm1(-B))
 
 
 def rho(p: ModelParams, chi: float) -> float:
     """Correlation of the two success indicators at dimensionless chi > 0."""
     if not chi > 0:
         raise ValueError(f"chi must be positive, got {chi}")
-    a, delta = _coeff(p)
-    A = prior_exponent(p)
+    d = derive(p)
+    A = prior_exponent(p, d)
     if A <= 0:
         raise ValueError("degenerate scenario: prior exponent is zero")
-    B = a * chi**delta
-    BmC = a * specfn.power_gap(chi, delta)
-    # expm1(B) = exp(B) * (-expm1(-B)); keeping exp(-B/2) outside the
-    # square root avoids overflow for large chi, where B is huge but the
-    # numerator stays bounded by expm1(a * kappa)
-    return math.expm1(BmC) * math.exp(-0.5 * B) / math.sqrt(
-        math.expm1(A) * -math.expm1(-B))
+    return _scaled_rho(_scale(p, d), d.delta, chi) / math.sqrt(math.expm1(A))
 
 
 def rho_curve(p: ModelParams, chi_grid) -> CorrelationCurve:
@@ -70,15 +67,14 @@ def rho_curve(p: ModelParams, chi_grid) -> CorrelationCurve:
 
 def f1(p: ModelParams, chi: float) -> float:
     """(1 - chi) * exp(B(chi)); intersects f2 at the maximizing chi."""
-    a, delta = _coeff(p)
-    return (1.0 - chi) * math.exp(a * chi**delta)
+    d = derive(p)
+    return (1.0 - chi) * math.exp(_B(_scale(p, d), d.delta, chi))
 
 
 def f2(p: ModelParams, chi: float) -> float:
     """2 - (1 + chi) * exp(C(chi)), concave decreasing."""
-    a, delta = _coeff(p)
-    C = a * specfn.int_I(chi, delta)
-    return 2.0 - (1.0 + chi) * math.exp(C)
+    d = derive(p)
+    return 2.0 - (1.0 + chi) * math.exp(_C(_scale(p, d), d.delta, chi))
 
 
 def _stationarity(a: float, delta: float, chi: float) -> float:
@@ -87,9 +83,8 @@ def _stationarity(a: float, delta: float, chi: float) -> float:
     Dividing (1-chi)e^B + (1+chi)e^C - 2 by e^C keeps everything bounded:
     B - C <= a*kappa regardless of chi.
     """
-    BmC = a * specfn.power_gap(chi, delta)
-    C = a * specfn.int_I(chi, delta)
-    return (1.0 - chi) * math.exp(BmC) + (1.0 + chi) - 2.0 * math.exp(-C)
+    return ((1.0 - chi) * math.exp(_BmC(a, delta, chi)) + (1.0 + chi)
+            - 2.0 * math.exp(-_C(a, delta, chi)))
 
 
 def chi_star_from_coeff(a: float, delta: float) -> float:
@@ -106,7 +101,7 @@ def chi_star_from_coeff(a: float, delta: float) -> float:
         raise ValueError("coefficient a must be positive")
 
     def g_diff(chi):
-        return a * specfn.power_gap(chi, delta) - math.log((chi + 1.0) / (chi - 1.0))
+        return _BmC(a, delta, chi) - math.log((chi + 1.0) / (chi - 1.0))
 
     # expand upper end geometrically until g1 > g2 (always happens since
     # g2 -> 0 and g1 -> a*kappa > 0)
@@ -131,27 +126,21 @@ def chi_star_from_coeff(a: float, delta: float) -> float:
         raise BracketError(
             "no stationary point found in the certified bracket "
             f"[1, {chi_hat:g}]")
-
-    def rho_of(chi):
-        B = a * chi**delta
-        BmC = a * specfn.power_gap(chi, delta)
-        return math.expm1(BmC) * math.exp(-0.5 * B) / math.sqrt(-math.expm1(-B))
-
-    return max(roots, key=rho_of)
+    return max(roots, key=lambda chi: _scaled_rho(a, delta, chi))
 
 
 def chi_star(p: ModelParams) -> float:
     """Dimensionless radius maximizing the indicator correlation."""
-    a, delta = _coeff(p)
-    return chi_star_from_coeff(a, delta)
+    d = derive(p)
+    return chi_star_from_coeff(_scale(p, d), d.delta)
 
 
 def chi_star_low_density_limit(delta: float) -> float:
     """Limit of chi_star as the scale a -> 0: the root of
     ``int_I(chi, delta) = ((chi-1)/(chi+1)) * chi**delta``."""
 
-    def h(chi):
-        return specfn.int_I(chi, delta) - (chi - 1.0) / (chi + 1.0) * chi**delta
+    def h(chi):  # the stationarity equation at first order in a, over a
+        return _C(1.0, delta, chi) - (chi - 1.0) / (chi + 1.0) * _B(1.0, delta, chi)
 
     hi = 2.0
     while h(hi) > 0:

@@ -98,20 +98,6 @@ def auto_region_radius(p: ModelParams, interferer_density: float,
     return (coeff / bias_tol) ** (1.0 / (p.alpha - p.n))
 
 
-def sample_network(p: ModelParams, region_radius: float,
-                   rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """One network realization: (interferer radii, fades to the receiver).
-
-    Fades are all ones when called with a plain generator and Rayleigh
-    handling is done by the caller; this helper draws Exp(1) fades.
-    """
-    count = rng.poisson(p.density * derive(p).c_n * region_radius**p.n)
-    u = rng.random(count)
-    radii = region_radius * u ** (1.0 / p.n)
-    fades = rng.exponential(size=count)
-    return radii, fades
-
-
 def _chunk_rng(seed: int, chunk_idx: int) -> np.random.Generator:
     return np.random.Generator(
         np.random.Philox(np.random.SeedSequence([seed, chunk_idx])))

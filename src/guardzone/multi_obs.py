@@ -24,9 +24,8 @@ import math
 from dataclasses import dataclass
 from itertools import product
 
-from . import specfn
-from .params import ModelParams, chi_of_radius, derive
-from .single_obs import posterior, prior_success
+from .params import ModelParams
+from .single_obs import _B, _coordinates, _exponents, posterior, prior_success
 
 # Switch f_d to the truncated-Poisson route beyond this l: the
 # alternating sum loses roughly l*log10(e)*nu digits at worst.
@@ -51,34 +50,23 @@ class AlohaParams:
         return 1.0 - self.p
 
 
-@dataclass(frozen=True)
-class MultiObsDerived:
-    """mu_d: mean potential-interferer count in the guard zone;
-    xi: (p/p_bar) * chi**-delta * int_I(chi, delta)."""
-
-    mu_d: float
-    xi: float
-
-
 def _check_noiseless(p: ModelParams) -> None:
     if p.eta != 0:
         raise ValueError("multi-observation results assume a noiseless channel (eta = 0)")
 
 
-def multi_derived(p: ModelParams, aloha: AlohaParams, r_O: float) -> MultiObsDerived:
-    mu_d, xi, _, _ = _mu_xi(p, aloha, r_O)
-    return MultiObsDerived(mu_d=mu_d, xi=xi)
-
-
-def _mu_xi(p: ModelParams, aloha: AlohaParams, r_O: float) -> tuple[float, float, float, float]:
-    """(mu_d, xi, chi, delta) for the scenario."""
+def _mu_d(p: ModelParams, r_O: float) -> float:
+    """Mean count of potential transmitters in the guard zone: the
+    evidence exponent B of the unthinned scenario."""
     if not r_O > 0:
         raise ValueError(f"r_O must be positive, got {r_O}")
-    d = derive(p)
-    chi = chi_of_radius(d, r_O)
-    mu_d = p.density * d.c_n * r_O**p.n
-    xi = (aloha.p / aloha.p_bar) * chi ** (-d.delta) * specfn.int_I(chi, d.delta)
-    return mu_d, xi, chi, d.delta
+    return _B(*_coordinates(p, r_O))
+
+
+def _xi(aloha: AlohaParams, B: float, C: float) -> float:
+    """xi = (p/p_bar) * C/B, the relative weight of one potential
+    transmitter inside the guard zone."""
+    return aloha.p / aloha.p_bar * C / B
 
 
 def f_d(nu: float, a: float, k: int, l: int) -> float:
@@ -124,11 +112,9 @@ def p_h_given_m(p: ModelParams, aloha: AlohaParams, r_O: float, m: int) -> float
     _check_noiseless(p)
     if m < 0:
         raise ValueError(f"m must be nonnegative, got {m}")
-    mu_d, xi, chi, delta = _mu_xi(p, aloha, r_O)
-    d = derive(p)
-    outside = aloha.p * mu_d * (1.0 - chi ** (-delta)
-                                * (d.kappa_delta + specfn.int_I(chi, delta)))
-    return math.exp(outside) * ((1.0 + xi) * aloha.p_bar) ** m
+    A, B, C, BmC = _exponents(p, r_O)
+    outside = aloha.p * (BmC - A)
+    return math.exp(outside) * ((1.0 + _xi(aloha, B, C)) * aloha.p_bar) ** m
 
 
 def p_h_given_K(p: ModelParams, aloha: AlohaParams, r_O: float, K: int) -> float:
@@ -136,20 +122,19 @@ def p_h_given_K(p: ModelParams, aloha: AlohaParams, r_O: float, K: int) -> float
     successes."""
     _check_noiseless(p)
     _check_K(aloha, K)
-    mu_d, xi, chi, delta = _mu_xi(p, aloha, r_O)
-    d = derive(p)
+    A, mu_d, C, _ = _exponents(p, r_O)
     if aloha.N == 0:
         return prior_success(p.thinned(aloha.p))
-    expo = aloha.p * mu_d * (1.0 - chi ** (-delta) * d.kappa_delta + xi)
-    num = f_d(mu_d * (1.0 + xi), aloha.p_bar, K + 1, aloha.N - K)
+    mu_h = mu_d * (1.0 + _xi(aloha, mu_d, C))
+    num = f_d(mu_h, aloha.p_bar, K + 1, aloha.N - K)
     den = f_d(mu_d, aloha.p_bar, K, aloha.N - K)
-    return math.exp(expo) * num / den
+    return math.exp(aloha.p * (mu_h - A)) * num / den
 
 
 def p_d_given_K(p: ModelParams, aloha: AlohaParams, r_O: float, K: int) -> float:
     """Protocol success probability in slot N+1 given K past successes."""
     _check_K(aloha, K)
-    mu_d, _, _, _ = _mu_xi(p, aloha, r_O)
+    mu_d = _mu_d(p, r_O)
     if aloha.N == 0:
         return math.exp(-aloha.p * mu_d)
     num = f_d(mu_d, aloha.p_bar, K + 1, aloha.N - K)
@@ -162,7 +147,7 @@ def p_K(p: ModelParams, aloha: AlohaParams, r_O: float, K: int) -> float:
     _check_K(aloha, K)
     if aloha.N == 0:
         return 1.0
-    mu_d, _, _, _ = _mu_xi(p, aloha, r_O)
+    mu_d = _mu_d(p, r_O)
     return math.comb(aloha.N, K) * f_d(mu_d, aloha.p_bar, K, aloha.N - K)
 
 
@@ -252,6 +237,9 @@ def rule_errors(p: ModelParams, aloha: AlohaParams, r_O: float,
     pK = [p_K(p, aloha, r_O, K) for K in range(aloha.N + 1)]
     pDK = [p_d_given_K(p, aloha, r_O, K) for K in range(aloha.N + 1)]
     pHK = [p_h_given_K(p, aloha, r_O, K) for K in range(aloha.N + 1)]
+    if len(set(rule.bits)) == 1:  # a constant rule ignores the observations
+        h = rule(0, 0)
+        return float(h), float(1 - h)
 
     def delta_hd(h, d_obs):
         return sum(pDK[K] * pK[K] for K in range(aloha.N + 1)

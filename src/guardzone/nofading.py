@@ -51,7 +51,6 @@ class IltConfig:
     ``max_doublings`` times.
     """
 
-    method: str = "euler"
     terms: int = 24
     precision_target: float = 1e-6
     max_doublings: int = 3
@@ -63,8 +62,6 @@ class IltConfig:
             raise ValueError("precision_target must be positive")
         if self.max_doublings < 1:
             raise ValueError("max_doublings must be at least 1")
-        if self.method != "euler":
-            raise ValueError(f"unknown inversion method {self.method!r}")
 
 
 @dataclass(frozen=True)

@@ -17,10 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize
 
-from . import specfn
 from .params import ModelParams, chi_of_radius, derive
-from .single_obs import (abc_terms, evidence_success, posterior,
-                         prior_success)
+from .single_obs import _exponents, abc_terms, prior_exponent, prior_success
 
 
 @dataclass(frozen=True)
@@ -126,10 +124,8 @@ def _f_left(p: ModelParams, cost: CostMatrix, r_O: float) -> float:
 
 def _f_right(p: ModelParams, r_O: float) -> float:
     """-A + B - C; increasing from -A up to -sigma*eta."""
-    d = derive(p)
-    chi = chi_of_radius(d, r_O)
-    coeff = p.density * d.c_n * d.sigma**d.delta
-    return -d.sigma * p.eta - coeff * (d.kappa_delta - specfn.power_gap(chi, d.delta))
+    A, _, _, BmC = _exponents(p, r_O)
+    return BmC - A
 
 
 def optimal_radius(p: ModelParams, cost: CostMatrix) -> OptimalRadius:
@@ -177,13 +173,11 @@ def sensitivities(p: ModelParams, cost: CostMatrix) -> tuple[float, float]:
     d = derive(p)
     r = opt.r_O
     chi = chi_of_radius(d, r)
-    kap = d.kappa_delta
-    Ichi = specfn.int_I(chi, d.delta)
-    tail = kap + Ichi - chi**d.delta  # = delta * int_chi^inf t^(d-1)/(1+t) dt > 0
-    denom = p.alpha * (1.0 + d.c_n * d.delta * p.density * r**p.n)
-    d_dlam = d.sigma**d.delta * d.c_n * r * (1.0 + chi) * tail / denom
-    bracket = (1.0 + p.density * d.c_n * d.delta * d.sigma**d.delta
-               * ((1.0 + chi) * (kap + Ichi) - chi ** (d.delta + 1.0)))
+    A, B, C, BmC = _exponents(p, r)
+    denom = p.alpha * (1.0 + d.delta * B)
+    # A - (B - C) = a * delta * int_chi^inf t**(delta-1)/(1+t) dt > 0
+    d_dlam = r * (1.0 + chi) * (A - BmC) / (p.density * denom)
+    bracket = 1.0 + d.delta * ((1.0 + chi) * (A + C) - chi * B)
     d_dsig = r * bracket / (d.sigma * denom)
     return d_dlam, d_dsig
 
@@ -194,15 +188,23 @@ def type_errors(p: ModelParams, r_O: float, rule: SingleObsRule) -> tuple[float,
     Type I: predicting success when the SINR test fails; Type II:
     predicting failure when it succeeds.
     """
-    if not r_O > 0:
-        raise ValueError(f"r_O must be positive, got {r_O}")
-    post = posterior(p, r_O)
-    pH = prior_success(p)
-    pD = evidence_success(p, r_O)
-    p_I = (1.0 - post.p_h1_d1) * pD / (1.0 - pH) * (rule.g1 - rule.g0) + rule.g0
-    gbar1, gbar0 = 1 - rule.g1, 1 - rule.g0
-    p_II = post.p_h1_d1 * pD / pH * (gbar1 - gbar0) + gbar0
-    return min(max(p_I, 0.0), 1.0), min(max(p_II, 0.0), 1.0)
+    A, B, C, BmC = _exponents(p, r_O)
+    h0 = -math.expm1(-A)
+    # P(D=d | H=0) = (P(D=d) - P(D=d, H=1)) / P(H=0) and P(D=0 | H=1),
+    # written with expm1 so that none cancels when its exponents are small
+    d1_h0 = -math.exp(-B) * math.expm1(BmC - A) / h0
+    d0_h0 = (math.exp(-A) * math.expm1(-C) - math.expm1(-B)) / h0
+    p_I = _predicts(rule.g1, rule.g0, d1_h0, d0_h0)
+    p_II = _predicts(1 - rule.g1, 1 - rule.g0, math.exp(-C), -math.expm1(-C))
+    return p_I, p_II
+
+
+def _predicts(g1: int, g0: int, on_d1: float, on_d0: float) -> float:
+    """Probability of a rule's output being 1, given the probabilities of
+    a clear (``on_d1``) and a busy (``on_d0``) guard zone."""
+    if g1 == g0:
+        return float(g1)
+    return on_d1 if g1 else on_d0
 
 
 @dataclass(frozen=True)
@@ -224,8 +226,8 @@ def operating_points(p: ModelParams) -> OperatingPoints:
     d = derive(p)
     inv = 1.0 / d.sigma - p.eta
     r_di = inv ** (-1.0 / p.alpha) if inv > 0 else None
-    r_mm = (d.kappa_delta * d.sigma**d.delta
-            + d.sigma * p.eta / (p.density * d.c_n)) ** (1.0 / p.n)
+    # B(r_MM) = A
+    r_mm = (prior_exponent(p, d) / (p.density * d.c_n)) ** (1.0 / p.n)
 
     rule = SingleObsRule.identity()
 

@@ -9,19 +9,25 @@ nonnegative exponents capture every distribution involved:
     B(r_O)       -- evidence exponent:  P(guard zone clear)  = exp(-B)
     C(r_O)       -- coupling exponent:  P(both)              = exp(-A-C)
 
-so the posterior given a clear guard zone is ``exp(-A + B - C)``. All
-probabilities are assembled in log-space and exponentiated once: ``B``
-alone overflows ``exp`` for large radii while ``B - C`` stays bounded
-by ``density * c_n * kappa * sigma**delta``.
+so the posterior given a clear guard zone is ``exp(-A + B - C)``. With
+the scale ``a = density * c_n * sigma**delta`` and ``chi = r_O**alpha/sigma``,
+
+    A = a * kappa(delta) + sigma * eta,   B = a * chi**delta,
+    C = a * int_I(chi, delta),            B - C = a * power_gap(chi, delta).
+
+Each is defined once, below, and every other module builds on these
+definitions. All probabilities are assembled in log-space and
+exponentiated once: ``B`` alone overflows ``exp`` for large radii while
+``B - C`` stays bounded by ``a * kappa``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import specfn
-from .params import _UNIT_BALL_VOLUME, DerivedParams, ModelParams, chi_of_radius, derive
+from .params import DerivedParams, ModelParams, chi_of_radius, derive
 
 
 @dataclass(frozen=True)
@@ -47,15 +53,45 @@ class PosteriorTable:
     p_h0_d0: float
 
 
-def _interference_coeff(p: ModelParams, d: DerivedParams) -> float:
-    """density * c_n * sigma**delta, the scale of every exponent."""
+def _scale(p: ModelParams, d: DerivedParams) -> float:
+    """a = density * c_n * sigma**delta, the scale of every exponent."""
     return p.density * d.c_n * d.sigma**d.delta
+
+
+def _coordinates(p: ModelParams, r_O: float) -> tuple[float, float, float]:
+    """(a, delta, chi) at guard-zone radius r_O: the arguments of B, C, B - C."""
+    d = derive(p)
+    return _scale(p, d), d.delta, chi_of_radius(d, r_O)
+
+
+def _B(a: float, delta: float, chi: float) -> float:
+    """Evidence exponent ``a * chi**delta = density * c_n * r_O**n``."""
+    return a * chi**delta
+
+
+def _C(a: float, delta: float, chi: float) -> float:
+    """Coupling exponent ``a * int_I(chi)``."""
+    return a * specfn.int_I(chi, delta)
+
+
+def _BmC(a: float, delta: float, chi: float) -> float:
+    """B - C, taken directly as ``a * power_gap(chi)``: it stays below
+    ``a * kappa`` for every chi, while B and C both diverge."""
+    return a * specfn.power_gap(chi, delta)
 
 
 def prior_exponent(p: ModelParams, d: DerivedParams | None = None) -> float:
     """Exponent A with ``P(physical success) = exp(-A)``."""
     d = d or derive(p)
-    return _interference_coeff(p, d) * d.kappa_delta + d.sigma * p.eta
+    return _scale(p, d) * d.kappa_delta + d.sigma * p.eta
+
+
+def _exponents(p: ModelParams, r_O: float) -> tuple[float, float, float, float]:
+    """(A, B, C, B - C) at a positive guard-zone radius r_O."""
+    if not r_O > 0:
+        raise ValueError(f"r_O must be positive, got {r_O}")
+    args = _coordinates(p, r_O)
+    return prior_exponent(p), _B(*args), _C(*args), _BmC(*args)
 
 
 def prior_success(p: ModelParams) -> float:
@@ -65,35 +101,13 @@ def prior_success(p: ModelParams) -> float:
 
 def evidence_success(p: ModelParams, r_O: float) -> float:
     """Void probability of the guard zone, ``exp(-density * c_n * r_O**n)``."""
-    if r_O < 0:
-        raise ValueError(f"r_O must be nonnegative, got {r_O}")
-    return math.exp(-p.density * _UNIT_BALL_VOLUME[p.n] * r_O**p.n)
+    return math.exp(-_B(*_coordinates(p, r_O)))
 
 
 def abc_terms(p: ModelParams, r_O: float) -> AbcTerms:
     """Evaluate A, B(r_O), C(r_O) for a positive guard-zone radius."""
-    if not r_O > 0:
-        raise ValueError(f"r_O must be positive, got {r_O}")
-    d = derive(p)
-    chi = chi_of_radius(d, r_O)
-    coeff = _interference_coeff(p, d)
-    return AbcTerms(
-        A=coeff * d.kappa_delta + d.sigma * p.eta,
-        B=p.density * d.c_n * r_O**p.n,
-        C=coeff * specfn.int_I(chi, d.delta),
-    )
-
-
-def _log_posterior_11(p: ModelParams, d: DerivedParams, r_O: float) -> float:
-    """log P(physical success | guard zone clear) = -A + B - C.
-
-    Uses ``B - C = coeff * power_gap(chi)`` directly, which is stable for
-    arbitrarily large radii (the gap saturates at kappa).
-    """
-    chi = chi_of_radius(d, r_O)
-    coeff = _interference_coeff(p, d)
-    gap = specfn.power_gap(chi, d.delta)
-    return -d.sigma * p.eta - coeff * (d.kappa_delta - gap)
+    A, B, C, _ = _exponents(p, r_O)
+    return AbcTerms(A=A, B=B, C=C)
 
 
 def posterior(p: ModelParams, r_O: float) -> PosteriorTable:
@@ -106,13 +120,11 @@ def posterior(p: ModelParams, r_O: float) -> PosteriorTable:
     if not (r_O > 0 and math.isfinite(r_O)):
         raise ValueError(
             f"posterior requires a finite positive r_O, got {r_O}")
-    d = derive(p)
-    p11 = math.exp(_log_posterior_11(p, d, r_O))
-    pH = prior_success(p)
-    pD = evidence_success(p, r_O)
-    # completeness: p_H(1) = p(1|1) p_D(1) + p(1|0) (1 - p_D(1))
-    p10 = (pH - p11 * pD) / (1.0 - pD)
-    p10 = min(max(p10, 0.0), 1.0)
+    A, B, C, BmC = _exponents(p, r_O)
+    p11 = math.exp(BmC - A)
+    # P(H=1, D=0) / P(D=0) = (e^-A - e^(-A-C)) / (1 - e^-B) is of order
+    # r_O**alpha; expm1 keeps it exact where both differences are tiny
+    p10 = math.exp(-A) * math.expm1(-C) / math.expm1(-B)
     return PosteriorTable(p_h1_d1=p11, p_h1_d0=p10,
                           p_h0_d1=1.0 - p11, p_h0_d0=1.0 - p10)
 
@@ -143,10 +155,7 @@ def lt_interference_given_void(p: ModelParams, r_O: float, s: float) -> float:
         raise ValueError(f"r_O must be nonnegative, got {r_O}")
     if s == 0.0:
         return 1.0
-    d = derive(p)
-    u = r_O**p.alpha / s
-    # r_O**n = s**delta * u**delta, so the bracket is
-    # -s**delta * (kappa - power_gap(u)), bounded and stable.
-    gap = specfn.power_gap(u, d.delta)
-    log_lt = -p.density * d.c_n * s**d.delta * (d.kappa_delta - gap)
-    return math.exp(log_lt)
+    # the posterior's exponents with sigma replaced by s, and no noise
+    d = replace(derive(p), sigma=s)
+    a = _scale(p, d)
+    return math.exp(_BmC(a, d.delta, chi_of_radius(d, r_O)) - a * d.kappa_delta)

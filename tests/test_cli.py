@@ -164,6 +164,12 @@ class TestPlumbing:
         code, _ = run_cli(["correlation", "--scenario", str(bad)], capsys)
         assert code == 2
 
+    def test_analytic_command_rejects_oracle_flags(self, capsys):
+        # --seed and --trials belong to validate only
+        with pytest.raises(SystemExit) as exc:
+            main(["correlation", "--scenario", FIG1, "--seed", "1"])
+        assert exc.value.code == 2
+
     def test_out_writes_file_and_manifest(self, tmp_path, capsys):
         out = tmp_path / "corr.csv"
         code, _ = run_cli(["correlation", "--scenario", FIG1,

@@ -117,8 +117,6 @@ class TestInversion:
             IltConfig(terms=4)
         with pytest.raises(ValueError):
             IltConfig(precision_target=0.0)
-        with pytest.raises(ValueError):
-            IltConfig(method="talbot")
 
 
 class TestRhoNofade:

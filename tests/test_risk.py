@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -10,6 +11,7 @@ from guardzone.risk import (ALL_SINGLE_OBS_RULES, CostMatrix, SingleObsRule,
                             bayes_risk, operating_points, optimal_radius,
                             roc_curve, sensitivities, type_errors)
 from guardzone.single_obs import evidence_success, posterior, prior_success
+from test_single_obs import NOISY, SMALL_TO_LARGE, joint_exponents
 
 FIG2 = ModelParams(n=2, density=2e-4, alpha=3, beta=5, r_T=10)
 UNIFORM = CostMatrix.uniform()
@@ -152,6 +154,21 @@ class TestTypeErrors:
         q_i, q_ii = type_errors(FIG2, 30.0, SingleObsRule.complement())
         assert q_i == pytest.approx(1.0 - p_i)
         assert q_ii == pytest.approx(1.0 - p_ii)
+
+    @pytest.mark.parametrize("p", [FIG2, NOISY])
+    @pytest.mark.parametrize("ratio", SMALL_TO_LARGE)
+    def test_identity_rule_against_quadrature(self, p, ratio):
+        # p_I = P(D=1 | H=0) = (e^-B - e^(-A-C)) / (1 - e^-A) and
+        # p_II = P(D=0 | H=1) = 1 - e^-C, of order r_O**(alpha+n)
+        r_O = ratio * p.r_T
+        A, B, C = joint_exponents(p, r_O)
+        with mpmath.workdps(30):
+            ref_i = (mpmath.exp(-B) - mpmath.exp(-A - C)) / -mpmath.expm1(-A)
+            ref_ii = -mpmath.expm1(-C)
+        p_i, p_ii = type_errors(p, r_O, SingleObsRule.identity())
+        # e^-B underflows to 0 from r_O = 1e3 r_T on
+        assert p_i == pytest.approx(float(ref_i), rel=1e-10, abs=1e-300)
+        assert p_ii == pytest.approx(float(ref_ii), rel=1e-10, abs=0.0)
 
     def test_all_rules_bounded(self):
         for rule in ALL_SINGLE_OBS_RULES:

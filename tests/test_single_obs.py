@@ -30,6 +30,34 @@ def prior_oracle(p):
         return float(mpmath.exp(-d.sigma * p.eta - expo))
 
 
+def joint_exponents(p, r_O):
+    """Independent (A, B, C) with P(H=1) = exp(-A), P(D=1) = exp(-B) and
+    P(H=1, D=1) = exp(-A-C), from the model's definition by quadrature.
+
+    Clearing the ball of radius r_O removes its share of the interference
+    exponent and costs its void probability, which leaves
+    C = density * c_n * n * int_0^r_O r**(alpha+n-1) / (r**alpha + sigma) dr.
+    """
+    d = derive(p)
+    scale = d.sigma ** (1.0 / p.alpha)
+    with mpmath.workdps(30):
+        c = p.density * d.c_n * p.n
+        A = d.sigma * p.eta + c * mpmath.quad(
+            lambda r: d.sigma * r ** (p.n - 1) / (r**p.alpha + d.sigma),
+            [0, scale, 100 * scale, 1e4 * scale, mpmath.inf])
+        r_O = mpmath.mpf(r_O)
+        B = p.density * d.c_n * r_O**p.n
+        # over x = r / r_O, so that the quadrature sees a unit interval
+        C = c * r_O ** (p.alpha + p.n) * mpmath.quad(
+            lambda x: x ** (p.alpha + p.n - 1) / ((r_O * x) ** p.alpha + d.sigma),
+            sorted({0, min(scale / r_O, 1), 1}))
+    return A, B, C
+
+
+# r_O / r_T from 1e-6 to 1e4
+SMALL_TO_LARGE = [10.0**k for k in range(-6, 5)]
+
+
 class TestPrior:
     def test_fig1_reference(self):
         assert prior_success(FIG1) == pytest.approx(0.6414, abs=5e-4)
@@ -91,6 +119,17 @@ class TestPosterior:
         # half-density scenario at r_O = 50: busy-zone posterior ~ 0.68
         t = posterior(FIG1.thinned(0.5), 50.0)
         assert t.p_h1_d0 == pytest.approx(0.68, abs=0.01)
+
+    @pytest.mark.parametrize("p", [FIG1, NOISY])
+    @pytest.mark.parametrize("ratio", SMALL_TO_LARGE)
+    def test_busy_zone_against_quadrature(self, p, ratio):
+        # P(H=1 | D=0) = e^-A (1 - e^-C) / (1 - e^-B) is of order r_O**alpha
+        r_O = ratio * p.r_T
+        A, B, C = joint_exponents(p, r_O)
+        with mpmath.workdps(30):
+            ref = mpmath.exp(-A) * mpmath.expm1(-C) / mpmath.expm1(-B)
+        assert posterior(p, r_O).p_h1_d0 == pytest.approx(float(ref), rel=1e-10,
+                                                          abs=0.0)
 
     def test_rejects_degenerate_radius(self):
         for bad in (0.0, -1.0, math.inf, math.nan):

@@ -1,4 +1,5 @@
-"""Oracle checks for the special functions, against independent quadrature."""
+"""Oracle checks for the special functions, against independent quadrature
+and arbitrary-precision hypergeometric functions."""
 
 import math
 
@@ -86,10 +87,42 @@ class TestPowerGap:
             assert np.all(np.diff(g) > 0)
 
     def test_continuous_at_tail_switch(self):
-        for delta in (1 / 3, 0.5, 2 / 3):
-            below = specfn.power_gap(10.0 - 1e-9, delta)
-            above = specfn.power_gap(10.0 + 1e-9, delta)
-            assert below == pytest.approx(above, rel=1e-9)
+        # the closed form changes branch at u = 1
+        for u in (1.0, 10.0):
+            for delta in (1 / 3, 0.5, 2 / 3):
+                below = specfn.power_gap(u - 1e-9, delta)
+                above = specfn.power_gap(u + 1e-9, delta)
+                assert below == pytest.approx(above, rel=1e-9)
+
+
+def mp_power_gap(u, delta):
+    """delta * int_0^u t**(delta-1)/(1+t) dt = u**delta * 2F1(1, delta;
+    1+delta; -u), in 40-digit arithmetic."""
+    u, delta = mpmath.mpf(u), mpmath.mpf(delta)
+    return u**delta * mpmath.hyp2f1(1, delta, 1 + delta, -u)
+
+
+class TestAgainstMpmath:
+    """Relative error of both closed forms over twenty-four decades of u."""
+
+    @given(st.floats(-12.0, 12.0), st.floats(0.01, 0.99))
+    @settings(max_examples=300, deadline=None)
+    def test_power_gap(self, log_u, delta):
+        u = 10.0**log_u
+        with mpmath.workdps(40):
+            ref = mp_power_gap(u, delta)
+        assert specfn.power_gap(u, delta) == pytest.approx(float(ref), rel=1e-12,
+                                                        abs=0.0)
+
+    @given(st.floats(-12.0, 12.0), st.floats(0.01, 0.99))
+    @settings(max_examples=300, deadline=None)
+    def test_int_I(self, log_u, delta):
+        # the difference is taken with 40 digits, so its cancellation at
+        # small u (up to 14 digits here) leaves the oracle exact
+        u = 10.0**log_u
+        with mpmath.workdps(40):
+            ref = mpmath.mpf(u) ** delta - mp_power_gap(u, delta)
+        assert specfn.int_I(u, delta) == pytest.approx(float(ref), rel=1e-12, abs=0.0)
 
 
 class TestGaussQ:
