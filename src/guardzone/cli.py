@@ -128,9 +128,9 @@ def _render_json(columns, rows, comments, cfg_hash) -> str:
                       indent=2, default=str) + "\n"
 
 
-def _emit(args, columns, rows, comments, hash_payload) -> None:
+def _emit(args, columns, rows, comments, hash_payload, render_text=_render_csv) -> None:
     cfg_hash = _config_hash(hash_payload)
-    render = _render_json if args.format == "json" else _render_csv
+    render = _render_json if args.format == "json" else render_text
     text = render(columns, rows, comments, cfg_hash)
     if args.out:
         Path(args.out).write_text(text)
@@ -325,6 +325,22 @@ def _check(name, analytic, est: montecarlo.Estimate):
             "z": z, "samples": est.count}
 
 
+def _render_checks(columns, checks, comments, cfg_hash) -> str:
+    """validate's text report: one line per check, then the verdict."""
+    failures = sum(c["status"] == "FAIL" for c in checks)
+    evaluated = sum(c["status"] != "SKIP" for c in checks)
+    lines = [f"# manifest {cfg_hash}"]
+    for c in checks:
+        lines.append(
+            f"{c['status']:4s} {c['quantity']:30s} "
+            f"analytic={c['analytic']:.6f} mc={c['mc']:.6f} "
+            f"se={c['stderr']:.2e} z={c['z']:+.2f} n={c['samples']}")
+    verdict = "PASSED" if failures == 0 else "FAILED"
+    lines.append(f"VALIDATION {verdict} "
+                 f"({evaluated - failures}/{evaluated} checks)")
+    return "\n".join(lines) + "\n"
+
+
 def cmd_validate(args) -> int:
     p = _load_scenario(args.scenario)
     cfg = montecarlo.SimConfig(trials=args.trials, seed=args.seed)
@@ -376,31 +392,14 @@ def cmd_validate(args) -> int:
                     multi_obs.posterior_given_K_d(p, aloha, r_O, k, d_obs),
                     mo.posterior[(k, d_obs)]))
 
-    failures = sum(c["status"] == "FAIL" for c in checks)
-    evaluated = sum(c["status"] != "SKIP" for c in checks)
     hash_payload = {"command": "validate", "scenario": p.to_dict(),
                     "seed": args.seed, "trials": args.trials,
                     "grid": [float(r) for r in grid],
                     "aloha": args.aloha}
-    if args.format == "json":
-        _emit(args, ("quantity", "status", "analytic", "mc", "stderr",
-                     "z", "samples"), checks, [], hash_payload)
-    else:
-        lines = [f"# manifest {_config_hash(hash_payload)}"]
-        for c in checks:
-            lines.append(
-                f"{c['status']:4s} {c['quantity']:30s} "
-                f"analytic={c['analytic']:.6f} mc={c['mc']:.6f} "
-                f"se={c['stderr']:.2e} z={c['z']:+.2f} n={c['samples']}")
-        verdict = "PASSED" if failures == 0 else "FAILED"
-        lines.append(f"VALIDATION {verdict} "
-                     f"({evaluated - failures}/{evaluated} checks)")
-        text = "\n".join(lines) + "\n"
-        if args.out:
-            Path(args.out).write_text(text)
-        else:
-            sys.stdout.write(text)
-    return 1 if failures else 0
+    _emit(args, ("quantity", "status", "analytic", "mc", "stderr", "z",
+                 "samples"), checks, [], hash_payload, _render_checks)
+    return 1 if any(c["status"] == "FAIL" for c in checks) else 0
+
 
 
 # ------------------------------------------------------------------ main

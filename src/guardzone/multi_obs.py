@@ -112,23 +112,29 @@ def p_h_given_m(p: ModelParams, aloha: AlohaParams, r_O: float, m: int) -> float
     _check_noiseless(p)
     if m < 0:
         raise ValueError(f"m must be nonnegative, got {m}")
-    A, B, C, BmC = _exponents(p, r_O)
-    outside = aloha.p * (BmC - A)
-    return math.exp(outside) * ((1.0 + _xi(aloha, B, C)) * aloha.p_bar) ** m
+    _, B, C, T = _exponents(p, r_O)
+    return math.exp(-aloha.p * T) * ((1.0 + _xi(aloha, B, C)) * aloha.p_bar) ** m
 
 
 def p_h_given_K(p: ModelParams, aloha: AlohaParams, r_O: float, K: int) -> float:
     """Physical success probability in slot N+1 given K of N past protocol
-    successes."""
+    successes.
+
+    Written as ``exp(p*(mu_h - A)) * f_d(mu_h, K+1) / f_d(mu_d, K)``, the
+    first factor overflows and the ratio underflows at large radii, so
+    ``f_d(nu, a, k, l) = e^{-nu(1-a^k)} f_d(nu*a^k, a, 0, l)`` moves both
+    into one exponent, which lies in [-p*A, 0].
+    """
     _check_noiseless(p)
     _check_K(aloha, K)
-    A, mu_d, C, _ = _exponents(p, r_O)
+    A, mu_d, C, T = _exponents(p, r_O)
     if aloha.N == 0:
         return prior_success(p.thinned(aloha.p))
     mu_h = mu_d * (1.0 + _xi(aloha, mu_d, C))
-    num = f_d(mu_h, aloha.p_bar, K + 1, aloha.N - K)
-    den = f_d(mu_d, aloha.p_bar, K, aloha.N - K)
-    return math.exp(aloha.p * (mu_h - A)) * num / den
+    q = aloha.p_bar**K
+    num = f_d(mu_h * q * aloha.p_bar, aloha.p_bar, 0, aloha.N - K)
+    den = f_d(mu_d * q, aloha.p_bar, 0, aloha.N - K)
+    return math.exp(-aloha.p * (A * q + T * (1.0 - q))) * num / den
 
 
 def p_d_given_K(p: ModelParams, aloha: AlohaParams, r_O: float, K: int) -> float:

@@ -123,9 +123,8 @@ def _f_left(p: ModelParams, cost: CostMatrix, r_O: float) -> float:
 
 
 def _f_right(p: ModelParams, r_O: float) -> float:
-    """-A + B - C; increasing from -A up to -sigma*eta."""
-    A, _, _, BmC = _exponents(p, r_O)
-    return BmC - A
+    """-T = -A + B - C; increasing from -A up to -sigma*eta."""
+    return -_exponents(p, r_O)[3]
 
 
 def optimal_radius(p: ModelParams, cost: CostMatrix) -> OptimalRadius:
@@ -173,10 +172,9 @@ def sensitivities(p: ModelParams, cost: CostMatrix) -> tuple[float, float]:
     d = derive(p)
     r = opt.r_O
     chi = chi_of_radius(d, r)
-    A, B, C, BmC = _exponents(p, r)
+    A, B, C, T = _exponents(p, r)
     denom = p.alpha * (1.0 + d.delta * B)
-    # A - (B - C) = a * delta * int_chi^inf t**(delta-1)/(1+t) dt > 0
-    d_dlam = r * (1.0 + chi) * (A - BmC) / (p.density * denom)
+    d_dlam = r * (1.0 + chi) * T / (p.density * denom)
     bracket = 1.0 + d.delta * ((1.0 + chi) * (A + C) - chi * B)
     d_dsig = r * bracket / (d.sigma * denom)
     return d_dlam, d_dsig
@@ -188,11 +186,11 @@ def type_errors(p: ModelParams, r_O: float, rule: SingleObsRule) -> tuple[float,
     Type I: predicting success when the SINR test fails; Type II:
     predicting failure when it succeeds.
     """
-    A, B, C, BmC = _exponents(p, r_O)
+    A, B, C, T = _exponents(p, r_O)
     h0 = -math.expm1(-A)
     # P(D=d | H=0) = (P(D=d) - P(D=d, H=1)) / P(H=0) and P(D=0 | H=1),
     # written with expm1 so that none cancels when its exponents are small
-    d1_h0 = -math.exp(-B) * math.expm1(BmC - A) / h0
+    d1_h0 = -math.exp(-B) * math.expm1(-T) / h0
     d0_h0 = (math.exp(-A) * math.expm1(-C) - math.expm1(-B)) / h0
     p_I = _predicts(rule.g1, rule.g0, d1_h0, d0_h0)
     p_II = _predicts(1 - rule.g1, 1 - rule.g0, math.exp(-C), -math.expm1(-C))

@@ -9,16 +9,17 @@ nonnegative exponents capture every distribution involved:
     B(r_O)       -- evidence exponent:  P(guard zone clear)  = exp(-B)
     C(r_O)       -- coupling exponent:  P(both)              = exp(-A-C)
 
-so the posterior given a clear guard zone is ``exp(-A + B - C)``. With
-the scale ``a = density * c_n * sigma**delta`` and ``chi = r_O**alpha/sigma``,
+so the posterior given a clear guard zone is ``exp(-T)``, ``T = A - B + C``.
+With the scale ``a = density * c_n * sigma**delta`` and ``chi = r_O**alpha/sigma``,
 
     A = a * kappa(delta) + sigma * eta,   B = a * chi**delta,
-    C = a * int_I(chi, delta),            B - C = a * power_gap(chi, delta).
+    C = a * int_I(chi, delta),            B - C = a * power_gap(chi, delta),
+    T = a * power_tail(chi, delta) + sigma * eta.
 
 Each is defined once, below, and every other module builds on these
 definitions. All probabilities are assembled in log-space and
 exponentiated once: ``B`` alone overflows ``exp`` for large radii while
-``B - C`` stays bounded by ``a * kappa``.
+``B - C`` stays bounded by ``a * kappa``, and ``T`` is small next to ``A``.
 """
 
 from __future__ import annotations
@@ -80,6 +81,12 @@ def _BmC(a: float, delta: float, chi: float) -> float:
     return a * specfn.power_gap(chi, delta)
 
 
+def _tail(a: float, delta: float, chi: float) -> float:
+    """T without its noise term: ``a * power_tail(chi)``, the interference
+    exponent of the nodes outside the guard zone."""
+    return a * specfn.power_tail(chi, delta)
+
+
 def prior_exponent(p: ModelParams, d: DerivedParams | None = None) -> float:
     """Exponent A with ``P(physical success) = exp(-A)``."""
     d = d or derive(p)
@@ -87,11 +94,13 @@ def prior_exponent(p: ModelParams, d: DerivedParams | None = None) -> float:
 
 
 def _exponents(p: ModelParams, r_O: float) -> tuple[float, float, float, float]:
-    """(A, B, C, B - C) at a positive guard-zone radius r_O."""
+    """(A, B, C, T) at a positive guard-zone radius r_O, T = A - (B - C)."""
     if not r_O > 0:
         raise ValueError(f"r_O must be positive, got {r_O}")
-    args = _coordinates(p, r_O)
-    return prior_exponent(p), _B(*args), _C(*args), _BmC(*args)
+    d = derive(p)
+    args = _scale(p, d), d.delta, chi_of_radius(d, r_O)
+    T = _tail(*args) + d.sigma * p.eta
+    return prior_exponent(p, d), _B(*args), _C(*args), T
 
 
 def prior_success(p: ModelParams) -> float:
@@ -120,13 +129,12 @@ def posterior(p: ModelParams, r_O: float) -> PosteriorTable:
     if not (r_O > 0 and math.isfinite(r_O)):
         raise ValueError(
             f"posterior requires a finite positive r_O, got {r_O}")
-    A, B, C, BmC = _exponents(p, r_O)
-    p11 = math.exp(BmC - A)
+    A, B, C, T = _exponents(p, r_O)
     # P(H=1, D=0) / P(D=0) = (e^-A - e^(-A-C)) / (1 - e^-B) is of order
     # r_O**alpha; expm1 keeps it exact where both differences are tiny
     p10 = math.exp(-A) * math.expm1(-C) / math.expm1(-B)
-    return PosteriorTable(p_h1_d1=p11, p_h1_d0=p10,
-                          p_h0_d1=1.0 - p11, p_h0_d0=1.0 - p10)
+    return PosteriorTable(p_h1_d1=math.exp(-T), p_h1_d0=p10,
+                          p_h0_d1=-math.expm1(-T), p_h0_d0=1.0 - p10)
 
 
 def posterior_limit_small(p: ModelParams) -> float:
@@ -157,5 +165,4 @@ def lt_interference_given_void(p: ModelParams, r_O: float, s: float) -> float:
         return 1.0
     # the posterior's exponents with sigma replaced by s, and no noise
     d = replace(derive(p), sigma=s)
-    a = _scale(p, d)
-    return math.exp(_BmC(a, d.delta, chi_of_radius(d, r_O)) - a * d.kappa_delta)
+    return math.exp(-_tail(_scale(p, d), d.delta, chi_of_radius(d, r_O)))

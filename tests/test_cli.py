@@ -151,6 +151,17 @@ class TestValidate:
         statuses = {r["status"] for r in doc["rows"]}
         assert statuses <= {"PASS", "SKIP"}
 
+    def test_out_writes_manifest_with_seed(self, tmp_path, capsys):
+        out = tmp_path / "v.txt"
+        code, stdout = run_cli(self.ARGS + ["--seed", "7", "--out", str(out)],
+                               capsys)
+        assert code == 0 and stdout == ""
+        manifest = json.loads((tmp_path / "v.txt.manifest.json").read_text())
+        assert manifest["command"] == "validate"
+        assert manifest["seed"] == 7
+        first_line = out.read_text().splitlines()[0]
+        assert first_line == f"# manifest {manifest['config_hash']}"
+
 
 class TestPlumbing:
     def test_missing_scenario_is_input_error(self, capsys):

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from guardzone import multi_obs as mo
 from guardzone.params import ModelParams
 from guardzone.risk import SingleObsRule, type_errors
 from guardzone.single_obs import evidence_success, posterior, prior_success
+from test_single_obs import joint_exponents
 
 FIG5 = ModelParams(n=2, density=2e-4, alpha=3, beta=5, r_T=10)
 ALOHA1 = mo.AlohaParams(p=0.5, N=1)
@@ -72,7 +74,36 @@ class TestFd:
             mo.f_d(1.0, 1.5, 0, 0)
 
 
+def p_h_given_K_oracle(p, aloha, r_O, K):
+    """P(H=1 | K) as a direct 30-digit Poisson sum over the count M of
+    potential transmitters in the guard zone, each of which transmits in
+    a slot with probability p: E[P(H=1 | M) P(K | M)] / E[P(K | M)]."""
+    A, B, C = joint_exponents(p, r_O)
+    with mpmath.workdps(30):
+        pc = mpmath.mpf(aloha.p)
+        q = 1 - pc
+        # a node inside the zone is silent, or transmits and is survived
+        per_node = q + pc * C / B
+        num = den = mpmath.mpf(0)
+        w = mpmath.exp(-B)
+        for m in range(int(B + 15 * mpmath.sqrt(B) + 40)):
+            history = q ** (m * K) * (1 - q**m) ** (aloha.N - K)
+            num += w * per_node**m * history
+            den += w * history
+            w *= B / (m + 1)
+        return float(mpmath.exp(-pc * (A - B + C)) * num / den)
+
+
 class TestConditionalLaws:
+    @pytest.mark.parametrize("N, r_O, K", [(1, 2000.0, 0), (1, 1000.0, 1),
+                                           (2, 100.0, 2), (3, 20.0, 1)])
+    def test_p_h_given_K_against_poisson_sum(self, N, r_O, K):
+        # at large radii exp(p*(mu_h - A)) overflows and the f_d ratio
+        # underflows, though the product lies in [e^-pA, 1]
+        aloha = mo.AlohaParams(p=0.5, N=N)
+        assert mo.p_h_given_K(FIG5, aloha, r_O, K) == pytest.approx(
+            p_h_given_K_oracle(FIG5, aloha, r_O, K), rel=1e-12)
+
     def test_p_K_normalizes(self):
         for aloha in (ALOHA1, ALOHA2, mo.AlohaParams(p=0.3, N=5)):
             total = sum(mo.p_K(FIG5, aloha, 50.0, k)

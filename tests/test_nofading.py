@@ -6,10 +6,12 @@ import math
 import mpmath
 import numpy as np
 import pytest
+import scipy.special
 
-from guardzone.nofading import (IltConfig, IltConvergenceError, J,
-                                levy_prior, lt_nofade_given_void,
-                                posterior_nofade, rho_nofade)
+from guardzone import nofading
+from guardzone.nofading import (IltConvergenceError, J, levy_prior,
+                                lt_nofade_given_void, posterior_nofade,
+                                rho_nofade)
 from guardzone.params import ModelParams, derive
 from guardzone.single_obs import evidence_success
 
@@ -70,6 +72,22 @@ class TestJ:
     def test_rejects_left_half_plane(self):
         with pytest.raises(ValueError):
             J(-1.0, 0.01)
+        with pytest.raises(ValueError):
+            J(np.array([1.0, -1.0 + 2.0j]), 0.01)
+
+    def test_array_matches_scalar_loop(self):
+        # the same formula, one cmath evaluation per node
+        def scalar_J(s, u):
+            ru = 1.0 / math.sqrt(u)
+            root_pis = cmath.sqrt(math.pi * s)
+            return root_pis - ru + cmath.exp(-s * u) * (
+                ru - root_pis * complex(scipy.special.erfcx(cmath.sqrt(s * u))))
+
+        u = 1e-4
+        s = (18.4 + 2j * math.pi * np.arange(385)) / 2e-3
+        loop = np.array([scalar_J(sv, u) for sv in s])
+        assert np.allclose(J(s, u), loop, rtol=1e-14, atol=0.0)
+        assert J(0.0, u) == 0.0
 
 
 class TestConditionalTransform:
@@ -100,23 +118,32 @@ class TestInversion:
         vals = [posterior_nofade(FIG4, r).value for r in grid]
         assert all(b >= a - 1e-9 for a, b in zip(vals, vals[1:]))
 
-    def test_error_estimate_honest(self):
+    def test_error_estimate_honest(self, monkeypatch):
         res = posterior_nofade(FIG4, 20.0)
-        tight = posterior_nofade(FIG4, 20.0,
-                                 IltConfig(terms=96, max_doublings=4))
+        monkeypatch.setattr(nofading, "_TERMS", 96)
+        monkeypatch.setattr(nofading, "_DOUBLINGS", 4)
+        tight = posterior_nofade(FIG4, 20.0)
         assert abs(res.value - tight.value) <= 10 * max(res.error_estimate,
                                                         1e-12)
 
-    def test_convergence_failure_raises(self):
-        cfg = IltConfig(terms=8, precision_target=1e-30, max_doublings=1)
+    def test_convergence_failure_raises(self, monkeypatch):
+        monkeypatch.setattr(nofading, "_TERMS", 8)
+        monkeypatch.setattr(nofading, "_DOUBLINGS", 1)
+        monkeypatch.setattr(nofading, "_TARGET", 1e-30)
         with pytest.raises(IltConvergenceError):
-            posterior_nofade(FIG4, 20.0, cfg)
+            posterior_nofade(FIG4, 20.0)
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            IltConfig(terms=4)
-        with pytest.raises(ValueError):
-            IltConfig(precision_target=0.0)
+    def test_one_transform_evaluation(self, monkeypatch):
+        # every term count reads the same evaluation at all 385 nodes
+        calls = []
+
+        def counting(p, r_O, s):
+            calls.append(np.size(s))
+            return lt_nofade_given_void(p, r_O, s)
+
+        monkeypatch.setattr(nofading, "lt_nofade_given_void", counting)
+        posterior_nofade(FIG4, 2.0)
+        assert calls == [385]
 
 
 class TestRhoNofade:

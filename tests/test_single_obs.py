@@ -15,6 +15,7 @@ from guardzone.single_obs import (abc_terms, evidence_success,
 
 FIG1 = ModelParams(n=2, density=2e-4, alpha=3, beta=5, r_T=10)
 NOISY = ModelParams(n=2, density=2e-4, alpha=3, beta=5, r_T=10, eta=1e-5)
+FIG4 = ModelParams(n=2, density=2e-3, alpha=4, beta=5, r_T=10)
 
 
 def prior_oracle(p):
@@ -54,8 +55,24 @@ def joint_exponents(p, r_O):
     return A, B, C
 
 
-# r_O / r_T from 1e-6 to 1e4
-SMALL_TO_LARGE = [10.0**k for k in range(-6, 5)]
+def outside_exponent(p, r_O):
+    """Independent T = A - (B - C) with P(H=1 | D=1) = exp(-T): the noise
+    term plus the interference exponent of the nodes outside the ball,
+    density * c_n * n * int_r_O^inf sigma * r**(n-1) / (r**alpha + sigma) dr,
+    by quadrature over x = r / r_O. Taken directly, because at large r_O
+    it is small next to A, B and C."""
+    d = derive(p)
+    scale = d.sigma ** (1.0 / p.alpha)
+    with mpmath.workdps(30):
+        r_O = mpmath.mpf(r_O)
+        knee = max(scale / r_O, 1)
+        return d.sigma * p.eta + p.density * d.c_n * p.n * r_O**p.n * mpmath.quad(
+            lambda x: d.sigma * x ** (p.n - 1) / ((r_O * x) ** p.alpha + d.sigma),
+            sorted({1, knee, 100 * knee, 1e4 * knee}) + [mpmath.inf])
+
+
+# r_O / r_T from 1e-6 to 1e5
+SMALL_TO_LARGE = [10.0**k for k in range(-6, 6)]
 
 
 class TestPrior:
@@ -120,16 +137,20 @@ class TestPosterior:
         t = posterior(FIG1.thinned(0.5), 50.0)
         assert t.p_h1_d0 == pytest.approx(0.68, abs=0.01)
 
-    @pytest.mark.parametrize("p", [FIG1, NOISY])
+    @pytest.mark.parametrize("p", [FIG1, NOISY, FIG4])
     @pytest.mark.parametrize("ratio", SMALL_TO_LARGE)
     def test_busy_zone_against_quadrature(self, p, ratio):
-        # P(H=1 | D=0) = e^-A (1 - e^-C) / (1 - e^-B) is of order r_O**alpha
+        # P(H=1 | D=0) = e^-A (1 - e^-C) / (1 - e^-B) is of order r_O**alpha,
+        # and P(H=0 | D=1) = 1 - e^-T falls to ~1e-10 at fig4, 1e5 r_T
         r_O = ratio * p.r_T
         A, B, C = joint_exponents(p, r_O)
+        T = outside_exponent(p, r_O)
         with mpmath.workdps(30):
             ref = mpmath.exp(-A) * mpmath.expm1(-C) / mpmath.expm1(-B)
-        assert posterior(p, r_O).p_h1_d0 == pytest.approx(float(ref), rel=1e-10,
-                                                          abs=0.0)
+            ref_01 = -mpmath.expm1(-T)
+        table = posterior(p, r_O)
+        assert table.p_h1_d0 == pytest.approx(float(ref), rel=1e-10, abs=0.0)
+        assert table.p_h0_d1 == pytest.approx(float(ref_01), rel=1e-10, abs=0.0)
 
     def test_rejects_degenerate_radius(self):
         for bad in (0.0, -1.0, math.inf, math.nan):

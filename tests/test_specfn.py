@@ -103,7 +103,7 @@ def mp_power_gap(u, delta):
 
 
 class TestAgainstMpmath:
-    """Relative error of both closed forms over twenty-four decades of u."""
+    """Relative error of the closed forms over twenty-four decades of u."""
 
     @given(st.floats(-12.0, 12.0), st.floats(0.01, 0.99))
     @settings(max_examples=300, deadline=None)
@@ -113,6 +113,18 @@ class TestAgainstMpmath:
             ref = mp_power_gap(u, delta)
         assert specfn.power_gap(u, delta) == pytest.approx(float(ref), rel=1e-12,
                                                         abs=0.0)
+
+    @given(st.floats(-30.0, 12.0), st.floats(0.01, 0.99))
+    @settings(max_examples=300, deadline=None)
+    def test_power_tail(self, log_u, delta):
+        # kappa - gap with 40 digits: at u = 1e12 the tail is ~1e-14 kappa;
+        # u reaches 1e-30, where tiny guard zones put chi
+        u = 10.0**log_u
+        with mpmath.workdps(40):
+            d = mpmath.mpf(delta)
+            ref = mpmath.pi * d / mpmath.sin(mpmath.pi * d) - mp_power_gap(u, delta)
+        assert specfn.power_tail(u, delta) == pytest.approx(float(ref), rel=1e-12,
+                                                         abs=0.0)
 
     @given(st.floats(-12.0, 12.0), st.floats(0.01, 0.99))
     @settings(max_examples=300, deadline=None)
