@@ -36,6 +36,7 @@ from .nofading import IltConvergenceError
 from .params import ModelParams, chi_of_radius, derive, load_scenario, radius_of_chi
 from .risk import CostMatrix, SingleObsRule
 from .single_obs import evidence_success, posterior, prior_success
+from .specfn import gauss_Q
 
 
 class InputError(Exception):
@@ -128,6 +129,14 @@ def _render_json(columns, rows, comments, cfg_hash) -> str:
                       indent=2, default=str) + "\n"
 
 
+def _rows(columns: dict) -> list[dict]:
+    """Report rows from named columns of equal length: arrays, whose
+    values become Python floats, or lists."""
+    values = [c.tolist() if isinstance(c, np.ndarray) else c
+              for c in columns.values()]
+    return [dict(zip(columns, row)) for row in zip(*values)]
+
+
 def _emit(args, columns, rows, comments, hash_payload, render_text=_render_csv) -> None:
     cfg_hash = _config_hash(hash_payload)
     render = _render_json if args.format == "json" else render_text
@@ -162,9 +171,9 @@ def cmd_correlation(args) -> int:
               {"command": "correlation-sweep", "scenario": p.to_dict()})
         return 0
     grid = parse_grid(args.grid, np.geomspace(1e-3, 1e4, 400))
-    rows = [{"chi": float(c), "rho": correlation.rho(p, c),
-             "f1": correlation.f1(p, c), "f2": correlation.f2(p, c),
-             "is_chi_star": 0} for c in grid]
+    rows = _rows({"chi": grid, "rho": correlation.rho(p, grid),
+                  "f1": correlation.f1(p, grid), "f2": correlation.f2(p, grid),
+                  "is_chi_star": [0] * len(grid)})
     cs = correlation.chi_star(p)
     rows.append({"chi": cs, "rho": correlation.rho(p, cs),
                  "f1": correlation.f1(p, cs), "f2": correlation.f2(p, cs),
@@ -182,23 +191,23 @@ def cmd_risk(args) -> int:
     grid = parse_grid(args.grid, np.geomspace(0.01 * p.r_T, 100.0 * p.r_T, 400))
     columns = ("r_O", "risk", "risk_deriv_fd", "f_L", "f_R", "is_optimum")
 
-    def row_at(r, flag):
+    def rows_at(r, flag):
         h = 1e-6 * r
         deriv = (risk.bayes_risk(p, cost, r + h)
                  - risk.bayes_risk(p, cost, r - h)) / (2.0 * h)
-        return {"r_O": float(r), "risk": risk.bayes_risk(p, cost, r),
-                "risk_deriv_fd": deriv, "f_L": risk._f_left(p, cost, r),
-                "f_R": risk._f_right(p, r), "is_optimum": flag}
+        return _rows({"r_O": r, "risk": risk.bayes_risk(p, cost, r),
+                      "risk_deriv_fd": deriv, "f_L": risk._f_left(p, cost, r),
+                      "f_R": risk._f_right(p, r), "is_optimum": [flag] * len(r)})
 
     try:
         cost.require_regular()
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    rows = [row_at(r, 0) for r in grid]
+    rows = rows_at(grid, 0)
     comments = []
     opt = risk.optimal_radius(p, cost)
     if opt.exists:
-        rows.append(row_at(opt.r_O, 1))
+        rows.extend(rows_at(np.array([opt.r_O]), 1))
         comments.append(f"r_O_star {opt.r_O:.6g} risk_star {opt.risk:.6g}")
         if p.eta == 0:
             d_dlam, d_dsig = risk.sensitivities(p, cost)
@@ -214,20 +223,20 @@ def cmd_risk(args) -> int:
     return 0
 
 
-def _roc_row(p, r, label):
-    d = derive(p)
-    p_i, p_ii = risk.type_errors(p, r, SingleObsRule.identity())
+def _roc_rows(p, radii, labels):
+    radii = np.asarray(radii, dtype=float)
+    chi = chi_of_radius(derive(p), radii)
+    p_i, p_ii = risk.type_errors(p, radii, SingleObsRule.identity())
     pH = prior_success(p)
-    chi = chi_of_radius(d, r)
-    return {"r_O": float(r), "chi": chi, "p_I": p_i, "p_II": p_ii,
-            "risk": p_i * (1.0 - pH) + p_ii * pH,
-            "rho": correlation.rho(p, chi), "label": label}
+    return _rows({"r_O": radii, "chi": chi, "p_I": p_i, "p_II": p_ii,
+                  "risk": p_i * (1.0 - pH) + p_ii * pH,
+                  "rho": correlation.rho(p, chi), "label": labels})
 
 
 def cmd_roc(args) -> int:
     p = _load_scenario(args.scenario)
     grid = parse_grid(args.grid, np.geomspace(0.05 * p.r_T, 50.0 * p.r_T, 200))
-    rows = [_roc_row(p, r, "") for r in grid]
+    rows = _roc_rows(p, grid, [""] * len(grid))
     comments = []
     ops = risk.operating_points(p)
     named = [("r_T", p.r_T), ("r_MM", ops.r_MM), ("r_EE", ops.r_EE)]
@@ -241,7 +250,8 @@ def cmd_roc(args) -> int:
     opt = risk.optimal_radius(p, CostMatrix.uniform())
     if opt.exists:
         named.append(("r_risk", opt.r_O))
-    rows.extend(_roc_row(p, r, label) for label, r in named)
+    labels, radii = zip(*named)
+    rows.extend(_roc_rows(p, radii, labels))
     _emit(args, ("r_O", "chi", "p_I", "p_II", "risk", "rho", "label"),
           rows, comments,
           {"command": "roc", "scenario": p.to_dict(),
@@ -256,22 +266,20 @@ def cmd_fading_compare(args) -> int:
             "fading comparison needs the no-fading closed forms, which "
             f"require alpha = 2n; scenario has n={p.n}, alpha={p.alpha}")
     grid = parse_grid(args.grid, np.geomspace(0.1 * p.r_T, 30.0 * p.r_T, 80))
-    d = derive(p)
-    rows = []
-    for r in grid:
-        chi = chi_of_radius(d, r)
-        row = {"r_O": float(r), "chi": chi,
-               "posterior_fading": posterior(p, r).p_h1_d1,
-               "rho_fading": correlation.rho(p, chi)}
+    chi = chi_of_radius(derive(p), grid)
+    rows = _rows({"r_O": grid, "chi": chi,
+                  "posterior_fading": posterior(p, grid).p_h1_d1,
+                  "rho_fading": correlation.rho(p, chi)})
+    for row in rows:
+        r = row["r_O"]
         try:
             ilt = nofading.posterior_nofade(p, r)
             row.update(posterior_nofading=ilt.value,
-                       rho_nofading=nofading.rho_nofade(p, r),
+                       rho_nofading=nofading._rho_given_posterior(p, r, ilt.value),
                        ilt_error=ilt.error_estimate, ilt_converged=1)
         except IltConvergenceError as exc:
             row.update(posterior_nofading=math.nan, rho_nofading=math.nan,
                        ilt_error=exc.achieved, ilt_converged=0)
-        rows.append(row)
     _emit(args, ("r_O", "chi", "posterior_fading", "posterior_nofading",
                  "rho_fading", "rho_nofading", "ilt_error", "ilt_converged"),
           rows, [],
@@ -308,6 +316,11 @@ def cmd_multiobs(args) -> int:
 
 # -------------------------------------------------------------- validate
 
+# alpha / 2 of the exact interval that stands in for 3 standard errors
+# where the estimate has none: alpha = 2 * Q(3)
+_TAIL_3SE = gauss_Q(3.0)
+
+
 def _check(name, analytic, est: montecarlo.Estimate):
     """One oracle comparison at 3 standard errors."""
     if est.low_confidence:
@@ -315,7 +328,7 @@ def _check(name, analytic, est: montecarlo.Estimate):
                 "mc": est.value, "stderr": est.stderr, "z": math.nan,
                 "samples": est.count}
     if est.stderr == 0.0:
-        ok = analytic == est.value
+        ok = _within_exact_bound(analytic, est)
         z = 0.0 if ok else math.inf
     else:
         z = (est.value - analytic) / est.stderr
@@ -323,6 +336,20 @@ def _check(name, analytic, est: montecarlo.Estimate):
     return {"quantity": name, "status": "PASS" if ok else "FAIL",
             "analytic": analytic, "mc": est.value, "stderr": est.stderr,
             "z": z, "samples": est.count}
+
+
+def _within_exact_bound(analytic, est: montecarlo.Estimate) -> bool:
+    """A count of 0/n or n/n has no standard error; it passes if
+    ``analytic`` lies inside the Clopper-Pearson interval at the level of
+    3 standard errors: ``analytic <= 1 - (alpha/2)**(1/n)`` for 0/n and
+    ``analytic >= (alpha/2)**(1/n)`` for n/n. Any other zero-error
+    estimate must equal ``analytic``."""
+    log_edge = math.log(_TAIL_3SE) / est.count
+    if est.value == 0.0:
+        return analytic <= -math.expm1(log_edge)
+    if est.value == 1.0:
+        return analytic >= math.exp(log_edge)
+    return analytic == est.value
 
 
 def _render_checks(columns, checks, comments, cfg_hash) -> str:

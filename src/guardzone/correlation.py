@@ -13,8 +13,10 @@ vanishes at both extremes and peaks at some ``chi > 1`` solving
     (1 - chi) * exp(B) + (1 + chi) * exp(C) = 2.
 
 Uniqueness of that stationary point is conjectured, not proven, so the
-solver scans for every root in its certified bracket and returns the
-global maximizer.
+solver scans for every root in its certified bracket, as one array
+evaluation of the residual on a log grid, and returns the global
+maximizer. ``rho``, ``f1``, ``f2`` and the residual take a float chi or
+an array of chi values.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize
 
+from . import specfn
 from .params import ModelParams, derive
 from .single_obs import _B, _BmC, _C, _scale, prior_exponent
 
@@ -39,19 +42,21 @@ class BracketError(RuntimeError):
     """No sign change found for the stationarity equation."""
 
 
-def _scaled_rho(a: float, delta: float, chi: float) -> float:
+def _scaled_rho(a: float, delta: float, chi):
     """rho * sqrt(expm1(A)): the part of the correlation that depends on chi."""
     B = _B(a, delta, chi)
+    xp = specfn._ops(B)
     # expm1(B) = exp(B) * (-expm1(-B)); keeping exp(-B/2) outside the
     # square root avoids overflow for large chi, where B is huge but the
     # numerator stays bounded by expm1(a * kappa)
-    return math.expm1(_BmC(a, delta, chi)) * math.exp(-0.5 * B) / math.sqrt(
-        -math.expm1(-B))
+    return xp.expm1(_BmC(a, delta, chi)) * xp.exp(-0.5 * B) / xp.sqrt(
+        -xp.expm1(-B))
 
 
-def rho(p: ModelParams, chi: float) -> float:
-    """Correlation of the two success indicators at dimensionless chi > 0."""
-    if not chi > 0:
+def rho(p: ModelParams, chi):
+    """Correlation of the two success indicators at dimensionless chi > 0,
+    a float or an array."""
+    if not specfn._all(chi > 0):
         raise ValueError(f"chi must be positive, got {chi}")
     d = derive(p)
     A = prior_exponent(p, d)
@@ -62,29 +67,32 @@ def rho(p: ModelParams, chi: float) -> float:
 
 def rho_curve(p: ModelParams, chi_grid) -> CorrelationCurve:
     grid = np.asarray(chi_grid, dtype=float)
-    return CorrelationCurve(grid, np.array([rho(p, c) for c in grid]))
+    return CorrelationCurve(grid, rho(p, grid))
 
 
-def f1(p: ModelParams, chi: float) -> float:
+def f1(p: ModelParams, chi):
     """(1 - chi) * exp(B(chi)); intersects f2 at the maximizing chi."""
     d = derive(p)
-    return (1.0 - chi) * math.exp(_B(_scale(p, d), d.delta, chi))
+    B = _B(_scale(p, d), d.delta, chi)
+    return (1.0 - chi) * specfn._ops(B).exp(B)
 
 
-def f2(p: ModelParams, chi: float) -> float:
+def f2(p: ModelParams, chi):
     """2 - (1 + chi) * exp(C(chi)), concave decreasing."""
     d = derive(p)
-    return 2.0 - (1.0 + chi) * math.exp(_C(_scale(p, d), d.delta, chi))
+    C = _C(_scale(p, d), d.delta, chi)
+    return 2.0 - (1.0 + chi) * specfn._ops(C).exp(C)
 
 
-def _stationarity(a: float, delta: float, chi: float) -> float:
+def _stationarity(a: float, delta: float, chi):
     """Scaled residual of the stationarity equation.
 
     Dividing (1-chi)e^B + (1+chi)e^C - 2 by e^C keeps everything bounded:
     B - C <= a*kappa regardless of chi.
     """
-    return ((1.0 - chi) * math.exp(_BmC(a, delta, chi)) + (1.0 + chi)
-            - 2.0 * math.exp(-_C(a, delta, chi)))
+    xp = specfn._ops(chi)
+    return ((1.0 - chi) * xp.exp(_BmC(a, delta, chi)) + (1.0 + chi)
+            - 2.0 * xp.exp(-_C(a, delta, chi)))
 
 
 def chi_star_from_coeff(a: float, delta: float) -> float:
@@ -114,14 +122,12 @@ def chi_star_from_coeff(a: float, delta: float) -> float:
 
     resid = lambda chi: _stationarity(a, delta, chi)
     grid = np.geomspace(1.0 + 1e-9, chi_hat, 64)
-    vals = np.array([resid(c) for c in grid])
-    roots = []
-    for i in range(len(grid) - 1):
-        if vals[i] == 0.0:
-            roots.append(grid[i])
-        elif vals[i] * vals[i + 1] < 0:
-            roots.append(optimize.brentq(resid, grid[i], grid[i + 1],
-                                         xtol=1e-14, rtol=1e-14))
+    vals = resid(grid)
+    # a zero on the grid is a root; a sign change brackets one
+    hits = np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0))
+    roots = [grid[i] if vals[i] == 0.0 else
+             optimize.brentq(resid, grid[i], grid[i + 1], xtol=1e-14, rtol=1e-14)
+             for i in hits]
     if not roots:
         raise BracketError(
             "no stationary point found in the certified bracket "

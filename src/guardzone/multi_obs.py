@@ -138,14 +138,21 @@ def p_h_given_K(p: ModelParams, aloha: AlohaParams, r_O: float, K: int) -> float
 
 
 def p_d_given_K(p: ModelParams, aloha: AlohaParams, r_O: float, K: int) -> float:
-    """Protocol success probability in slot N+1 given K past successes."""
+    """Protocol success probability in slot N+1 given K past successes.
+
+    It is ``f_d(mu_d, K+1) / f_d(mu_d, K)``, but both terms underflow at
+    large radii; the identity used in :func:`p_h_given_K` turns it into
+    ``exp(-mu_d*p*q) * f_d(mu_d*q*p_bar, 0) / f_d(mu_d*q, 0)`` with
+    ``q = p_bar**K``, whose two f_d terms tend to 1 as the radius grows.
+    """
     _check_K(aloha, K)
     mu_d = _mu_d(p, r_O)
     if aloha.N == 0:
         return math.exp(-aloha.p * mu_d)
-    num = f_d(mu_d, aloha.p_bar, K + 1, aloha.N - K)
-    den = f_d(mu_d, aloha.p_bar, K, aloha.N - K)
-    return num / den
+    q = aloha.p_bar**K
+    num = f_d(mu_d * q * aloha.p_bar, aloha.p_bar, 0, aloha.N - K)
+    den = f_d(mu_d * q, aloha.p_bar, 0, aloha.N - K)
+    return math.exp(-mu_d * aloha.p * q) * num / den
 
 
 def p_K(p: ModelParams, aloha: AlohaParams, r_O: float, K: int) -> float:

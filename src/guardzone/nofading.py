@@ -26,6 +26,7 @@ in Re(s) > 0 where the transform is tame.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -119,11 +120,19 @@ def lt_nofade_given_void(p: ModelParams, r_O: float, s):
     return np.exp(-p.density * d.c_n * J(s, r_O ** (-p.alpha)))
 
 
-def _euler_sum(partial: np.ndarray, terms: int) -> float:
-    """Binomially weighted mean of the partial sums ``terms .. 2*terms``."""
+@functools.cache
+def _euler_weights(terms: int) -> np.ndarray:
+    """The binomial weights ``C(terms, j) / 2**terms``, j = 0 .. terms;
+    read-only, because every call shares them."""
     weights = np.array([math.comb(terms, j) for j in range(terms + 1)],
                        dtype=float) * 2.0 ** (-terms)
-    return float(np.dot(weights, partial[terms:2 * terms + 1]))
+    weights.flags.writeable = False
+    return weights
+
+
+def _euler_sum(partial: np.ndarray, terms: int) -> float:
+    """Binomially weighted mean of the partial sums ``terms .. 2*terms``."""
+    return float(np.dot(_euler_weights(terms), partial[terms:2 * terms + 1]))
 
 
 def posterior_nofade(p: ModelParams, r_O: float) -> IltResult:
@@ -165,8 +174,13 @@ def rho_nofade(p: ModelParams, r_O: float) -> float:
     from the Levy prior, the inverted posterior, and the shared void
     probability. Inversion failures propagate.
     """
+    return _rho_given_posterior(p, r_O, posterior_nofade(p, r_O).value)
+
+
+def _rho_given_posterior(p: ModelParams, r_O: float, post: float) -> float:
+    """The correlation from the no-fading posterior ``post`` at r_O, for
+    a caller that has already inverted the transform."""
     prior = levy_prior(p)
-    post = posterior_nofade(p, r_O).value
     pD = evidence_success(p, r_O)
     return (post / prior - 1.0) * math.sqrt(
         prior * pD / ((1.0 - prior) * (1.0 - pD)))

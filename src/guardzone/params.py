@@ -7,6 +7,7 @@ assume the invariants hold.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -98,7 +99,13 @@ class DerivedParams:
 
 
 def derive(params: ModelParams) -> DerivedParams:
-    """Populate every derived constant for ``params``."""
+    """Populate every derived constant for ``params``, once per scenario:
+    :class:`ModelParams` is frozen, so equal parameters share the result."""
+    return _derive(params)
+
+
+@functools.lru_cache(maxsize=64)
+def _derive(params: ModelParams) -> DerivedParams:
     delta = params.n / params.alpha
     return DerivedParams(
         delta=delta,
@@ -109,15 +116,16 @@ def derive(params: ModelParams) -> DerivedParams:
     )
 
 
-def chi_of_radius(d: DerivedParams, r_O: float) -> float:
-    """Map a guard-zone radius to the dimensionless ``chi = r_O**alpha/sigma``."""
-    if r_O < 0:
+def chi_of_radius(d: DerivedParams, r_O):
+    """Map a guard-zone radius, a float or an array, to the dimensionless
+    ``chi = r_O**alpha/sigma``."""
+    if specfn._any(r_O < 0):
         raise ValueError(f"r_O must be nonnegative, got {r_O}")
     return r_O**d.alpha / d.sigma
 
 
-def radius_of_chi(d: DerivedParams, chi: float) -> float:
+def radius_of_chi(d: DerivedParams, chi):
     """Inverse of :func:`chi_of_radius`."""
-    if chi < 0:
+    if specfn._any(chi < 0):
         raise ValueError(f"chi must be nonnegative, got {chi}")
     return (chi * d.sigma) ** (1.0 / d.alpha)

@@ -7,6 +7,10 @@ monotone-vs-monotone crossing equation, which certifies bracketing for
 the root finder. Under uniform costs the two conditional risks are the
 Type I (false rejection of physical failure) and Type II (false
 acceptance) error probabilities traced out as the ROC.
+
+``bayes_risk``, ``type_errors`` and the two sides of the crossing
+equation take a float radius or an array of radii, so a risk or ROC
+curve is one call; the solvers call them with floats.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize
 
+from . import specfn
 from .params import ModelParams, chi_of_radius, derive
 from .single_obs import _exponents, abc_terms, prior_exponent, prior_success
 
@@ -106,23 +111,24 @@ class OptimalRadius:
     risk: float
 
 
-def bayes_risk(p: ModelParams, cost: CostMatrix, r_O: float) -> float:
+def bayes_risk(p: ModelParams, cost: CostMatrix, r_O):
     """Expected cost of the identity rule at guard-zone radius r_O."""
-    t = abc_terms(p, r_O)
+    A, B, C, _ = _exponents(p, r_O)
+    xp = specfn._ops(B)
     return (cost.c00
-            + (cost.c01 - cost.c00) * math.exp(-t.A)
-            + (cost.c10 - cost.c00) * math.exp(-t.B)
-            + (cost.c11 + cost.c00 - cost.c10 - cost.c01) * math.exp(-t.A - t.C))
+            + (cost.c01 - cost.c00) * math.exp(-A)
+            + (cost.c10 - cost.c00) * xp.exp(-B)
+            + (cost.c11 + cost.c00 - cost.c10 - cost.c01) * xp.exp(-A - C))
 
 
-def _f_left(p: ModelParams, cost: CostMatrix, r_O: float) -> float:
+def _f_left(p: ModelParams, cost: CostMatrix, r_O):
     """log(1 + 1/chi) - log(1 + nu/gamma); decreasing from +inf."""
     d = derive(p)
     chi = chi_of_radius(d, r_O)
-    return math.log1p(1.0 / chi) - math.log1p(cost.nu / cost.gamma)
+    return specfn._ops(chi).log1p(1.0 / chi) - math.log1p(cost.nu / cost.gamma)
 
 
-def _f_right(p: ModelParams, r_O: float) -> float:
+def _f_right(p: ModelParams, r_O):
     """-T = -A + B - C; increasing from -A up to -sigma*eta."""
     return -_exponents(p, r_O)[3]
 
@@ -180,27 +186,30 @@ def sensitivities(p: ModelParams, cost: CostMatrix) -> tuple[float, float]:
     return d_dlam, d_dsig
 
 
-def type_errors(p: ModelParams, r_O: float, rule: SingleObsRule) -> tuple[float, float]:
+def type_errors(p: ModelParams, r_O, rule: SingleObsRule) -> tuple:
     """(Type I, Type II) error probabilities of ``rule`` at radius r_O.
 
     Type I: predicting success when the SINR test fails; Type II:
     predicting failure when it succeeds.
     """
     A, B, C, T = _exponents(p, r_O)
+    xp = specfn._ops(B)
     h0 = -math.expm1(-A)
     # P(D=d | H=0) = (P(D=d) - P(D=d, H=1)) / P(H=0) and P(D=0 | H=1),
     # written with expm1 so that none cancels when its exponents are small
-    d1_h0 = -math.exp(-B) * math.expm1(-T) / h0
-    d0_h0 = (math.exp(-A) * math.expm1(-C) - math.expm1(-B)) / h0
+    d1_h0 = -xp.exp(-B) * xp.expm1(-T) / h0
+    d0_h0 = (math.exp(-A) * xp.expm1(-C) - xp.expm1(-B)) / h0
     p_I = _predicts(rule.g1, rule.g0, d1_h0, d0_h0)
-    p_II = _predicts(1 - rule.g1, 1 - rule.g0, math.exp(-C), -math.expm1(-C))
+    p_II = _predicts(1 - rule.g1, 1 - rule.g0, xp.exp(-C), -xp.expm1(-C))
     return p_I, p_II
 
 
-def _predicts(g1: int, g0: int, on_d1: float, on_d0: float) -> float:
+def _predicts(g1: int, g0: int, on_d1, on_d0):
     """Probability of a rule's output being 1, given the probabilities of
     a clear (``on_d1``) and a busy (``on_d0``) guard zone."""
     if g1 == g0:
+        if isinstance(on_d1, np.ndarray):
+            return np.full(on_d1.shape, float(g1))
         return float(g1)
     return on_d1 if g1 else on_d0
 
@@ -251,9 +260,7 @@ def roc_curve(p: ModelParams, r_O_grid, rule: SingleObsRule | None = None) -> li
         raise ValueError("r_O grid must be strictly increasing and positive")
     rule = rule or SingleObsRule.identity()
     pH = prior_success(p)
-    pts = []
-    for r in grid:
-        p_i, p_ii = type_errors(p, r, rule)
-        risk = p_i * (1.0 - pH) + p_ii * pH
-        pts.append(RocPoint(r_O=float(r), p_I=p_i, p_II=p_ii, risk=risk))
-    return pts
+    p_i, p_ii = type_errors(p, grid, rule)
+    risk = p_i * (1.0 - pH) + p_ii * pH
+    return [RocPoint(r_O=r, p_I=a, p_II=b, risk=c) for r, a, b, c in
+            zip(grid.tolist(), p_i.tolist(), p_ii.tolist(), risk.tolist())]

@@ -20,6 +20,10 @@ Each is defined once, below, and every other module builds on these
 definitions. All probabilities are assembled in log-space and
 exponentiated once: ``B`` alone overflows ``exp`` for large radii while
 ``B - C`` stays bounded by ``a * kappa``, and ``T`` is small next to ``A``.
+
+The exponents, :func:`evidence_success` and :func:`posterior` take a
+float radius or a numpy array of radii, and return floats or arrays to
+match; :func:`guardzone.specfn._ops` picks ``math`` or numpy for them.
 """
 
 from __future__ import annotations
@@ -59,29 +63,29 @@ def _scale(p: ModelParams, d: DerivedParams) -> float:
     return p.density * d.c_n * d.sigma**d.delta
 
 
-def _coordinates(p: ModelParams, r_O: float) -> tuple[float, float, float]:
+def _coordinates(p: ModelParams, r_O) -> tuple:
     """(a, delta, chi) at guard-zone radius r_O: the arguments of B, C, B - C."""
     d = derive(p)
     return _scale(p, d), d.delta, chi_of_radius(d, r_O)
 
 
-def _B(a: float, delta: float, chi: float) -> float:
+def _B(a: float, delta: float, chi):
     """Evidence exponent ``a * chi**delta = density * c_n * r_O**n``."""
     return a * chi**delta
 
 
-def _C(a: float, delta: float, chi: float) -> float:
+def _C(a: float, delta: float, chi):
     """Coupling exponent ``a * int_I(chi)``."""
     return a * specfn.int_I(chi, delta)
 
 
-def _BmC(a: float, delta: float, chi: float) -> float:
+def _BmC(a: float, delta: float, chi):
     """B - C, taken directly as ``a * power_gap(chi)``: it stays below
     ``a * kappa`` for every chi, while B and C both diverge."""
     return a * specfn.power_gap(chi, delta)
 
 
-def _tail(a: float, delta: float, chi: float) -> float:
+def _tail(a: float, delta: float, chi):
     """T without its noise term: ``a * power_tail(chi)``, the interference
     exponent of the nodes outside the guard zone."""
     return a * specfn.power_tail(chi, delta)
@@ -93,9 +97,11 @@ def prior_exponent(p: ModelParams, d: DerivedParams | None = None) -> float:
     return _scale(p, d) * d.kappa_delta + d.sigma * p.eta
 
 
-def _exponents(p: ModelParams, r_O: float) -> tuple[float, float, float, float]:
-    """(A, B, C, T) at a positive guard-zone radius r_O, T = A - (B - C)."""
-    if not r_O > 0:
+def _exponents(p: ModelParams, r_O):
+    """(A, B, C, T) at a positive guard-zone radius r_O, T = A - (B - C).
+
+    A is a float; B, C and T are floats or arrays, as r_O is."""
+    if not specfn._all(r_O > 0):
         raise ValueError(f"r_O must be positive, got {r_O}")
     d = derive(p)
     args = _scale(p, d), d.delta, chi_of_radius(d, r_O)
@@ -108,9 +114,10 @@ def prior_success(p: ModelParams) -> float:
     return math.exp(-prior_exponent(p))
 
 
-def evidence_success(p: ModelParams, r_O: float) -> float:
+def evidence_success(p: ModelParams, r_O):
     """Void probability of the guard zone, ``exp(-density * c_n * r_O**n)``."""
-    return math.exp(-_B(*_coordinates(p, r_O)))
+    B = _B(*_coordinates(p, r_O))
+    return specfn._ops(B).exp(-B)
 
 
 def abc_terms(p: ModelParams, r_O: float) -> AbcTerms:
@@ -119,22 +126,24 @@ def abc_terms(p: ModelParams, r_O: float) -> AbcTerms:
     return AbcTerms(A=A, B=B, C=C)
 
 
-def posterior(p: ModelParams, r_O: float) -> PosteriorTable:
+def posterior(p: ModelParams, r_O) -> PosteriorTable:
     """Posterior distribution of physical success given the protocol outcome.
 
     Rejects ``r_O = 0`` and non-finite radii: conditioning on a failed
     (resp. clear) guard zone is then a null event. The limiting values
     are exposed by :func:`posterior_limit_small` / ``..._large`` instead.
+    An array of radii gives a table of arrays.
     """
-    if not (r_O > 0 and math.isfinite(r_O)):
+    if not specfn._all((r_O > 0) & (r_O < math.inf)):
         raise ValueError(
             f"posterior requires a finite positive r_O, got {r_O}")
     A, B, C, T = _exponents(p, r_O)
+    xp = specfn._ops(B)
     # P(H=1, D=0) / P(D=0) = (e^-A - e^(-A-C)) / (1 - e^-B) is of order
     # r_O**alpha; expm1 keeps it exact where both differences are tiny
-    p10 = math.exp(-A) * math.expm1(-C) / math.expm1(-B)
-    return PosteriorTable(p_h1_d1=math.exp(-T), p_h1_d0=p10,
-                          p_h0_d1=-math.expm1(-T), p_h0_d0=1.0 - p10)
+    p10 = math.exp(-A) * xp.expm1(-C) / xp.expm1(-B)
+    return PosteriorTable(p_h1_d1=xp.exp(-T), p_h1_d0=p10,
+                          p_h0_d1=-xp.expm1(-T), p_h0_d0=1.0 - p10)
 
 
 def posterior_limit_small(p: ModelParams) -> float:

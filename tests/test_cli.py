@@ -115,6 +115,22 @@ class TestFadingCompare:
         assert len(rows) == 8
         assert all(r["ilt_converged"] == "1" for r in rows)
 
+    def test_one_inversion_per_row(self, capsys, monkeypatch):
+        # rho_nofading reuses the row's posterior instead of inverting again
+        from guardzone import nofading
+        calls = []
+        transform = nofading.lt_nofade_given_void
+
+        def counted(*args):
+            calls.append(args[1])
+            return transform(*args)
+
+        monkeypatch.setattr(nofading, "lt_nofade_given_void", counted)
+        code, out = run_cli(["fading-compare", "--scenario", "fig4"], capsys)
+        assert code == 0
+        assert len(parse_csv(out)[0]) == 80
+        assert len(calls) == 80
+
 
 class TestMultiobs:
     def test_rule_table(self, capsys):
@@ -161,6 +177,32 @@ class TestValidate:
         assert manifest["seed"] == 7
         first_line = out.read_text().splitlines()[0]
         assert first_line == f"# manifest {manifest['config_hash']}"
+
+
+class TestZeroCountGate:
+    """A 0/n or n/n count has no standard error; it is held to the exact
+    binomial (Clopper-Pearson) bound at the 3-SE level instead."""
+
+    def test_far_guard_zone_passes(self, capsys):
+        # the zone of radius 50 is clear with probability 1.5e-7, and none
+        # of the 10240 trials draws it clear
+        code, out = run_cli(["validate", "--scenario", "fig4", "--grid", "50",
+                             "--trials", "10240", "--seed", "0"], capsys)
+        assert code == 0
+        assert "VALIDATION PASSED" in out
+        assert "PASS evidence[r_O=50]" in out
+
+    def test_bound_can_fail(self):
+        from guardzone.cli import _check
+        from guardzone.montecarlo import Estimate
+        n = 10240  # 1 - Q(3)**(1/n) = 6.45e-4
+        none, every = Estimate(0.0, 0.0, n), Estimate(1.0, 0.0, n)
+        assert _check("q", 1.5e-7, none)["status"] == "PASS"
+        assert _check("q", 6.4e-4, none)["status"] == "PASS"
+        assert _check("q", 1e-3, none)["status"] == "FAIL"
+        assert _check("q", 1.0 - 1.5e-7, every)["status"] == "PASS"
+        assert _check("q", 1.0 - 1e-3, every)["status"] == "FAIL"
+        assert _check("q", 1e-3, none)["z"] == float("inf")
 
 
 class TestPlumbing:

@@ -10,6 +10,7 @@ from guardzone.params import ModelParams, derive
 from guardzone.single_obs import evidence_success, posterior, prior_success
 
 FIG1 = ModelParams(n=2, density=2e-4, alpha=3, beta=5, r_T=10)
+CHIS = [1e-3, 0.3, 1.0, 2.08, 15.0, 1e3]
 
 
 def rho_oracle(p, chi):
@@ -24,10 +25,12 @@ def rho_oracle(p, chi):
 
 
 class TestRho:
-    @pytest.mark.parametrize("chi", [1e-3, 0.3, 1.0, 2.08, 15.0, 1e3])
+    @pytest.mark.parametrize("chi", CHIS + [
+        pytest.param(np.array(CHIS), id="array")])
     def test_matches_first_principles(self, chi):
-        assert correlation.rho(FIG1, chi) == pytest.approx(
-            rho_oracle(FIG1, chi), rel=1e-9)
+        ref = [rho_oracle(FIG1, c) for c in np.atleast_1d(chi)]
+        assert np.atleast_1d(correlation.rho(FIG1, chi)) == pytest.approx(
+            np.array(ref), rel=1e-9)
 
     def test_positive_association(self):
         grid = np.geomspace(1e-3, 1e4, 60)

@@ -15,6 +15,7 @@ from guardzone.single_obs import evidence_success, posterior, prior_success
 from test_single_obs import joint_exponents
 
 FIG5 = ModelParams(n=2, density=2e-4, alpha=3, beta=5, r_T=10)
+FIG4 = ModelParams(n=2, density=2e-3, alpha=4, beta=5, r_T=10)
 ALOHA1 = mo.AlohaParams(p=0.5, N=1)
 ALOHA2 = mo.AlohaParams(p=0.5, N=2)
 
@@ -94,6 +95,23 @@ def p_h_given_K_oracle(p, aloha, r_O, K):
         return float(mpmath.exp(-pc * (A - B + C)) * num / den)
 
 
+def p_d_given_K_oracle(p, aloha, r_O, K):
+    """P(D=1 | K) as a direct 30-digit Poisson sum over the count M of
+    potential transmitters in the guard zone, all silent with probability
+    p_bar**M: E[p_bar**M P(K | M)] / E[P(K | M)]."""
+    with mpmath.workdps(30):
+        B = p.density * math.pi * mpmath.mpf(r_O) ** 2  # planar void exponent
+        q = 1 - mpmath.mpf(aloha.p)
+        num = den = mpmath.mpf(0)
+        w = mpmath.exp(-B)
+        for m in range(int(B + 15 * mpmath.sqrt(B) + 40)):
+            history = q ** (m * K) * (1 - q**m) ** (aloha.N - K)
+            num += w * q**m * history
+            den += w * history
+            w *= B / (m + 1)
+        return float(num / den)
+
+
 class TestConditionalLaws:
     @pytest.mark.parametrize("N, r_O, K", [(1, 2000.0, 0), (1, 1000.0, 1),
                                            (2, 100.0, 2), (3, 20.0, 1)])
@@ -103,6 +121,18 @@ class TestConditionalLaws:
         aloha = mo.AlohaParams(p=0.5, N=N)
         assert mo.p_h_given_K(FIG5, aloha, r_O, K) == pytest.approx(
             p_h_given_K_oracle(FIG5, aloha, r_O, K), rel=1e-12)
+
+    @pytest.mark.parametrize("p, N, r_O, K", [
+        (FIG4, 1, 681.0, 1), (FIG4, 1, 681.0, 0), (FIG5, 1, 1e4, 0),
+        (FIG5, 1, 1e4, 1), (FIG5, 2, 100.0, 2), (FIG5, 3, 20.0, 1),
+        (FIG5, 3, 20.0, 3)])
+    def test_p_d_given_K_against_poisson_sum(self, p, N, r_O, K):
+        # f_d(mu_d, K+1) and f_d(mu_d, K) both underflow at large radii;
+        # fig4 at 681 has the subnormal value 4.2e-317, which carries about
+        # seven digits, so one unit of the subnormal spacing is allowed too
+        aloha = mo.AlohaParams(p=0.5, N=N)
+        assert mo.p_d_given_K(p, aloha, r_O, K) == pytest.approx(
+            p_d_given_K_oracle(p, aloha, r_O, K), rel=1e-12, abs=5e-324)
 
     def test_p_K_normalizes(self):
         for aloha in (ALOHA1, ALOHA2, mo.AlohaParams(p=0.3, N=5)):

@@ -12,8 +12,8 @@ from guardzone.risk import (ALL_SINGLE_OBS_RULES, CostMatrix, SingleObsRule,
                             optimal_radius, roc_curve, sensitivities,
                             type_errors)
 from guardzone.single_obs import evidence_success, posterior, prior_success
-from test_single_obs import (FIG4, NOISY, SMALL_TO_LARGE, joint_exponents,
-                             outside_exponent)
+from test_single_obs import (AS_ARRAY, FIG4, NOISY, SMALL_TO_LARGE,
+                             joint_exponents, outside_exponent)
 
 FIG2 = ModelParams(n=2, density=2e-4, alpha=3, beta=5, r_T=10)
 UNIFORM = CostMatrix.uniform()
@@ -158,22 +158,28 @@ class TestTypeErrors:
         assert q_ii == pytest.approx(1.0 - p_ii)
 
     @pytest.mark.parametrize("p", [FIG2, NOISY, FIG4])
-    @pytest.mark.parametrize("ratio", SMALL_TO_LARGE)
+    @pytest.mark.parametrize("ratio", SMALL_TO_LARGE + [AS_ARRAY])
     def test_identity_rule_against_quadrature(self, p, ratio):
         # p_I = P(D=1 | H=0) = (e^-B - e^(-A-C)) / (1 - e^-A) and
         # p_II = P(D=0 | H=1) = 1 - e^-C, of order r_O**(alpha+n); the
         # risk crossing's right side is -T = -A + B - C
         r_O = ratio * p.r_T
-        A, B, C = joint_exponents(p, r_O)
-        T = outside_exponent(p, r_O)
-        with mpmath.workdps(30):
-            ref_i = (mpmath.exp(-B) - mpmath.exp(-A - C)) / -mpmath.expm1(-A)
-            ref_ii = -mpmath.expm1(-C)
+        ref_i, ref_ii, ref_T = [], [], []
+        for r in np.atleast_1d(r_O):
+            A, B, C = joint_exponents(p, float(r))
+            ref_T.append(-float(outside_exponent(p, float(r))))
+            with mpmath.workdps(30):
+                ref_i.append(float(
+                    (mpmath.exp(-B) - mpmath.exp(-A - C)) / -mpmath.expm1(-A)))
+                ref_ii.append(float(-mpmath.expm1(-C)))
         p_i, p_ii = type_errors(p, r_O, SingleObsRule.identity())
         # e^-B underflows to 0 from r_O = 1e3 r_T on
-        assert p_i == pytest.approx(float(ref_i), rel=1e-10, abs=1e-300)
-        assert p_ii == pytest.approx(float(ref_ii), rel=1e-10, abs=0.0)
-        assert _f_right(p, r_O) == pytest.approx(-float(T), rel=1e-10, abs=0.0)
+        assert np.atleast_1d(p_i) == pytest.approx(np.array(ref_i), rel=1e-10,
+                                                   abs=1e-300)
+        assert np.atleast_1d(p_ii) == pytest.approx(np.array(ref_ii), rel=1e-10,
+                                                    abs=0.0)
+        assert np.atleast_1d(_f_right(p, r_O)) == pytest.approx(
+            np.array(ref_T), rel=1e-10, abs=0.0)
 
     def test_all_rules_bounded(self):
         for rule in ALL_SINGLE_OBS_RULES:

@@ -1,8 +1,10 @@
 """Prior/evidence/posterior identities, limits, and oracle agreement."""
 
+import functools
 import math
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,6 +33,7 @@ def prior_oracle(p):
         return float(mpmath.exp(-d.sigma * p.eta - expo))
 
 
+@functools.cache
 def joint_exponents(p, r_O):
     """Independent (A, B, C) with P(H=1) = exp(-A), P(D=1) = exp(-B) and
     P(H=1, D=1) = exp(-A-C), from the model's definition by quadrature.
@@ -55,6 +58,7 @@ def joint_exponents(p, r_O):
     return A, B, C
 
 
+@functools.cache
 def outside_exponent(p, r_O):
     """Independent T = A - (B - C) with P(H=1 | D=1) = exp(-T): the noise
     term plus the interference exponent of the nodes outside the ball,
@@ -73,6 +77,8 @@ def outside_exponent(p, r_O):
 
 # r_O / r_T from 1e-6 to 1e5
 SMALL_TO_LARGE = [10.0**k for k in range(-6, 6)]
+# the same radii as one array, for the closed forms that take arrays
+AS_ARRAY = pytest.param(np.array(SMALL_TO_LARGE), id="array")
 
 
 class TestPrior:
@@ -138,19 +144,23 @@ class TestPosterior:
         assert t.p_h1_d0 == pytest.approx(0.68, abs=0.01)
 
     @pytest.mark.parametrize("p", [FIG1, NOISY, FIG4])
-    @pytest.mark.parametrize("ratio", SMALL_TO_LARGE)
+    @pytest.mark.parametrize("ratio", SMALL_TO_LARGE + [AS_ARRAY])
     def test_busy_zone_against_quadrature(self, p, ratio):
         # P(H=1 | D=0) = e^-A (1 - e^-C) / (1 - e^-B) is of order r_O**alpha,
         # and P(H=0 | D=1) = 1 - e^-T falls to ~1e-10 at fig4, 1e5 r_T
         r_O = ratio * p.r_T
-        A, B, C = joint_exponents(p, r_O)
-        T = outside_exponent(p, r_O)
-        with mpmath.workdps(30):
-            ref = mpmath.exp(-A) * mpmath.expm1(-C) / mpmath.expm1(-B)
-            ref_01 = -mpmath.expm1(-T)
+        ref, ref_01 = [], []
+        for r in np.atleast_1d(r_O):
+            A, B, C = joint_exponents(p, float(r))
+            T = outside_exponent(p, float(r))
+            with mpmath.workdps(30):
+                ref.append(float(mpmath.exp(-A) * mpmath.expm1(-C) / mpmath.expm1(-B)))
+                ref_01.append(float(-mpmath.expm1(-T)))
         table = posterior(p, r_O)
-        assert table.p_h1_d0 == pytest.approx(float(ref), rel=1e-10, abs=0.0)
-        assert table.p_h0_d1 == pytest.approx(float(ref_01), rel=1e-10, abs=0.0)
+        assert np.atleast_1d(table.p_h1_d0) == pytest.approx(
+            np.array(ref), rel=1e-10, abs=0.0)
+        assert np.atleast_1d(table.p_h0_d1) == pytest.approx(
+            np.array(ref_01), rel=1e-10, abs=0.0)
 
     def test_rejects_degenerate_radius(self):
         for bad in (0.0, -1.0, math.inf, math.nan):

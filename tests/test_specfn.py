@@ -102,39 +102,49 @@ def mp_power_gap(u, delta):
     return u**delta * mpmath.hyp2f1(1, delta, 1 + delta, -u)
 
 
+def _check_draws(fn, log_us, delta, ref):
+    """fn at each draw, one float at a time and as one array, against the
+    40-digit ``ref(u, delta)`` at 1e-12 relative."""
+    us = [10.0**x for x in log_us]
+    with mpmath.workdps(40):
+        refs = [float(ref(u, delta)) for u in us]
+    for u, r in zip(us, refs):
+        assert fn(u, delta) == pytest.approx(r, rel=1e-12, abs=0.0)
+    assert fn(np.array(us), delta) == pytest.approx(np.array(refs), rel=1e-12,
+                                                    abs=0.0)
+
+
+def draws(lo, hi):
+    """A few exponents of u, drawn together for one delta."""
+    return st.lists(st.floats(lo, hi), min_size=1, max_size=4)
+
+
 class TestAgainstMpmath:
     """Relative error of the closed forms over twenty-four decades of u."""
 
-    @given(st.floats(-12.0, 12.0), st.floats(0.01, 0.99))
+    @given(draws(-12.0, 12.0), st.floats(0.01, 0.99))
     @settings(max_examples=300, deadline=None)
-    def test_power_gap(self, log_u, delta):
-        u = 10.0**log_u
-        with mpmath.workdps(40):
-            ref = mp_power_gap(u, delta)
-        assert specfn.power_gap(u, delta) == pytest.approx(float(ref), rel=1e-12,
-                                                        abs=0.0)
+    def test_power_gap(self, log_us, delta):
+        _check_draws(specfn.power_gap, log_us, delta, mp_power_gap)
 
-    @given(st.floats(-30.0, 12.0), st.floats(0.01, 0.99))
+    @given(draws(-30.0, 12.0), st.floats(0.01, 0.99))
     @settings(max_examples=300, deadline=None)
-    def test_power_tail(self, log_u, delta):
+    def test_power_tail(self, log_us, delta):
         # kappa - gap with 40 digits: at u = 1e12 the tail is ~1e-14 kappa;
         # u reaches 1e-30, where tiny guard zones put chi
-        u = 10.0**log_u
-        with mpmath.workdps(40):
+        def ref(u, delta):
             d = mpmath.mpf(delta)
-            ref = mpmath.pi * d / mpmath.sin(mpmath.pi * d) - mp_power_gap(u, delta)
-        assert specfn.power_tail(u, delta) == pytest.approx(float(ref), rel=1e-12,
-                                                         abs=0.0)
+            return mpmath.pi * d / mpmath.sin(mpmath.pi * d) - mp_power_gap(u, delta)
 
-    @given(st.floats(-12.0, 12.0), st.floats(0.01, 0.99))
+        _check_draws(specfn.power_tail, log_us, delta, ref)
+
+    @given(draws(-12.0, 12.0), st.floats(0.01, 0.99))
     @settings(max_examples=300, deadline=None)
-    def test_int_I(self, log_u, delta):
+    def test_int_I(self, log_us, delta):
         # the difference is taken with 40 digits, so its cancellation at
         # small u (up to 14 digits here) leaves the oracle exact
-        u = 10.0**log_u
-        with mpmath.workdps(40):
-            ref = mpmath.mpf(u) ** delta - mp_power_gap(u, delta)
-        assert specfn.int_I(u, delta) == pytest.approx(float(ref), rel=1e-12, abs=0.0)
+        _check_draws(specfn.int_I, log_us, delta,
+                     lambda u, delta: mpmath.mpf(u) ** delta - mp_power_gap(u, delta))
 
 
 class TestGaussQ:
