@@ -70,18 +70,30 @@ def rho_curve(p: ModelParams, chi_grid) -> CorrelationCurve:
     return CorrelationCurve(grid, rho(p, grid))
 
 
+def _exp(x):
+    """exp of a float or an array, inf where it overflows (x > 709.78),
+    with no OverflowError and no warning."""
+    if isinstance(x, np.ndarray):
+        with np.errstate(over="ignore"):
+            return np.exp(x)
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def f1(p: ModelParams, chi):
-    """(1 - chi) * exp(B(chi)); intersects f2 at the maximizing chi."""
+    """(1 - chi) * exp(B(chi)); intersects f2 at the maximizing chi.
+    -inf for chi > 1 once exp(B) overflows."""
     d = derive(p)
-    B = _B(_scale(p, d), d.delta, chi)
-    return (1.0 - chi) * specfn._ops(B).exp(B)
+    return (1.0 - chi) * _exp(_B(_scale(p, d), d.delta, chi))
 
 
 def f2(p: ModelParams, chi):
-    """2 - (1 + chi) * exp(C(chi)), concave decreasing."""
+    """2 - (1 + chi) * exp(C(chi)), concave decreasing; -inf once exp(C)
+    overflows."""
     d = derive(p)
-    C = _C(_scale(p, d), d.delta, chi)
-    return 2.0 - (1.0 + chi) * specfn._ops(C).exp(C)
+    return 2.0 - (1.0 + chi) * _exp(_C(_scale(p, d), d.delta, chi))
 
 
 def _stationarity(a: float, delta: float, chi):

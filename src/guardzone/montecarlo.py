@@ -1,11 +1,25 @@
-"""Independent Monte Carlo estimator for every closed-form quantity.
+"""Monte Carlo estimator for every closed-form quantity.
 
-Deliberately shares no formulas with the analytic modules: networks are
-sampled point by point, the SINR test is applied literally, and the
-guard zone is checked by counting interferers inside the ball. The only
-approximation is the finite simulation region, whose radius is chosen so
-the neglected mean interference biases the SINR margin by less than
-``bias_tol`` relative to the threshold.
+Networks are sampled point by point and the guard zone is checked by
+counting interferers inside the ball. The physical test depends on the
+fading:
+
+* No fading: the SINR test is applied literally to the sampled
+  interference. The only approximation is the finite simulation region,
+  whose radius is chosen so the neglected mean interference biases the
+  SINR margin by less than ``bias_tol`` relative to the threshold.
+* Rayleigh fading: no fade is drawn. For unit-mean exponential fades
+  ``E[exp(-s F)] = 1/(1 + s)``, so given the interferer positions the
+  receiver succeeds with probability exactly
+  ``h = exp(-sigma*eta) * prod_i 1/(1 + sigma * r_i**-alpha)``. The
+  interferers beyond the region contribute the Poisson PGFL factor
+  ``exp(-density * int_R^inf n c_n r**(n-1) / (1 + r**alpha/sigma) dr)``,
+  which :func:`_far_field_log` evaluates by its own quadrature, so the
+  Rayleigh estimates carry no truncation bias. Every H-dependent
+  estimate averages h (and h times the guard-zone indicator) in place
+  of success indicators. The oracle thereby shares the fade transform
+  ``1/(1 + s)`` and the far-field PGFL with the formulas it checks, but
+  nothing else: no special function and no closed form.
 
 Radial positions are drawn through the volume substitution
 ``u = (r / R)**n ~ U(0, 1)``: pathloss is ``R**-alpha * u**(-1/delta)``
@@ -15,9 +29,10 @@ coordinates are ever materialized.
 Trials are processed in fixed-size chunks, each with its own Philox
 stream keyed by ``SeedSequence([seed, chunk_index])``. Chunks run
 concurrently on a thread pool (numpy's generators and ufuncs release the
-interpreter lock) and their integer tallies are summed, so results are
-reproducible for a given seed and independent of how many chunks run at
-once.
+interpreter lock). Each returns float64 sums of h, h**2, the guard-zone
+indicator D, h*D and h**2*D, and the sums are added in chunk order, so
+results are reproducible for a given seed and independent of how many
+chunks run at once. Standard errors come from these second moments.
 """
 
 from __future__ import annotations
@@ -35,7 +50,7 @@ from .multi_obs import AlohaParams
 from .params import ModelParams, derive
 
 _CHUNK = 1024
-# Points per pathloss/fade slice: bounds a chunk's float64 working memory.
+# Points per pathloss slice: bounds a chunk's float64 working memory.
 _SLICE = 1 << 16
 # Chunks run at once; tests set it to check that results do not depend on it.
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -84,6 +99,58 @@ class Estimate:
                    stderr=math.sqrt(max(phat * (1.0 - phat), 0.0) / count),
                    count=int(count))
 
+    @classmethod
+    def ratio(cls, y: float, yy: float, xy: float, x: float,
+              xx: float) -> "Estimate":
+        """``sum(y) / sum(x)`` over independent trials, from the sums of
+        y, y**2, x*y, x and x**2.
+
+        The standard error is the delta method's,
+        ``sqrt(sum((y - value * x)**2)) / sum(x)``. For 0/1 values it
+        equals the binomial error of :meth:`binomial`. The count is
+        ``sum(x)`` rounded: the number of trials, or their expected
+        number, that the ratio conditions on.
+        """
+        if x <= 0:
+            return cls(value=math.nan, stderr=math.inf, count=0)
+        value = y / x
+        resid = yy - 2.0 * value * xy + value * value * xx
+        return cls(value=value, stderr=math.sqrt(max(resid, 0.0)) / x,
+                   count=round(x))
+
+    @classmethod
+    def mean(cls, y: float, yy: float, n: float) -> "Estimate":
+        """Mean of ``n`` per-trial values with sum ``y`` and sum of
+        squares ``yy``."""
+        return cls.ratio(y, yy, y, n, n)
+
+
+def _rho(T: int, s_h: float, s_hh: float, s_d: float, s_hd: float,
+         s_hhd: float) -> Estimate:
+    """Correlation of the success indicators H and D from per-trial sums.
+
+    With ``a = mean(h)``, ``b = mean(D)`` and ``c = mean(h*D)`` estimating
+    P(H=1), P(D=1) and P(H=1, D=1), rho is
+    ``(c - a*b) / sqrt(a*(1-a) * b*(1-b))``. Its standard error is the
+    delta method over (a, b, c), with their covariance from the sums.
+    """
+    a, b, c = s_h / T, s_d / T, s_hd / T
+    var_a, var_b = a * (1.0 - a), b * (1.0 - b)
+    if not var_a * var_b > 0:
+        return Estimate(value=math.nan, stderr=math.inf, count=0)
+    root = math.sqrt(var_a * var_b)
+    value = (c - a * b) / root
+    grad = np.array([-b / root - value * (1.0 - 2.0 * a) / (2.0 * var_a),
+                     -a / root - value * (1.0 - 2.0 * b) / (2.0 * var_b),
+                     1.0 / root])
+    e_hhd = s_hhd / T
+    cov = np.array([[s_hh / T - a * a, c - a * b, e_hhd - a * c],
+                    [c - a * b, var_b, c * (1.0 - b)],
+                    [e_hhd - a * c, c * (1.0 - b), e_hhd - c * c]])
+    return Estimate(value=value,
+                    stderr=math.sqrt(max(grad @ cov @ grad, 0.0) / T),
+                    count=T)
+
 
 def auto_region_radius(p: ModelParams, interferer_density: float,
                        bias_tol: float) -> float:
@@ -91,11 +158,34 @@ def auto_region_radius(p: ModelParams, interferer_density: float,
 
     Mean interference from beyond radius R is
     ``density * c_n * n * R**(n - alpha) / (alpha - n)``; scaled by sigma
-    it is the relative perturbation of the SINR margin.
+    it is the relative perturbation of the SINR margin. Only the
+    no-fading estimates carry that bias; under Rayleigh fading the region
+    sets how many interferers are simulated, and the rest enter exactly.
     """
     d = derive(p)
     coeff = d.sigma * interferer_density * d.c_n * p.n / (p.alpha - p.n)
     return (coeff / bias_tol) ** (1.0 / (p.alpha - p.n))
+
+
+def _far_field_log(p: ModelParams, interferer_density: float,
+                   R: float) -> float:
+    """Log of the Rayleigh success factor of the interferers beyond R.
+
+    By the PGFL of the Poisson process it is
+    ``-density * int_R^inf n c_n r**(n-1) / (1 + r**alpha / sigma) dr``.
+    Under ``y = (R / r)**(alpha - n)`` the integral is
+    ``n R**n / (alpha - n) * int_0^1 dy / (R**alpha / sigma
+    + y**(alpha / (alpha - n)))``, a bounded integrand on [0, 1], which
+    QUADPACK evaluates to near machine precision.
+    """
+    from scipy import integrate
+
+    d = derive(p)
+    m = p.alpha - p.n
+    k = R**p.alpha / d.sigma
+    integral, _ = integrate.quad(lambda y: 1.0 / (k + y ** (p.alpha / m)),
+                                 0.0, 1.0, epsabs=0.0, epsrel=1e-13)
+    return -interferer_density * d.c_n * p.n * R**p.n / m * integral
 
 
 def _chunk_rng(seed: int, chunk_idx: int) -> np.random.Generator:
@@ -109,11 +199,12 @@ def _chunk_sizes(trials: int) -> list[int]:
 
 
 def _sum_over_chunks(kernel, cfg: SimConfig) -> np.ndarray:
-    """Sum the integer tallies ``kernel(rng, size)`` over every chunk.
+    """Sum the float64 sums ``kernel(rng, size)`` over every chunk.
 
     Up to ``_WORKERS`` chunks run at once. Each draws only from its own
-    stream and integer sums do not depend on order, so neither does the
-    result.
+    stream, and ``pool.map`` yields the results in chunk order, so they
+    are added in the same order, and the result is the same bits, at any
+    worker count.
     """
     jobs = list(enumerate(_chunk_sizes(cfg.trials)))
 
@@ -125,14 +216,14 @@ def _sum_over_chunks(kernel, cfg: SimConfig) -> np.ndarray:
         return sum(pool.map(run, jobs))
 
 
-def _interference(u: np.ndarray, ends: np.ndarray, pathloss_scale: float,
-                  inv_delta: float, rng: np.random.Generator | None) -> np.ndarray:
-    """Per-trial sums of ``pathloss_scale * u**(-inv_delta) * fade``.
+def _interference(u: np.ndarray, ends: np.ndarray, scale: float,
+                  inv_delta: float, log1p: bool) -> np.ndarray:
+    """Per-trial sums of ``x = scale * u**(-inv_delta)``, or of
+    ``log1p(x)`` if ``log1p`` is set.
 
-    Trial ``t`` owns the points ``u[ends[t-1]:ends[t]]``. Fades are Exp(1)
-    draws from ``rng`` in point order, or all ones when ``rng`` is None.
-    Points are processed in slices of whole trials, so float64 working
-    memory stays near ``_SLICE`` points whatever the chunk's size.
+    Trial ``t`` owns the points ``u[ends[t-1]:ends[t]]``. Points are
+    processed in slices of whole trials, so float64 working memory stays
+    near ``_SLICE`` points whatever the chunk's size.
     """
     counts = np.diff(ends, prepend=0)
     out = np.zeros(len(ends))
@@ -141,7 +232,6 @@ def _interference(u: np.ndarray, ends: np.ndarray, pathloss_scale: float,
     busy_ends = ends[busy]
     busy_starts = busy_ends - counts[busy]
     buf = np.empty(min(len(u), max(_SLICE, int(counts.max()))))
-    fade = np.empty_like(buf) if rng is not None else None
     lo = 0
     while lo < len(busy):
         # the most whole trials from busy[lo] on that fit in buf
@@ -149,15 +239,28 @@ def _interference(u: np.ndarray, ends: np.ndarray, pathloss_scale: float,
                                  side="right"))
         a, b = busy_starts[lo], busy_ends[hi - 1]
         seg = buf[:b - a]
-        seg[...] = u[a:b]
-        seg **= -inv_delta
-        seg *= pathloss_scale
-        if rng is not None:
-            rng.standard_exponential(out=fade[:b - a])
-            seg *= fade[:b - a]
+        np.power(u[a:b], -inv_delta, out=seg, dtype=np.float64)
+        seg *= scale
+        if log1p:
+            np.log1p(seg, out=seg)
         out[busy[lo:hi]] = np.add.reduceat(seg, busy_starts[lo:hi] - a)
         lo = hi
     return out
+
+
+def _success(u: np.ndarray, ends: np.ndarray, p: ModelParams, R: float,
+             far_log: float | None) -> np.ndarray:
+    """Per-trial physical success: the probability h under Rayleigh
+    fading (``far_log`` given), else the 0/1 outcome of the SINR test."""
+    d = derive(p)
+    inv_delta = 1.0 / d.delta
+    if far_log is None:
+        interference = _interference(u, ends, R ** (-p.alpha), inv_delta,
+                                     False)
+        return (interference <= 1.0 / d.sigma - p.eta).astype(float)
+    log_fade = _interference(u, ends, d.sigma * R ** (-p.alpha), inv_delta,
+                             True)
+    return np.exp(far_log - d.sigma * p.eta - log_fade)
 
 
 @dataclass(frozen=True)
@@ -187,11 +290,8 @@ def estimate_single(p: ModelParams, r_O_grid, cfg: SimConfig) -> SingleObsEstima
         raise ValueError("guard-zone radii must be smaller than the region radius")
     mean_pts = p.density * d.c_n * R**p.n
     thresholds = (grid / R) ** p.n
-    margin = 1.0 / d.sigma - p.eta  # no-fading success needs I below this
-    inv_delta = 1.0 / d.delta
-    pathloss_scale = R ** (-p.alpha)
-
-    rayleigh = cfg.fading == "rayleigh"
+    far_log = (_far_field_log(p, p.density, R) if cfg.fading == "rayleigh"
+               else None)
     k = len(grid)
 
     def chunk(rng, size):
@@ -200,50 +300,41 @@ def estimate_single(p: ModelParams, r_O_grid, cfg: SimConfig) -> SingleObsEstima
         u = rng.random(int(ends[-1]), dtype=np.float32)
         # (0, 1] rather than [0, 1): u = 0 would put a point on the receiver
         np.subtract(1.0, u, out=u)
-        interference = _interference(u, ends, pathloss_scale, inv_delta,
-                                     rng if rayleigh else None)
-        if rayleigh:
-            own_fade = rng.exponential(size=size)
-            H = own_fade >= d.sigma * (p.eta + interference)
-        else:
-            H = interference <= margin
+        h = _success(u, ends, p, R, far_log)
+        hh = h * h
         # Guard-zone tests run only on points inside the largest ball. The
         # scan stays in float32: no float32 lies strictly between a threshold
         # and its float32 rounding, so it keeps every point with u < thr.
         near = np.flatnonzero(u <= np.float32(thresholds.max()))
         u_near = u[near]
         trial_near = np.searchsorted(ends, near, side="right")
-        tallies = np.empty(1 + 2 * k, dtype=np.int64)
-        tallies[0] = H.sum()
+        sums = np.empty(2 + 3 * k)
+        sums[0], sums[1] = h.sum(), hh.sum()
         for i, thr in enumerate(thresholds):
             D = np.ones(size, dtype=bool)
             D[trial_near[u_near < thr]] = False
-            tallies[1 + i] = D.sum()
-            tallies[1 + k + i] = (H & D).sum()
-        return tallies
+            sums[2 + i] = D.sum()
+            sums[2 + k + i] = h[D].sum()
+            sums[2 + 2 * k + i] = hh[D].sum()
+        return sums
 
-    tallies = _sum_over_chunks(chunk, cfg)
+    sums = _sum_over_chunks(chunk, cfg)
     T = cfg.trials
-    n_H, n_D, n_HD = int(tallies[0]), tallies[1:1 + k], tallies[1 + k:]
-    prior = Estimate.binomial(n_H, T)
+    s_h, s_hh = float(sums[0]), float(sums[1])
+    prior = Estimate.mean(s_h, s_hh, T)
     evidence, post1, post0, rho, p_I, p_II = [], [], [], [], [], []
-    for i in range(len(grid)):
-        nD, nHD = int(n_D[i]), int(n_HD[i])
-        evidence.append(Estimate.binomial(nD, T))
-        post1.append(Estimate.binomial(nHD, nD))
-        post0.append(Estimate.binomial(n_H - nHD, T - nD))
-        p_I.append(Estimate.binomial(nD - nHD, T - n_H))
-        p_II.append(Estimate.binomial(n_H - nHD, n_H))
-        pH, pD, pHD = n_H / T, nD / T, nHD / T
-        denom = math.sqrt(max(pH * (1 - pH) * pD * (1 - pD), 0.0))
-        if denom > 0:
-            # stderr via the delta method, keeping only the joint-count
-            # term, which dominates the variance of the numerator
-            rho.append(Estimate(value=(pHD - pH * pD) / denom,
-                                stderr=math.sqrt(pHD * (1 - pHD) / T) / denom,
-                                count=T))
-        else:
-            rho.append(Estimate(value=math.nan, stderr=math.inf, count=0))
+    for i in range(k):
+        s_d, s_hd, s_hhd = (float(sums[2 + j * k + i]) for j in range(3))
+        evidence.append(Estimate.binomial(int(s_d), T))
+        post1.append(Estimate.mean(s_hd, s_hhd, s_d))
+        post0.append(Estimate.mean(s_h - s_hd, s_hh - s_hhd, T - s_d))
+        rho.append(_rho(T, s_h, s_hh, s_d, s_hd, s_hhd))
+        # p_I: sum((1-h) D) / sum(1-h); p_II: sum(h (1-D)) / sum(h)
+        fail_d2 = s_d - 2.0 * s_hd + s_hhd  # sum((1-h)**2 D)
+        p_I.append(Estimate.ratio(s_d - s_hd, fail_d2, fail_d2, T - s_h,
+                                  T - 2.0 * s_h + s_hh))
+        p_II.append(Estimate.ratio(s_h - s_hd, s_hh - s_hhd, s_hh - s_hhd,
+                                   s_h, s_hh))
     return SingleObsEstimates(
         r_O_grid=tuple(float(r) for r in grid), prior=prior,
         evidence=tuple(evidence), posterior_d1=tuple(post1),
@@ -271,7 +362,8 @@ def estimate_multiobs(p: ModelParams, aloha: AlohaParams, r_O: float,
 
     Node positions are fixed per trial; each slot thins them
     independently with probability ``p``. The region is sized from the
-    thinned (active) density, which is what drives the truncation bias.
+    thinned (active) density, and the far field beyond it enters at that
+    density.
     """
     if p.eta != 0:
         raise ValueError("multi-observation simulation assumes eta = 0")
@@ -280,14 +372,14 @@ def estimate_multiobs(p: ModelParams, aloha: AlohaParams, r_O: float,
     if not r_O > 0:
         raise ValueError(f"r_O must be positive, got {r_O}")
     d = derive(p)
-    R = cfg.region_radius or auto_region_radius(
-        p, aloha.p * p.density, cfg.bias_tol)
+    active_density = aloha.p * p.density
+    R = cfg.region_radius or auto_region_radius(p, active_density,
+                                                cfg.bias_tol)
     if r_O >= R:
         raise ValueError("guard-zone radius must be smaller than the region radius")
     mean_pts = p.density * d.c_n * R**p.n
     thr = (r_O / R) ** p.n
-    inv_delta = 1.0 / d.delta
-    pathloss_scale = R ** (-p.alpha)
+    far_log = _far_field_log(p, active_density, R)
     N = aloha.N
 
     def chunk(rng, size):
@@ -307,29 +399,35 @@ def estimate_multiobs(p: ModelParams, aloha: AlohaParams, r_O: float,
             busy = np.bincount(inside_trials[active], minlength=size) > 0
             K += ~busy
 
-        # Decision slot: full thinning, literal SINR and guard-zone tests.
+        # Decision slot: full thinning, then the success probability of
+        # the active interferers and the literal guard-zone test.
         active = rng.random(total) < aloha.p
         active_ends = np.searchsorted(np.flatnonzero(active), ends)
-        interference = _interference(u[active], active_ends, pathloss_scale,
-                                     inv_delta, rng)
-        H = rng.exponential(size=size) >= d.sigma * interference
-        busy = np.bincount(inside_trials[active[inside]], minlength=size) > 0
-        D = ~busy
-        return np.stack([np.bincount(K[m], minlength=N + 1)
-                         for m in (slice(None), H, D, H & D)])
+        h = _success(u[active], active_ends, p, R, far_log)
+        hh = h * h
+        D = np.bincount(inside_trials[active[inside]], minlength=size) == 0
+        # per K cell: trials, sums of h and h**2; the same where D = 1
+        cells = []
+        for m in (slice(None), D):
+            cells += [np.bincount(K[m], minlength=N + 1),
+                      np.bincount(K[m], weights=h[m], minlength=N + 1),
+                      np.bincount(K[m], weights=hh[m], minlength=N + 1)]
+        return np.stack(cells)
 
-    n_K, n_HK, n_DK, n_HDK = _sum_over_chunks(chunk, cfg)
+    n_K, s_hK, s_hhK, n_DK, s_hdK, s_hhdK = _sum_over_chunks(chunk, cfg)
     trials = cfg.trials
-    pK = tuple(Estimate.binomial(int(n_K[k]), trials) for k in range(N + 1))
-    pHK = tuple(Estimate.binomial(int(n_HK[k]), int(n_K[k])) for k in range(N + 1))
-    pDK = tuple(Estimate.binomial(int(n_DK[k]), int(n_K[k])) for k in range(N + 1))
-    posterior = {}
+    pK, pHK, pDK, posterior = [], [], [], {}
     for k in range(N + 1):
-        posterior[(k, 1)] = Estimate.binomial(int(n_HDK[k]), int(n_DK[k]))
-        posterior[(k, 0)] = Estimate.binomial(
-            int(n_HK[k] - n_HDK[k]), int(n_K[k] - n_DK[k]))
+        nK, nDK = int(n_K[k]), int(n_DK[k])
+        s_h, s_hh, s_hd, s_hhd = (float(s[k])
+                                  for s in (s_hK, s_hhK, s_hdK, s_hhdK))
+        pK.append(Estimate.binomial(nK, trials))
+        pHK.append(Estimate.mean(s_h, s_hh, nK))
+        pDK.append(Estimate.binomial(nDK, nK))
+        posterior[(k, 1)] = Estimate.mean(s_hd, s_hhd, nDK)
+        posterior[(k, 0)] = Estimate.mean(s_h - s_hd, s_hh - s_hhd, nK - nDK)
     return MultiObsEstimates(
-        r_O=r_O, p_K=pK, p_h_given_K=pHK, p_d_given_K=pDK,
+        r_O=r_O, p_K=tuple(pK), p_h_given_K=tuple(pHK), p_d_given_K=tuple(pDK),
         posterior=posterior, trials=trials,
         config_hash=config_hash(p, cfg, [r_O], aloha))
 

@@ -53,6 +53,13 @@ class TestCorrelation:
         assert float(starred[0]["chi"]) == pytest.approx(2.08, abs=0.02)
         assert any("chi_star" in c for c in comments)
 
+    def test_overflowing_grid(self, capsys):
+        code, out = run_cli(["correlation", "--scenario", "fig4",
+                             "--grid", "1e-6:1e6:97"], capsys)
+        assert code == 0
+        rows, _ = parse_csv(out)
+        assert rows[96]["f1"] == rows[96]["f2"] == "-inf"
+
     def test_sweep_density(self, capsys):
         code, out = run_cli(["correlation", "--scenario", FIG1,
                              "--sweep-density"], capsys)

@@ -44,7 +44,27 @@ class TestRho:
         grid = np.geomspace(0.1, 10, 20)
         curve = correlation.rho_curve(FIG1, grid)
         assert len(curve.rho_values) == 20
-        assert curve.rho_values[5] == correlation.rho(FIG1, grid[5])
+        # numpy's exp and libm's differ in the last bits, by up to 7e-15
+        # relative once amplified here
+        assert curve.rho_values == pytest.approx(
+            [correlation.rho(FIG1, float(c)) for c in grid], rel=1e-13)
+
+
+class TestCrossingCurves:
+    FIG4 = ModelParams(n=2, density=2e-3, alpha=4, beta=5, r_T=10)
+
+    @pytest.mark.parametrize("f", [correlation.f1, correlation.f2])
+    def test_overflow_is_minus_inf_on_both_paths(self, f):
+        # exp(B) and exp(C) overflow beyond chi ~ 1e5 here; RuntimeWarnings
+        # are errors in this suite, so the array path must not warn
+        grid = np.geomspace(1e-6, 1e6, 97)
+        arr = f(self.FIG4, grid)
+        flt = np.array([f(self.FIG4, float(c)) for c in grid])
+        assert np.isneginf(arr[-1]) and np.isneginf(flt[-1])
+        assert np.array_equal(np.isinf(arr), np.isinf(flt))
+        assert np.array_equal(arr[np.isinf(arr)], flt[np.isinf(flt)])
+        finite = np.isfinite(arr)
+        assert arr[finite] == pytest.approx(flt[finite], rel=1e-13, abs=1e-13)
 
 
 class TestChiStar:

@@ -1,4 +1,6 @@
-"""Simulator plumbing: determinism, region sizing, and coverage sanity.
+"""Simulator plumbing: determinism, region sizing, and coverage sanity;
+agreement with a literal fade-drawing sampler, and calibrated standard
+errors over replicated seeds.
 
 Full-budget oracle-vs-analytic comparisons live in the acceptance suite;
 here the runs are kept small (reduced regions, minimum trials) and the
@@ -11,12 +13,14 @@ import math
 import numpy as np
 import pytest
 
-from guardzone import montecarlo as mc
+from guardzone import montecarlo as mc, specfn
 from guardzone.multi_obs import AlohaParams, p_K, posterior_given_K_d
 from guardzone.params import ModelParams, derive
 from guardzone.single_obs import evidence_success, posterior, prior_success
 
 FIG1 = ModelParams(n=2, density=2e-4, alpha=3, beta=5, r_T=10)
+FIG4 = ModelParams(n=2, density=2e-3, alpha=4, beta=5, r_T=10)
+NOISY = ModelParams(n=2, density=1e-3, alpha=4, beta=3, r_T=10, eta=1e-5)
 FAST = mc.SimConfig(trials=10_000, seed=7, region_radius=600.0)
 
 
@@ -155,49 +159,208 @@ class TestChunkKernel:
 
         d = derive(FIG1)
         R = cfg.region_radius
-        n_H = n_D = n_HD = 0
+        far_log = mc._far_field_log(FIG1, FIG1.density, R)
+        sum_h = sum_hd = 0.0
+        n_D = 0
         last_trial_empty = False
         for chunk_idx, start in enumerate(range(0, cfg.trials, mc._CHUNK)):
             size = min(mc._CHUNK, cfg.trials - start)
             rng = mc._chunk_rng(cfg.seed, chunk_idx)
             counts = rng.poisson(FIG1.density * d.c_n * R**FIG1.n, size=size)
             u = 1.0 - rng.random(counts.sum(), dtype=np.float32)
-            if fading == "rayleigh":
-                fades = rng.exponential(size=len(u))
-                own = rng.exponential(size=size)
-            else:
-                fades = np.ones(len(u))
             last_trial_empty |= counts[-1] == 0
             lo = 0
             for t in range(size):
-                pts = slice(lo, lo + counts[t])
+                pts = u[lo:lo + counts[t]].astype(np.float64)
                 lo += counts[t]
-                I = np.sum(R ** -FIG1.alpha
-                           * u[pts].astype(np.float64) ** (-1.0 / d.delta)
-                           * fades[pts])
+                x = R ** -FIG1.alpha * pts ** (-1.0 / d.delta)
                 if fading == "rayleigh":
-                    H = own[t] >= d.sigma * (FIG1.eta + I)
+                    # success probability given the points: prod 1/(1+s x)
+                    h = math.exp(far_log - d.sigma * FIG1.eta
+                                 - np.sum(np.log1p(d.sigma * x)))
                 else:
-                    H = I <= 1.0 / d.sigma - FIG1.eta
-                D = not np.any(u[pts].astype(np.float64) < (r_O / R) ** FIG1.n)
-                n_H += H
+                    h = float(np.sum(x) <= 1.0 / d.sigma - FIG1.eta)
+                D = not np.any(pts < (r_O / R) ** FIG1.n)
+                sum_h += h
                 n_D += D
-                n_HD += H and D
+                sum_hd += h * D
         # the run covers a chunk whose last trial has no points
         assert last_trial_empty
         T = cfg.trials
-        assert round(est.prior.value * T) == n_H
         assert est.posterior_d1[0].count == n_D
-        assert round(est.posterior_d1[0].value * n_D) == n_HD
+        if fading == "rayleigh":
+            assert est.prior.value * T == pytest.approx(sum_h, rel=1e-12)
+            assert est.posterior_d1[0].value * n_D == pytest.approx(
+                sum_hd, rel=1e-12)
+        else:
+            assert round(est.prior.value * T) == sum_h
+            assert round(est.posterior_d1[0].value * n_D) == sum_hd
 
     def test_interference_skips_empty_segments(self):
         u = np.array([0.5, 0.25, 1.0, 0.5], dtype=np.float32)
         # trials 0, 2, 4 and 5 are empty, including the last
         ends = np.array([0, 2, 2, 3, 4, 4])
-        got = mc._interference(u, ends, 2.0, 1.0, None)
+        got = mc._interference(u, ends, 2.0, 1.0, False)
         assert got.tolist() == [0.0, 2 * (2.0 + 4.0), 0.0, 2.0, 4.0, 0.0]
+        got = mc._interference(u, ends, 2.0, 1.0, True)
+        assert got == pytest.approx(
+            [0.0, math.log(5 * 9), 0.0, math.log(3), math.log(5), 0.0],
+            rel=1e-15)
         assert mc._interference(u[:0], np.zeros(3, dtype=np.int64),
-                                2.0, 1.0, None).tolist() == [0.0] * 3
+                                2.0, 1.0, False).tolist() == [0.0] * 3
+
+
+class TestFarField:
+    @pytest.mark.parametrize("p", [
+        FIG1, FIG4, NOISY, ModelParams(n=1, density=5e-3, alpha=2.5, beta=3, r_T=5),
+        ModelParams(n=3, density=1e-5, alpha=4.5, beta=3, r_T=6)],
+        ids=["fig1", "fig4", "noisy", "n1", "n3"])
+    @pytest.mark.parametrize("R", [5.0, 60.0, 600.0, 6e4])
+    def test_matches_closed_form(self, p, R):
+        # -density * c_n * sigma**delta * power_tail(R**alpha / sigma, delta)
+        d = derive(p)
+        want = -p.density * d.c_n * d.sigma**d.delta * specfn.power_tail(
+            R**p.alpha / d.sigma, d.delta)
+        assert mc._far_field_log(p, p.density, R) == pytest.approx(
+            want, rel=1e-13)
+
+
+def literal_sample(p, grid, cfg):
+    """Reference sampler: draw every interferer's Exp(1) fade and the
+    receiver's, and apply the SINR test trial by trial.
+
+    Uses the estimator's chunk streams, so the networks are the ones
+    :func:`mc.estimate_single` sees; the fades come after them in each
+    stream. Interferers beyond the region are left out. Returns the 0/1
+    outcomes H (per trial) and D (per radius and trial).
+    """
+    d = derive(p)
+    R = cfg.region_radius or mc.auto_region_radius(p, p.density, cfg.bias_tol)
+    thresholds = (np.asarray(grid) / R) ** p.n
+    H, D = [], []
+    for chunk_idx, start in enumerate(range(0, cfg.trials, mc._CHUNK)):
+        size = min(mc._CHUNK, cfg.trials - start)
+        rng = mc._chunk_rng(cfg.seed, chunk_idx)
+        counts = rng.poisson(p.density * d.c_n * R**p.n, size=size)
+        u = 1.0 - rng.random(counts.sum(), dtype=np.float32)
+        fades = rng.exponential(size=len(u))
+        own = rng.exponential(size=size)
+        lo = 0
+        for t in range(size):
+            pts = slice(lo, lo + counts[t])
+            lo += counts[t]
+            u_t = u[pts].astype(np.float64)
+            interference = np.sum(R ** -p.alpha * u_t ** (-1.0 / d.delta)
+                                  * fades[pts])
+            H.append(own[t] >= d.sigma * (p.eta + interference))
+            D.append([not np.any(u_t < thr) for thr in thresholds])
+    return np.array(H, dtype=float), np.array(D, dtype=float).T
+
+
+def bernoulli_rho(H, D):
+    """Phi coefficient of two 0/1 samples, with the delta-method standard
+    error over the four cell frequencies (by central differences)."""
+    T = len(H)
+    cells = np.array([np.mean(H * D), np.mean(H * (1 - D)),
+                      np.mean((1 - H) * D), np.mean((1 - H) * (1 - D))])
+
+    def phi(c):
+        h, dd = c[0] + c[1], c[0] + c[2]
+        return (c[0] - h * dd) / math.sqrt(h * (1 - h) * dd * (1 - dd))
+
+    step = 1e-7
+    grad = np.array([(phi(cells + step * e) - phi(cells - step * e))
+                     / (2 * step) for e in np.eye(4)])
+    var = cells @ grad**2 - (cells @ grad) ** 2
+    return phi(cells), math.sqrt(var / T)
+
+
+class TestAgainstLiteralSampler:
+    """Fades integrated out against fades drawn, on the same networks."""
+
+    @pytest.mark.parametrize("p, grid, cfg", [
+        # R = 3000 keeps the literal loop short; the interferers beyond it,
+        # which only the literal sampler leaves out, lower its prior by
+        # 1.3e-3, a quarter of the combined SE (the other two configs'
+        # default regions leave out 1e-3 relative, about 0.1 SE)
+        (FIG1, [10.0, 30.0, 50.0, 80.0],
+         mc.SimConfig(trials=10_000, seed=21, region_radius=3000.0)),
+        (FIG4, [10.0, 15.0, 20.0, 25.0], mc.SimConfig(trials=10_000, seed=22)),
+        (NOISY, [10.0, 20.0, 30.0], mc.SimConfig(trials=10_000, seed=23)),
+    ], ids=["fig1", "fig4", "noisy"])
+    def test_within_3_combined_se(self, p, grid, cfg):
+        est = mc.estimate_single(p, grid, cfg)
+        H, D = literal_sample(p, grid, cfg)
+        checks = [("prior", est.prior, H.mean(),
+                   math.sqrt(H.var() / len(H)))]
+
+        def cond_mean(x, given):
+            sel = x[given == 1]
+            return sel.mean(), math.sqrt(sel.var() / len(sel))
+
+        for i, r in enumerate(grid):
+            Di = D[i]
+            assert est.evidence[i].value == Di.mean()
+            checks += [
+                (f"posterior_d1@{r}", est.posterior_d1[i], *cond_mean(H, Di)),
+                (f"posterior_d0@{r}", est.posterior_d0[i],
+                 *cond_mean(H, 1 - Di)),
+                (f"p_I@{r}", est.p_I[i], *cond_mean(Di, 1 - H)),
+                (f"p_II@{r}", est.p_II[i], *cond_mean(1 - Di, H)),
+                (f"rho@{r}", est.rho[i], *bernoulli_rho(H, Di)),
+            ]
+        bad = [(name, got.value, ref, (got.value - ref)
+                / math.hypot(got.stderr, ref_se))
+               for name, got, ref, ref_se in checks
+               if not abs(got.value - ref) <= 3 * math.hypot(got.stderr, ref_se)]
+        assert not bad
+
+
+class TestCalibration:
+    """The reported standard errors match the spread over replicated seeds."""
+
+    SEEDS = range(150)
+    GRID = [20.0, 50.0]
+
+    @staticmethod
+    def named(est):
+        if isinstance(est, mc.MultiObsEstimates):
+            out = {f"{q}[{k}]": e for q in ("p_K", "p_h_given_K", "p_d_given_K")
+                   for k, e in enumerate(getattr(est, q))}
+            out.update({f"posterior{key}": e
+                        for key, e in est.posterior.items()})
+            return out
+        out = {"prior": est.prior}
+        for q in ("evidence", "posterior_d1", "posterior_d0", "rho", "p_I",
+                  "p_II"):
+            out.update({f"{q}[{r:g}]": e
+                        for r, e in zip(est.r_O_grid, getattr(est, q))})
+        return out
+
+    @pytest.mark.parametrize("kind", ["rayleigh", "none", "aloha"])
+    def test_sd_over_se(self, kind):
+        runs = []
+        for seed in self.SEEDS:
+            cfg = mc.SimConfig(trials=10_000, seed=seed, region_radius=200.0,
+                               fading="none" if kind == "none" else "rayleigh")
+            est = (mc.estimate_multiobs(FIG1, AlohaParams(p=0.5, N=1), 50.0,
+                                        cfg)
+                   if kind == "aloha" else
+                   mc.estimate_single(FIG1, self.GRID, cfg))
+            runs.append(self.named(est))
+        ratios = {}
+        for name in runs[0]:
+            values = np.array([r[name].value for r in runs])
+            se = np.array([r[name].stderr for r in runs])
+            if not se.any():
+                # an outcome certain in this model (no fading, r_O = 50:
+                # a clear zone always succeeds) has no error to calibrate
+                assert np.ptp(values) == 0, name
+                continue
+            ratios[name] = np.std(values, ddof=1) / math.sqrt(np.mean(se**2))
+        off = {k: round(v, 3) for k, v in ratios.items()
+               if not 0.8 <= v <= 1.25}
+        assert not off, ratios
 
 
 class TestNoFading:
