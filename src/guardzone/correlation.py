@@ -70,30 +70,33 @@ def rho_curve(p: ModelParams, chi_grid) -> CorrelationCurve:
     return CorrelationCurve(grid, rho(p, grid))
 
 
-def _exp(x):
-    """exp of a float or an array, inf where it overflows (x > 709.78),
-    with no OverflowError and no warning."""
+def _times_exp(c, x):
+    """``c * exp(x)`` for a float or an array: +-inf where exp overflows
+    (x > 709.78) and c is nonzero, 0 where c is 0, with no OverflowError
+    and no warning."""
     if isinstance(x, np.ndarray):
-        with np.errstate(over="ignore"):
-            return np.exp(x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.where(c == 0, 0.0, c * np.exp(x))
+    if c == 0:
+        return 0.0
     try:
-        return math.exp(x)
+        return c * math.exp(x)
     except OverflowError:
-        return math.inf
+        return math.copysign(math.inf, c)
 
 
 def f1(p: ModelParams, chi):
     """(1 - chi) * exp(B(chi)); intersects f2 at the maximizing chi.
-    -inf for chi > 1 once exp(B) overflows."""
+    -inf for chi > 1 once exp(B) overflows, and 0 at chi = 1."""
     d = derive(p)
-    return (1.0 - chi) * _exp(_B(_scale(p, d), d.delta, chi))
+    return _times_exp(1.0 - chi, _B(_scale(p, d), d.delta, chi))
 
 
 def f2(p: ModelParams, chi):
     """2 - (1 + chi) * exp(C(chi)), concave decreasing; -inf once exp(C)
     overflows."""
     d = derive(p)
-    return 2.0 - (1.0 + chi) * _exp(_C(_scale(p, d), d.delta, chi))
+    return 2.0 - _times_exp(1.0 + chi, _C(_scale(p, d), d.delta, chi))
 
 
 def _stationarity(a: float, delta: float, chi):

@@ -21,6 +21,14 @@ fading:
   ``1/(1 + s)`` and the far-field PGFL with the formulas it checks, but
   nothing else: no special function and no closed form.
 
+  So only the near field is simulated: by default the region is
+  ``_NEAR_FIELD`` times the largest guard-zone radius, and never larger
+  than the no-fading region. Every guard-zone indicator depends only on
+  points inside that ball, and Poisson points on disjoint sets are
+  independent, so replacing the product over the points beyond it by its
+  expectation is a Rao-Blackwellisation: no bias, and no more variance
+  than sampling them.
+
 Radial positions are drawn through the volume substitution
 ``u = (r / R)**n ~ U(0, 1)``: pathloss is ``R**-alpha * u**(-1/delta)``
 and the inside-ball test is ``u < (r_O / R)**n``, so no radii, angles, or
@@ -30,9 +38,10 @@ Trials are processed in fixed-size chunks, each with its own Philox
 stream keyed by ``SeedSequence([seed, chunk_index])``. Chunks run
 concurrently on a thread pool (numpy's generators and ufuncs release the
 interpreter lock). Each returns float64 sums of h, h**2, the guard-zone
-indicator D, h*D and h**2*D, and the sums are added in chunk order, so
-results are reproducible for a given seed and independent of how many
-chunks run at once. Standard errors come from these second moments.
+indicator D, and of h and h**2 on each side (D = 1 and D = 0). The sums
+are added in chunk order, so results are reproducible for a given seed
+and independent of how many chunks run at once. Standard errors come from
+these second moments.
 """
 
 from __future__ import annotations
@@ -57,6 +66,10 @@ _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 # Conditional estimates from fewer samples than this are flagged.
 _LOW_CONFIDENCE_COUNT = 100
+# Default Rayleigh region radius, in units of the largest guard-zone
+# radius. The margin keeps sampled spread in every estimate: with a ball of
+# exactly that radius the clear-zone posterior there would be a constant.
+_NEAR_FIELD = 10.0
 
 
 @dataclass(frozen=True)
@@ -64,7 +77,9 @@ class SimConfig:
     trials: int = 100_000
     seed: int = 0
     fading: str = "rayleigh"
-    region_radius: float | None = None  # None: auto-sized from bias_tol
+    # None: auto-sized from bias_tol with no fading; under Rayleigh fading
+    # the smaller of that and _NEAR_FIELD times the largest guard zone
+    region_radius: float | None = None
     bias_tol: float = 1e-3
 
     def __post_init__(self):
@@ -159,12 +174,30 @@ def auto_region_radius(p: ModelParams, interferer_density: float,
     Mean interference from beyond radius R is
     ``density * c_n * n * R**(n - alpha) / (alpha - n)``; scaled by sigma
     it is the relative perturbation of the SINR margin. Only the
-    no-fading estimates carry that bias; under Rayleigh fading the region
-    sets how many interferers are simulated, and the rest enter exactly.
+    no-fading estimates carry that bias and use this radius as their
+    default region; under Rayleigh fading it only caps the default
+    near-field region of :func:`_region_radius`.
     """
     d = derive(p)
     coeff = d.sigma * interferer_density * d.c_n * p.n / (p.alpha - p.n)
     return (coeff / bias_tol) ** (1.0 / (p.alpha - p.n))
+
+
+def _region_radius(p: ModelParams, interferer_density: float, r_max: float,
+                   cfg: SimConfig) -> float:
+    """Radius R of the simulated ball, for guard zones up to ``r_max``.
+
+    An explicit ``cfg.region_radius`` is used as given. With no fading the
+    default is :func:`auto_region_radius`; under Rayleigh fading, where
+    the points beyond R enter exactly through :func:`_far_field_log`, it
+    is the smaller of that and ``_NEAR_FIELD * r_max``.
+    """
+    if cfg.region_radius is not None:
+        return cfg.region_radius
+    R = auto_region_radius(p, interferer_density, cfg.bias_tol)
+    if cfg.fading == "rayleigh":
+        R = min(_NEAR_FIELD * r_max, R)
+    return R
 
 
 def _far_field_log(p: ModelParams, interferer_density: float,
@@ -173,19 +206,30 @@ def _far_field_log(p: ModelParams, interferer_density: float,
 
     By the PGFL of the Poisson process it is
     ``-density * int_R^inf n c_n r**(n-1) / (1 + r**alpha / sigma) dr``.
-    Under ``y = (R / r)**(alpha - n)`` the integral is
-    ``n R**n / (alpha - n) * int_0^1 dy / (R**alpha / sigma
-    + y**(alpha / (alpha - n)))``, a bounded integrand on [0, 1], which
-    QUADPACK evaluates to near machine precision.
+    Under ``t = log(r / R)`` the integral is
+    ``n R**n int_0^inf exp(n t) / (1 + k exp(alpha t)) dt`` with
+    ``k = R**alpha / sigma``. The integrand rises up to the knee
+    ``r = sigma**(1/alpha)`` and falls exponentially beyond it; QUADPACK
+    evaluates each side of the knee to near machine precision, for a
+    region far inside the knee (small guard zones) as well as far beyond.
     """
     from scipy import integrate
 
     d = derive(p)
-    m = p.alpha - p.n
-    k = R**p.alpha / d.sigma
-    integral, _ = integrate.quad(lambda y: 1.0 / (k + y ** (p.alpha / m)),
-                                 0.0, 1.0, epsabs=0.0, epsrel=1e-13)
-    return -interferer_density * d.c_n * p.n * R**p.n / m * integral
+    log_k = p.alpha * math.log(R) - math.log(d.sigma)
+    knee = max(-log_k / p.alpha, 0.0)
+
+    def integrand(t):
+        # 1 + k e^(alpha t) = e^s (e^-s + e^(x-s)) with s = max(x, 0),
+        # so that no exp overflows
+        x = p.alpha * t + log_k
+        s = max(x, 0.0)
+        return math.exp(p.n * t - s) / (math.exp(-s) + math.exp(x - s))
+
+    integral = sum(integrate.quad(integrand, a, b, epsabs=0.0,
+                                  epsrel=1e-13)[0]
+                   for a, b in ((0.0, knee), (knee, math.inf)))
+    return -interferer_density * d.c_n * p.n * R**p.n * integral
 
 
 def _chunk_rng(seed: int, chunk_idx: int) -> np.random.Generator:
@@ -285,7 +329,7 @@ def estimate_single(p: ModelParams, r_O_grid, cfg: SimConfig) -> SingleObsEstima
     if grid.ndim != 1 or len(grid) == 0 or not np.all(grid > 0):
         raise ValueError("r_O grid must be a nonempty 1-d array of positive radii")
     d = derive(p)
-    R = cfg.region_radius or auto_region_radius(p, p.density, cfg.bias_tol)
+    R = _region_radius(p, p.density, float(grid.max()), cfg)
     if np.any(grid >= R):
         raise ValueError("guard-zone radii must be smaller than the region radius")
     mean_pts = p.density * d.c_n * R**p.n
@@ -308,14 +352,18 @@ def estimate_single(p: ModelParams, r_O_grid, cfg: SimConfig) -> SingleObsEstima
         near = np.flatnonzero(u <= np.float32(thresholds.max()))
         u_near = u[near]
         trial_near = np.searchsorted(ends, near, side="right")
-        sums = np.empty(2 + 3 * k)
+        sums = np.empty(2 + 5 * k)
         sums[0], sums[1] = h.sum(), hh.sum()
         for i, thr in enumerate(thresholds):
             D = np.ones(size, dtype=bool)
             D[trial_near[u_near < thr]] = False
             sums[2 + i] = D.sum()
-            sums[2 + k + i] = h[D].sum()
-            sums[2 + 2 * k + i] = hh[D].sum()
+            # Each side is summed, not taken as total minus the other: a
+            # side whose h is tiny next to the total would keep no digits.
+            busy = ~D
+            sums[2 + k + i], sums[2 + 2 * k + i] = h[D].sum(), hh[D].sum()
+            sums[2 + 3 * k + i] = h[busy].sum()
+            sums[2 + 4 * k + i] = hh[busy].sum()
         return sums
 
     sums = _sum_over_chunks(chunk, cfg)
@@ -324,17 +372,18 @@ def estimate_single(p: ModelParams, r_O_grid, cfg: SimConfig) -> SingleObsEstima
     prior = Estimate.mean(s_h, s_hh, T)
     evidence, post1, post0, rho, p_I, p_II = [], [], [], [], [], []
     for i in range(k):
-        s_d, s_hd, s_hhd = (float(sums[2 + j * k + i]) for j in range(3))
+        # h and h**2 summed where D = 1 (s_hd, s_hhd) and D = 0 (s_hb, s_hhb)
+        s_d, s_hd, s_hhd, s_hb, s_hhb = (float(sums[2 + j * k + i])
+                                         for j in range(5))
         evidence.append(Estimate.binomial(int(s_d), T))
         post1.append(Estimate.mean(s_hd, s_hhd, s_d))
-        post0.append(Estimate.mean(s_h - s_hd, s_hh - s_hhd, T - s_d))
+        post0.append(Estimate.mean(s_hb, s_hhb, T - s_d))
         rho.append(_rho(T, s_h, s_hh, s_d, s_hd, s_hhd))
         # p_I: sum((1-h) D) / sum(1-h); p_II: sum(h (1-D)) / sum(h)
         fail_d2 = s_d - 2.0 * s_hd + s_hhd  # sum((1-h)**2 D)
         p_I.append(Estimate.ratio(s_d - s_hd, fail_d2, fail_d2, T - s_h,
                                   T - 2.0 * s_h + s_hh))
-        p_II.append(Estimate.ratio(s_h - s_hd, s_hh - s_hhd, s_hh - s_hhd,
-                                   s_h, s_hh))
+        p_II.append(Estimate.ratio(s_hb, s_hhb, s_hhb, s_h, s_hh))
     return SingleObsEstimates(
         r_O_grid=tuple(float(r) for r in grid), prior=prior,
         evidence=tuple(evidence), posterior_d1=tuple(post1),
@@ -361,9 +410,9 @@ def estimate_multiobs(p: ModelParams, aloha: AlohaParams, r_O: float,
     """Simulate N observed Aloha slots plus a decision slot.
 
     Node positions are fixed per trial; each slot thins them
-    independently with probability ``p``. The region is sized from the
-    thinned (active) density, and the far field beyond it enters at that
-    density.
+    independently with probability ``p``. The region is sized by
+    :func:`_region_radius` at the thinned (active) density, and the far
+    field beyond it enters at that density.
     """
     if p.eta != 0:
         raise ValueError("multi-observation simulation assumes eta = 0")
@@ -373,8 +422,7 @@ def estimate_multiobs(p: ModelParams, aloha: AlohaParams, r_O: float,
         raise ValueError(f"r_O must be positive, got {r_O}")
     d = derive(p)
     active_density = aloha.p * p.density
-    R = cfg.region_radius or auto_region_radius(p, active_density,
-                                                cfg.bias_tol)
+    R = _region_radius(p, active_density, r_O, cfg)
     if r_O >= R:
         raise ValueError("guard-zone radius must be smaller than the region radius")
     mean_pts = p.density * d.c_n * R**p.n
@@ -406,26 +454,28 @@ def estimate_multiobs(p: ModelParams, aloha: AlohaParams, r_O: float,
         h = _success(u[active], active_ends, p, R, far_log)
         hh = h * h
         D = np.bincount(inside_trials[active[inside]], minlength=size) == 0
-        # per K cell: trials, sums of h and h**2; the same where D = 1
+        # per K cell, where D = 1 and where D = 0 (each summed, as in
+        # estimate_single): trials, sums of h and h**2
         cells = []
-        for m in (slice(None), D):
+        for m in (D, ~D):
             cells += [np.bincount(K[m], minlength=N + 1),
                       np.bincount(K[m], weights=h[m], minlength=N + 1),
                       np.bincount(K[m], weights=hh[m], minlength=N + 1)]
         return np.stack(cells)
 
-    n_K, s_hK, s_hhK, n_DK, s_hdK, s_hhdK = _sum_over_chunks(chunk, cfg)
+    n_DK, s_hdK, s_hhdK, n_BK, s_hbK, s_hhbK = _sum_over_chunks(chunk, cfg)
     trials = cfg.trials
     pK, pHK, pDK, posterior = [], [], [], {}
     for k in range(N + 1):
-        nK, nDK = int(n_K[k]), int(n_DK[k])
-        s_h, s_hh, s_hd, s_hhd = (float(s[k])
-                                  for s in (s_hK, s_hhK, s_hdK, s_hhdK))
+        nDK, nBK = int(n_DK[k]), int(n_BK[k])
+        s_hd, s_hhd, s_hb, s_hhb = (float(s[k])
+                                    for s in (s_hdK, s_hhdK, s_hbK, s_hhbK))
+        nK = nDK + nBK
         pK.append(Estimate.binomial(nK, trials))
-        pHK.append(Estimate.mean(s_h, s_hh, nK))
+        pHK.append(Estimate.mean(s_hd + s_hb, s_hhd + s_hhb, nK))
         pDK.append(Estimate.binomial(nDK, nK))
         posterior[(k, 1)] = Estimate.mean(s_hd, s_hhd, nDK)
-        posterior[(k, 0)] = Estimate.mean(s_h - s_hd, s_hh - s_hhd, nK - nDK)
+        posterior[(k, 0)] = Estimate.mean(s_hb, s_hhb, nBK)
     return MultiObsEstimates(
         r_O=r_O, p_K=tuple(pK), p_h_given_K=tuple(pHK), p_d_given_K=tuple(pDK),
         posterior=posterior, trials=trials,

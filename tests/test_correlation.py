@@ -52,6 +52,8 @@ class TestRho:
 
 class TestCrossingCurves:
     FIG4 = ModelParams(n=2, density=2e-3, alpha=4, beta=5, r_T=10)
+    # B(1) = a > 709, so exp(B) overflows where 1 - chi vanishes
+    HUGE = ModelParams(n=2, density=1.0, alpha=3, beta=5, r_T=10)
 
     @pytest.mark.parametrize("f", [correlation.f1, correlation.f2])
     def test_overflow_is_minus_inf_on_both_paths(self, f):
@@ -65,6 +67,14 @@ class TestCrossingCurves:
         assert np.array_equal(arr[np.isinf(arr)], flt[np.isinf(flt)])
         finite = np.isfinite(arr)
         assert arr[finite] == pytest.approx(flt[finite], rel=1e-13, abs=1e-13)
+
+    def test_f1_zero_at_unit_chi_float(self):
+        assert correlation.f1(self.HUGE, 1.0) == 0.0
+
+    def test_f1_zero_at_unit_chi_array(self):
+        arr = correlation.f1(self.HUGE, np.array([0.5, 1.0, 2.0]))
+        assert arr[1] == 0.0 and np.isneginf(arr[2])
+        assert arr[0] == correlation.f1(self.HUGE, 0.5)
 
 
 class TestChiStar:

@@ -9,6 +9,7 @@ tolerances widened accordingly.
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -40,6 +41,59 @@ class TestConfig:
         bias = d.sigma * FIG1.density * d.c_n * FIG1.n \
             * R ** (FIG1.n - FIG1.alpha) / (FIG1.alpha - FIG1.n)
         assert bias == pytest.approx(1e-3, rel=1e-12)
+
+
+class TestRegion:
+    """Default and explicit simulation regions, seen through the estimates."""
+
+    @staticmethod
+    def same_draws(a, b):
+        return dataclasses.replace(a, config_hash="") == dataclasses.replace(
+            b, config_hash="")
+
+    @pytest.mark.parametrize("p, grid, want", [
+        (FIG1, [20.0, 50.0], 500.0),
+        # 10 r_O = 1000 lies beyond the no-fading region, 560.5
+        (FIG4, [20.0, 100.0], mc.auto_region_radius(FIG4, FIG4.density, 1e-3)),
+    ], ids=["near-field", "capped"])
+    def test_rayleigh_default_is_near_field(self, p, grid, want):
+        cfg = mc.SimConfig(trials=10_000, seed=5)
+        assert mc._region_radius(p, p.density, max(grid), cfg) == want
+        explicit = dataclasses.replace(cfg, region_radius=want)
+        assert self.same_draws(mc.estimate_single(p, grid, cfg),
+                               mc.estimate_single(p, grid, explicit))
+
+    def test_multiobs_default_at_active_density(self):
+        aloha = AlohaParams(p=0.5, N=1)
+        cfg = mc.SimConfig(trials=10_000, seed=5)
+        active = aloha.p * FIG4.density
+        assert mc._region_radius(FIG4, active, 20.0, cfg) == 200.0
+        # 10 r_O = 500 lies beyond the active-density region, 396.3
+        auto = mc.auto_region_radius(FIG4, active, cfg.bias_tol)
+        assert mc._region_radius(FIG4, active, 50.0, cfg) == auto
+        explicit = dataclasses.replace(cfg, region_radius=auto)
+        assert self.same_draws(
+            mc.estimate_multiobs(FIG4, aloha, 50.0, cfg),
+            mc.estimate_multiobs(FIG4, aloha, 50.0, explicit))
+
+    def test_no_fading_default_unchanged(self):
+        cfg = mc.SimConfig(trials=10_000, seed=5, fading="none")
+        auto = mc.auto_region_radius(FIG4, FIG4.density, cfg.bias_tol)
+        assert mc._region_radius(FIG4, FIG4.density, 20.0, cfg) == auto
+        explicit = dataclasses.replace(cfg, region_radius=auto)
+        assert self.same_draws(mc.estimate_single(FIG4, [20.0], cfg),
+                               mc.estimate_single(FIG4, [20.0], explicit))
+
+    @pytest.mark.parametrize("fading", ["rayleigh", "none"])
+    def test_explicit_region_honoured(self, monkeypatch, fading):
+        cfg = dataclasses.replace(FAST, fading=fading)
+        assert mc._region_radius(FIG1, FIG1.density, 20.0, cfg) == 600.0
+        seen = []
+        far_field_log = mc._far_field_log
+        monkeypatch.setattr(mc, "_far_field_log", lambda p, density, R: (
+            seen.append(R) or far_field_log(p, density, R)))
+        mc.estimate_single(FIG1, [20.0], cfg)
+        assert seen == ([600.0] if fading == "rayleigh" else [])
 
 
 class TestEstimateSingle:
@@ -156,37 +210,11 @@ class TestChunkKernel:
                            region_radius=60.0)
         r_O = 20.0
         est = mc.estimate_single(FIG1, [r_O], cfg)
-
-        d = derive(FIG1)
-        R = cfg.region_radius
-        far_log = mc._far_field_log(FIG1, FIG1.density, R)
-        sum_h = sum_hd = 0.0
-        n_D = 0
-        last_trial_empty = False
-        for chunk_idx, start in enumerate(range(0, cfg.trials, mc._CHUNK)):
-            size = min(mc._CHUNK, cfg.trials - start)
-            rng = mc._chunk_rng(cfg.seed, chunk_idx)
-            counts = rng.poisson(FIG1.density * d.c_n * R**FIG1.n, size=size)
-            u = 1.0 - rng.random(counts.sum(), dtype=np.float32)
-            last_trial_empty |= counts[-1] == 0
-            lo = 0
-            for t in range(size):
-                pts = u[lo:lo + counts[t]].astype(np.float64)
-                lo += counts[t]
-                x = R ** -FIG1.alpha * pts ** (-1.0 / d.delta)
-                if fading == "rayleigh":
-                    # success probability given the points: prod 1/(1+s x)
-                    h = math.exp(far_log - d.sigma * FIG1.eta
-                                 - np.sum(np.log1p(d.sigma * x)))
-                else:
-                    h = float(np.sum(x) <= 1.0 / d.sigma - FIG1.eta)
-                D = not np.any(pts < (r_O / R) ** FIG1.n)
-                sum_h += h
-                n_D += D
-                sum_hd += h * D
+        h, D, last_trial_empty = per_trial(FIG1, r_O, cfg)
         # the run covers a chunk whose last trial has no points
         assert last_trial_empty
         T = cfg.trials
+        n_D, sum_h, sum_hd = D.sum(), h.sum(), h[D].sum()
         assert est.posterior_d1[0].count == n_D
         if fading == "rayleigh":
             assert est.prior.value * T == pytest.approx(sum_h, rel=1e-12)
@@ -195,6 +223,23 @@ class TestChunkKernel:
         else:
             assert round(est.prior.value * T) == sum_h
             assert round(est.posterior_d1[0].value * n_D) == sum_hd
+
+    def test_busy_side_keeps_its_digits(self):
+        # on fig4 at r_O = 0.3 a busy zone holds an interferer within 0.3,
+        # so its h is below 2e-7: taken as the total minus the clear side,
+        # the busy sums would keep few digits, and those of h**2 none
+        cfg = mc.SimConfig(trials=10_000, seed=4, region_radius=3.0)
+        est = mc.estimate_single(FIG4, [0.3], cfg)
+        h, D, _ = per_trial(FIG4, 0.3, cfg)
+        busy = h[~D]
+        assert len(busy) > 0 and busy.max() < 2e-7
+        assert est.posterior_d0[0].value == pytest.approx(busy.mean(),
+                                                          rel=1e-12)
+        # p_II = sum(h (1-D)) / sum(h), with its delta-method error
+        value = busy.sum() / h.sum()
+        se = math.sqrt(np.sum((h * ~D - value * h) ** 2)) / h.sum()
+        assert est.p_II[0].value == pytest.approx(value, rel=1e-12)
+        assert est.p_II[0].stderr == pytest.approx(se, rel=1e-9)
 
     def test_interference_skips_empty_segments(self):
         u = np.array([0.5, 0.25, 1.0, 0.5], dtype=np.float32)
@@ -215,43 +260,92 @@ class TestFarField:
         FIG1, FIG4, NOISY, ModelParams(n=1, density=5e-3, alpha=2.5, beta=3, r_T=5),
         ModelParams(n=3, density=1e-5, alpha=4.5, beta=3, r_T=6)],
         ids=["fig1", "fig4", "noisy", "n1", "n3"])
-    @pytest.mark.parametrize("R", [5.0, 60.0, 600.0, 6e4])
+    # 1e-3 and 0.1: the near-field region of a guard zone far inside the
+    # knee r = sigma**(1/alpha), where the integrand peaks
+    @pytest.mark.parametrize("R", [5.0, 60.0, 600.0, 6e4, 1e-3, 0.1])
     def test_matches_closed_form(self, p, R):
         # -density * c_n * sigma**delta * power_tail(R**alpha / sigma, delta)
         d = derive(p)
         want = -p.density * d.c_n * d.sigma**d.delta * specfn.power_tail(
             R**p.alpha / d.sigma, d.delta)
-        assert mc._far_field_log(p, p.density, R) == pytest.approx(
-            want, rel=1e-13)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no IntegrationWarning
+            got = mc._far_field_log(p, p.density, R)
+        assert got == pytest.approx(want, rel=1e-13)
+
+
+def per_trial(p, r_O, cfg):
+    """Per-trial h and guard-zone indicator D by a literal loop over the
+    estimator's chunk streams and region. h is the success probability
+    under Rayleigh fading, else the 0/1 outcome of the SINR test. Also
+    returns whether some chunk's last trial has no points."""
+    d = derive(p)
+    R = mc._region_radius(p, p.density, r_O, cfg)
+    far_log = mc._far_field_log(p, p.density, R)
+    h, D = [], []
+    last_trial_empty = False
+    for chunk_idx, start in enumerate(range(0, cfg.trials, mc._CHUNK)):
+        size = min(mc._CHUNK, cfg.trials - start)
+        rng = mc._chunk_rng(cfg.seed, chunk_idx)
+        counts = rng.poisson(p.density * d.c_n * R**p.n, size=size)
+        u = 1.0 - rng.random(counts.sum(), dtype=np.float32)
+        last_trial_empty |= counts[-1] == 0
+        lo = 0
+        for t in range(size):
+            pts = u[lo:lo + counts[t]].astype(np.float64)
+            lo += counts[t]
+            x = R ** -p.alpha * pts ** (-1.0 / d.delta)
+            if cfg.fading == "rayleigh":
+                # success probability given the points: prod 1/(1+s x)
+                h.append(math.exp(far_log - d.sigma * p.eta
+                                  - np.sum(np.log1p(d.sigma * x))))
+            else:
+                h.append(float(np.sum(x) <= 1.0 / d.sigma - p.eta))
+            D.append(not np.any(pts < (r_O / R) ** p.n))
+    return np.array(h), np.array(D), last_trial_empty
 
 
 def literal_sample(p, grid, cfg):
     """Reference sampler: draw every interferer's Exp(1) fade and the
     receiver's, and apply the SINR test trial by trial.
 
-    Uses the estimator's chunk streams, so the networks are the ones
-    :func:`mc.estimate_single` sees; the fades come after them in each
-    stream. Interferers beyond the region are left out. Returns the 0/1
-    outcomes H (per trial) and D (per radius and trial).
+    Inside the estimator's region R1 it uses the estimator's chunk
+    streams, so the networks there are the ones :func:`mc.estimate_single`
+    sees; the fades come after them in each stream. The ring from R1 out
+    to the no-fading region R (``cfg.region_radius`` or
+    :func:`mc.auto_region_radius`) is drawn, with its fades, from an
+    independent stream per chunk; interferers beyond R are left out.
+    Returns the 0/1 outcomes H (per trial) and D (per radius and trial).
     """
     d = derive(p)
+    R1 = mc._region_radius(p, p.density, max(grid), cfg)
     R = cfg.region_radius or mc.auto_region_radius(p, p.density, cfg.bias_tol)
-    thresholds = (np.asarray(grid) / R) ** p.n
+    thresholds = (np.asarray(grid) / R1) ** p.n
     H, D = [], []
     for chunk_idx, start in enumerate(range(0, cfg.trials, mc._CHUNK)):
         size = min(mc._CHUNK, cfg.trials - start)
         rng = mc._chunk_rng(cfg.seed, chunk_idx)
-        counts = rng.poisson(p.density * d.c_n * R**p.n, size=size)
+        counts = rng.poisson(p.density * d.c_n * R1**p.n, size=size)
         u = 1.0 - rng.random(counts.sum(), dtype=np.float32)
         fades = rng.exponential(size=len(u))
         own = rng.exponential(size=size)
+        # the ring R1 < r < R: r**n uniform on [R1**n, R**n]
+        ring = np.random.default_rng(
+            np.random.SeedSequence([cfg.seed, chunk_idx, 1]))
+        ring_counts = ring.poisson(p.density * d.c_n * (R**p.n - R1**p.n),
+                                   size=size)
+        r_n = R1**p.n + ring.random(ring_counts.sum()) * (R**p.n - R1**p.n)
+        ring_interference = np.bincount(
+            np.repeat(np.arange(size), ring_counts),
+            weights=r_n ** (-1.0 / d.delta) * ring.exponential(size=len(r_n)),
+            minlength=size)
         lo = 0
         for t in range(size):
             pts = slice(lo, lo + counts[t])
             lo += counts[t]
             u_t = u[pts].astype(np.float64)
-            interference = np.sum(R ** -p.alpha * u_t ** (-1.0 / d.delta)
-                                  * fades[pts])
+            interference = ring_interference[t] + np.sum(
+                R1 ** -p.alpha * u_t ** (-1.0 / d.delta) * fades[pts])
             H.append(own[t] >= d.sigma * (p.eta + interference))
             D.append([not np.any(u_t < thr) for thr in thresholds])
     return np.array(H, dtype=float), np.array(D, dtype=float).T
@@ -337,11 +431,15 @@ class TestCalibration:
                         for r, e in zip(est.r_O_grid, getattr(est, q))})
         return out
 
-    @pytest.mark.parametrize("kind", ["rayleigh", "none", "aloha"])
-    def test_sd_over_se(self, kind):
+    @pytest.mark.parametrize("kind, region", [
+        ("rayleigh", 200.0), ("none", 200.0), ("aloha", 200.0),
+        # the default near-field region, 10 r_O = 500
+        ("rayleigh", None), ("aloha", None)],
+        ids=["rayleigh", "none", "aloha", "rayleigh-default", "aloha-default"])
+    def test_sd_over_se(self, kind, region):
         runs = []
         for seed in self.SEEDS:
-            cfg = mc.SimConfig(trials=10_000, seed=seed, region_radius=200.0,
+            cfg = mc.SimConfig(trials=10_000, seed=seed, region_radius=region,
                                fading="none" if kind == "none" else "rayleigh")
             est = (mc.estimate_multiobs(FIG1, AlohaParams(p=0.5, N=1), 50.0,
                                         cfg)
