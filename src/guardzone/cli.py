@@ -12,7 +12,9 @@ report itself never contains a timestamp, so identical inputs give
 identical report bytes. ``--seed`` and ``--trials`` are options of
 ``validate`` only.
 
-Exit codes: 0 success, 1 validation failure, 2 input error.
+Exit codes: 0 success, 1 validation failure, 2 input error, 3 numerical
+failure (a solver that cannot bracket or converge, or a floating-point
+fault).
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, correlation, montecarlo, multi_obs, nofading, risk
-from .correlation import BracketError
 from .nofading import IltConvergenceError
 from .params import ModelParams, chi_of_radius, derive, load_scenario, radius_of_chi
 from .risk import CostMatrix, SingleObsRule
@@ -316,52 +317,77 @@ def cmd_multiobs(args) -> int:
 
 # -------------------------------------------------------------- validate
 
-# alpha / 2 of the exact interval that stands in for 3 standard errors
-# where the estimate has none: alpha = 2 * Q(3)
-_TAIL_3SE = gauss_Q(3.0)
+# Family-wise level of validate's checks, that of a single two-sided test
+# at 3 standard errors
+_FAMILY_ALPHA = 2.0 * gauss_Q(3.0)
 
 
 def _check(name, analytic, est: montecarlo.Estimate):
-    """One oracle comparison at 3 standard errors."""
+    """One oracle comparison with its two-sided p-value, decided alone:
+    within 3 standard errors. :func:`_holm` decides a family of them.
+    Only a low-confidence estimate is skipped (p is nan); a nan analytic
+    value, estimate or standard error gets p = 0, so it fails."""
+    row = {"quantity": name, "status": "SKIP", "analytic": analytic,
+           "mc": est.value, "stderr": est.stderr, "z": math.nan,
+           "samples": est.count, "p": math.nan}
     if est.low_confidence:
-        return {"quantity": name, "status": "SKIP", "analytic": analytic,
-                "mc": est.value, "stderr": est.stderr, "z": math.nan,
-                "samples": est.count}
+        return row
     if est.stderr == 0.0:
-        ok = _within_exact_bound(analytic, est)
-        z = 0.0 if ok else math.inf
+        row["p"] = _exact_pvalue(analytic, est)
     else:
-        z = (est.value - analytic) / est.stderr
-        ok = abs(z) <= 3.0
-    return {"quantity": name, "status": "PASS" if ok else "FAIL",
-            "analytic": analytic, "mc": est.value, "stderr": est.stderr,
-            "z": z, "samples": est.count}
+        row["z"] = (est.value - analytic) / est.stderr
+        row["p"] = 2.0 * gauss_Q(abs(row["z"]))
+    if math.isnan(row["p"]):
+        row["p"] = 0.0
+    _holm([row])
+    return row
 
 
-def _within_exact_bound(analytic, est: montecarlo.Estimate) -> bool:
-    """A count of 0/n or n/n has no standard error; it passes if
-    ``analytic`` lies inside the Clopper-Pearson interval at the level of
-    3 standard errors: ``analytic <= 1 - (alpha/2)**(1/n)`` for 0/n and
-    ``analytic >= (alpha/2)**(1/n)`` for n/n. Any other zero-error
-    estimate must equal ``analytic``."""
-    log_edge = math.log(_TAIL_3SE) / est.count
+def _exact_pvalue(analytic, est: montecarlo.Estimate) -> float:
+    """Two-sided p-value of a count with no standard error: twice the
+    binomial probability ``(1 - analytic)**n`` of 0/n, or ``analytic**n``
+    of n/n. At ``_FAMILY_ALPHA`` this is the Clopper-Pearson bound of
+    3 standard errors. Any other zero-error estimate must equal
+    ``analytic``."""
+    a = min(max(analytic, 0.0), 1.0)
     if est.value == 0.0:
-        return analytic <= -math.expm1(log_edge)
-    if est.value == 1.0:
-        return analytic >= math.exp(log_edge)
-    return analytic == est.value
+        log_p = est.count * math.log1p(-a) if a < 1.0 else -math.inf
+    elif est.value == 1.0:
+        log_p = est.count * math.log(a) if a > 0.0 else -math.inf
+    else:
+        return 1.0 if analytic == est.value else 0.0
+    return min(1.0, 2.0 * math.exp(log_p))
+
+
+def _holm(checks) -> None:
+    """Decide the checks with a p-value together by Holm-Bonferroni at
+    the family-wise level ``_FAMILY_ALPHA``: the i-th smallest of m
+    p-values fails while it, and each smaller one, is below
+    ``alpha / (m - i)``. A zero-error check gets z = 0 if it passes, else
+    infinity."""
+    tested = sorted((c for c in checks if not math.isnan(c["p"])),
+                    key=lambda c: c["p"])
+    m = len(tested)
+    rejecting = True
+    for i, c in enumerate(tested):
+        rejecting = rejecting and c["p"] < _FAMILY_ALPHA / (m - i)
+        c["status"] = "FAIL" if rejecting else "PASS"
+        if c["stderr"] == 0.0:
+            c["z"] = math.inf if rejecting else 0.0
 
 
 def _render_checks(columns, checks, comments, cfg_hash) -> str:
-    """validate's text report: one line per check, then the verdict."""
+    """validate's text report: the notes, one line per check, then the
+    verdict."""
     failures = sum(c["status"] == "FAIL" for c in checks)
     evaluated = sum(c["status"] != "SKIP" for c in checks)
-    lines = [f"# manifest {cfg_hash}"]
+    lines = [f"# manifest {cfg_hash}"] + [f"# {c}" for c in comments]
     for c in checks:
         lines.append(
             f"{c['status']:4s} {c['quantity']:30s} "
             f"analytic={c['analytic']:.6f} mc={c['mc']:.6f} "
-            f"se={c['stderr']:.2e} z={c['z']:+.2f} n={c['samples']}")
+            f"se={c['stderr']:.2e} z={c['z']:+.2f} p={c['p']:.2e} "
+            f"n={c['samples']}")
     verdict = "PASSED" if failures == 0 else "FAILED"
     lines.append(f"VALIDATION {verdict} "
                  f"({evaluated - failures}/{evaluated} checks)")
@@ -419,12 +445,16 @@ def cmd_validate(args) -> int:
                     multi_obs.posterior_given_K_d(p, aloha, r_O, k, d_obs),
                     mo.posterior[(k, d_obs)]))
 
+    _holm(checks)
+    evaluated = sum(c["status"] != "SKIP" for c in checks)
+    notes = [f"family-wise level {_FAMILY_ALPHA:.4g} (Holm-Bonferroni over "
+             f"{evaluated} checks)"]
     hash_payload = {"command": "validate", "scenario": p.to_dict(),
                     "seed": args.seed, "trials": args.trials,
                     "grid": [float(r) for r in grid],
                     "aloha": args.aloha}
     _emit(args, ("quantity", "status", "analytic", "mc", "stderr", "z",
-                 "samples"), checks, [], hash_payload, _render_checks)
+                 "samples", "p"), checks, notes, hash_payload, _render_checks)
     return 1 if any(c["status"] == "FAIL" for c in checks) else 0
 
 
@@ -475,7 +505,8 @@ def build_parser() -> argparse.ArgumentParser:
     add("multiobs", cmd_multiobs,
         "all multi-observation decision rules at one radius", aloha=True)
     add("validate", cmd_validate,
-        "Monte Carlo oracle vs. analytic quantities at 3 standard errors",
+        "Monte Carlo oracle vs. analytic quantities, Holm-Bonferroni at "
+        "the level of 3 standard errors",
         aloha=True, oracle=True)
     return parser
 
@@ -484,12 +515,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except InputError as exc:
+    except (InputError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (BracketError, ValueError, OSError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # BracketError and IltConvergenceError are RuntimeErrors
+    except (RuntimeError, ArithmeticError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

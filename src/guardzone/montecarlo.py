@@ -30,11 +30,13 @@ fading:
   than sampling them.
 
 Radial positions are drawn through the volume substitution
-``u = (r / R)**n ~ U(0, 1)``: pathloss is ``R**-alpha * u**(-1/delta)``
+``u = (r / R)**n ~ U(0, 1)``: pathloss is ``R**-alpha * u**(-alpha/n)``
 and the inside-ball test is ``u < (r_O / R)**n``, so no radii, angles, or
-coordinates are ever materialized.
+coordinates are ever materialized. When ``2*alpha/n`` is a small integer
+(every shipped scenario), ``u**(alpha/n)`` is formed by a square root or
+a product, then multiplications, rather than ``pow``.
 
-Trials are processed in fixed-size chunks, each with its own Philox
+Trials are processed in fixed-size chunks, each with its own PCG64
 stream keyed by ``SeedSequence([seed, chunk_index])``. Chunks run
 concurrently on a thread pool (numpy's generators and ufuncs release the
 interpreter lock). Each returns float64 sums of h, h**2, the guard-zone
@@ -61,6 +63,10 @@ from .params import ModelParams, derive
 _CHUNK = 1024
 # Points per pathloss slice: bounds a chunk's float64 working memory.
 _SLICE = 1 << 16
+# Largest m = 2*alpha/n for which u**(m/2) is built without pow.
+_MAX_HALF_POWER = 8
+# Bit generator of every chunk stream; its name enters the config hash.
+_BIT_GENERATOR = np.random.PCG64
 # Chunks run at once; tests set it to check that results do not depend on it.
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
@@ -234,7 +240,7 @@ def _far_field_log(p: ModelParams, interferer_density: float,
 
 def _chunk_rng(seed: int, chunk_idx: int) -> np.random.Generator:
     return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence([seed, chunk_idx])))
+        _BIT_GENERATOR(np.random.SeedSequence([seed, chunk_idx])))
 
 
 def _chunk_sizes(trials: int) -> list[int]:
@@ -260,14 +266,35 @@ def _sum_over_chunks(kernel, cfg: SimConfig) -> np.ndarray:
         return sum(pool.map(run, jobs))
 
 
+def _half_power(x: np.ndarray, m: int, tmp: np.ndarray) -> np.ndarray:
+    """``x**(m/2)`` for an integer ``1 <= m <= _MAX_HALF_POWER``: the square
+    root of ``x`` for odd m, else ``x * x``, then times ``x`` until the
+    power is reached. At m = 4 ``x * x`` is the result and is formed in
+    place, so ``tmp`` is not touched. The result is ``x`` for m = 2 and 4,
+    else ``tmp``."""
+    k, odd = divmod(m, 2)
+    if m == 2:
+        return x
+    if odd:
+        acc = np.sqrt(x, out=tmp)
+    else:
+        acc = np.multiply(x, x, out=x if m == 4 else tmp)
+    for _ in range(k if odd else k - 2):
+        acc *= x
+    return acc
+
+
 def _interference(u: np.ndarray, ends: np.ndarray, scale: float,
-                  inv_delta: float, log1p: bool) -> np.ndarray:
-    """Per-trial sums of ``x = scale * u**(-inv_delta)``, or of
+                  exponent: float, log1p: bool) -> np.ndarray:
+    """Per-trial sums of ``x = scale * u**(-exponent)``, or of
     ``log1p(x)`` if ``log1p`` is set.
 
     Trial ``t`` owns the points ``u[ends[t-1]:ends[t]]``. Points are
     processed in slices of whole trials, so float64 working memory stays
-    near ``_SLICE`` points whatever the chunk's size.
+    near ``_SLICE`` points whatever the chunk's size. Each slice is cast
+    to float64 once; if ``m = 2 * exponent`` is an integer up to
+    ``_MAX_HALF_POWER``, ``u**(m/2)`` is built by :func:`_half_power` and
+    ``scale`` divided by it, else ``np.power`` forms ``u**-exponent``.
     """
     counts = np.diff(ends, prepend=0)
     out = np.zeros(len(ends))
@@ -276,6 +303,9 @@ def _interference(u: np.ndarray, ends: np.ndarray, scale: float,
     busy_ends = ends[busy]
     busy_starts = busy_ends - counts[busy]
     buf = np.empty(min(len(u), max(_SLICE, int(counts.max()))))
+    m = 2.0 * exponent
+    half = m.is_integer() and 1 <= m <= _MAX_HALF_POWER
+    tmp = np.empty_like(buf) if half else None
     lo = 0
     while lo < len(busy):
         # the most whole trials from busy[lo] on that fit in buf
@@ -283,8 +313,12 @@ def _interference(u: np.ndarray, ends: np.ndarray, scale: float,
                                  side="right"))
         a, b = busy_starts[lo], busy_ends[hi - 1]
         seg = buf[:b - a]
-        np.power(u[a:b], -inv_delta, out=seg, dtype=np.float64)
-        seg *= scale
+        seg[...] = u[a:b]
+        if half:
+            np.divide(scale, _half_power(seg, int(m), tmp[:b - a]), out=seg)
+        else:
+            np.power(seg, -exponent, out=seg)
+            seg *= scale
         if log1p:
             np.log1p(seg, out=seg)
         out[busy[lo:hi]] = np.add.reduceat(seg, busy_starts[lo:hi] - a)
@@ -297,12 +331,13 @@ def _success(u: np.ndarray, ends: np.ndarray, p: ModelParams, R: float,
     """Per-trial physical success: the probability h under Rayleigh
     fading (``far_log`` given), else the 0/1 outcome of the SINR test."""
     d = derive(p)
-    inv_delta = 1.0 / d.delta
+    # alpha / n, unlike 1 / delta, is exact for integer alpha and n
+    exponent = p.alpha / p.n
     if far_log is None:
-        interference = _interference(u, ends, R ** (-p.alpha), inv_delta,
+        interference = _interference(u, ends, R ** (-p.alpha), exponent,
                                      False)
         return (interference <= 1.0 / d.sigma - p.eta).astype(float)
-    log_fade = _interference(u, ends, d.sigma * R ** (-p.alpha), inv_delta,
+    log_fade = _interference(u, ends, d.sigma * R ** (-p.alpha), exponent,
                              True)
     return np.exp(far_log - d.sigma * p.eta - log_fade)
 
@@ -486,6 +521,7 @@ def config_hash(p: ModelParams, cfg: SimConfig, r_O_grid,
                 aloha: AlohaParams | None = None) -> str:
     """Short stable digest of everything that determines the estimates."""
     payload = {
+        "rng": _BIT_GENERATOR.__name__,
         "params": p.to_dict(),
         "trials": cfg.trials,
         "seed": cfg.seed,

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from guardzone import correlation
 from guardzone.cli import main, parse_grid, InputError
 
 FIG1 = "fig1"
@@ -186,6 +187,14 @@ class TestValidate:
         assert first_line == f"# manifest {manifest['config_hash']}"
 
 
+    def test_nan_analytic_fails(self, capsys, monkeypatch):
+        from guardzone import cli
+        monkeypatch.setattr(cli, "prior_success", lambda p: float("nan"))
+        code, out = run_cli(self.ARGS, capsys)
+        assert code == 1
+        assert "FAIL prior " in out and "VALIDATION FAILED" in out
+
+
 class TestZeroCountGate:
     """A 0/n or n/n count has no standard error; it is held to the exact
     binomial (Clopper-Pearson) bound at the 3-SE level instead."""
@@ -210,6 +219,105 @@ class TestZeroCountGate:
         assert _check("q", 1.0 - 1.5e-7, every)["status"] == "PASS"
         assert _check("q", 1.0 - 1e-3, every)["status"] == "FAIL"
         assert _check("q", 1e-3, none)["z"] == float("inf")
+
+    def test_exact_pvalue(self):
+        from guardzone.cli import _check
+        from guardzone.montecarlo import Estimate
+        n = 10240
+        got = _check("q", 1e-3, Estimate(0.0, 0.0, n))["p"]
+        assert got == pytest.approx(2.0 * (1.0 - 1e-3) ** n, rel=1e-12)
+        got = _check("q", 1.0 - 1e-4, Estimate(1.0, 0.0, n))["p"]
+        assert got == pytest.approx(2.0 * (1.0 - 1e-4) ** n, rel=1e-12)
+        assert _check("q", 0.0, Estimate(0.0, 0.0, n))["p"] == 1.0
+
+
+class TestNanCheck:
+    """Only a low-confidence estimate is skipped; a nan anywhere else in a
+    check fails it, alone and in a family."""
+
+    @pytest.mark.parametrize("analytic,value,stderr", [
+        (float("nan"), 0.5, 0.01), (0.5, 0.5, float("nan")),
+        (0.5, float("nan"), 0.01), (float("nan"), 0.0, 0.0)],
+        ids=["analytic", "stderr", "estimate", "zero-count"])
+    def test_nan_fails(self, analytic, value, stderr):
+        from guardzone.cli import _check, _holm
+        from guardzone.montecarlo import Estimate
+        row = _check("q", analytic, Estimate(value, stderr, 1000))
+        assert row["status"] == "FAIL"
+        family = [row] + [_check(f"q{i}", 0.5, Estimate(0.5, 0.01, 1000))
+                          for i in range(44)]
+        _holm(family)
+        assert [c["status"] for c in family] == ["FAIL"] + ["PASS"] * 44
+
+
+class TestFamilyGate:
+    """validate decides its checks together, by Holm-Bonferroni at the
+    family-wise level of a single 3-SE test."""
+
+    @staticmethod
+    def family(zs):
+        from guardzone.cli import _check, _holm
+        from guardzone.montecarlo import Estimate
+        checks = [_check(f"q{i}", 0.5, Estimate(0.5 + 0.01 * z, 0.01, 1000))
+                  for i, z in enumerate(zs)]
+        _holm(checks)
+        return [c["status"] for c in checks]
+
+    def test_single_check_is_3_se(self):
+        assert self.family([2.99]) == ["PASS"]
+        assert self.family([3.2]) == ["FAIL"]
+
+    def test_corrected_over_the_family(self):
+        # 2 Q(3.2) = 1.4e-3 fails alone, not as the worst of 45; a z of 4.5
+        # (p = 6.8e-6) stays below 2 Q(3) / 45 = 6.0e-5
+        assert self.family([3.2] + [0.0] * 44) == ["PASS"] * 45
+        assert self.family([4.5] + [0.0] * 44) == ["FAIL"] + ["PASS"] * 44
+
+    def test_step_down(self):
+        # p = 5.7e-7 (z = 5) < alpha/3 fails; then p = 5.2e-4 (z = 3.47)
+        # < alpha/2, and p = 1.4e-3 (z = 3.2) < alpha fail too
+        assert self.family([5.0, 3.2, 3.47]) == ["FAIL"] * 3
+        # p = 1.4e-3 is not below alpha/2, so it passes, and with it the
+        # larger p = 1.9e-3 (z = 3.1), which is below alpha
+        assert self.family([5.0, 3.2, 3.1]) == ["FAIL", "PASS", "PASS"]
+
+    def test_zero_count_in_family(self):
+        from guardzone.cli import _check, _holm
+        from guardzone.montecarlo import Estimate
+        zero = _check("zero", 1e-3, Estimate(0.0, 0.0, 10240))
+        _holm([zero])
+        assert zero["status"] == "FAIL" and zero["z"] == float("inf")
+
+    def test_level_in_report(self, capsys):
+        code, out = run_cli(TestValidate.ARGS, capsys)
+        assert code == 0
+        assert "# family-wise level 0.0027 (Holm-Bonferroni over 13 checks)" \
+            in out.splitlines()
+        code, out = run_cli(TestValidate.ARGS + ["--format", "json"], capsys)
+        assert json.loads(out)["notes"] == [
+            "family-wise level 0.0027 (Holm-Bonferroni over 13 checks)"]
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("exc", [
+        correlation.BracketError, RuntimeError, ZeroDivisionError,
+        OverflowError, FloatingPointError])
+    def test_numerical_failure_exits_3(self, capsys, monkeypatch, exc):
+        def fail(p):
+            raise exc("boom")
+
+        monkeypatch.setattr(correlation, "chi_star", fail)
+        code = main(["correlation", "--scenario", FIG1, "--grid", "1,2"])
+        assert code == 3
+        assert capsys.readouterr().err == "numerical failure: boom\n"
+
+    def test_value_error_stays_input_error(self, capsys, monkeypatch):
+        def fail(p):
+            raise ValueError("bad")
+
+        monkeypatch.setattr(correlation, "chi_star", fail)
+        assert main(["correlation", "--scenario", FIG1, "--grid", "1,2"]) == 2
+        assert capsys.readouterr().err == "error: bad\n"
 
 
 class TestPlumbing:

@@ -255,6 +255,36 @@ class TestChunkKernel:
                                 2.0, 1.0, False).tolist() == [0.0] * 3
 
 
+    @pytest.mark.parametrize("log1p", [False, True], ids=["sum", "log1p"])
+    # every m = 2 * exponent from 1 to 8 builds u**(m/2) from a square
+    # root and products; 2.25 (m = 4.5) takes np.power
+    @pytest.mark.parametrize("exponent", [2.0, 1.5, 3.0, 2.25, 0.5, 1.0,
+                                          2.5, 3.5, 4.0])
+    def test_interference_matches_power(self, exponent, log1p):
+        values = [2.0**-24, 1e-3, 0.5, 1.0]
+        u = np.array(values * 3 + values[::-1], dtype=np.float32)
+        # trials 0, 3 and 6 are empty, including the last
+        ends = np.array([0, 1, 4, 4, 9, 16, 16])
+        scale = 0.37
+        x = scale * np.power(u.astype(np.float64), -exponent)
+        if log1p:
+            x = np.log1p(x)
+        want = [x[a:b].sum() for a, b in zip(np.r_[0, ends[:-1]], ends)]
+        got = mc._interference(u, ends, scale, exponent, log1p)
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+
+    def test_config_hash_names_generator(self, monkeypatch):
+        cfg = dataclasses.replace(FAST, trials=10_000)
+        est = mc.estimate_single(FIG1, [20.0], cfg)
+        assert est.config_hash == mc.config_hash(FIG1, cfg, [20.0])
+        # the same seed on another generator gives other estimates, so the
+        # generator's name must give another hash
+        monkeypatch.setattr(mc, "_BIT_GENERATOR", np.random.Philox)
+        other = mc.estimate_single(FIG1, [20.0], cfg)
+        assert other.prior.value != est.prior.value
+        assert other.config_hash != est.config_hash
+
+
 class TestFarField:
     @pytest.mark.parametrize("p", [
         FIG1, FIG4, NOISY, ModelParams(n=1, density=5e-3, alpha=2.5, beta=3, r_T=5),
