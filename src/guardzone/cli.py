@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import io
 import json
 import math
@@ -34,7 +33,8 @@ import numpy as np
 
 from . import __version__, correlation, montecarlo, multi_obs, nofading, risk
 from .nofading import IltConvergenceError
-from .params import ModelParams, chi_of_radius, derive, load_scenario, radius_of_chi
+from .params import (ModelParams, _digest, chi_of_radius, derive, load_scenario,
+                     radius_of_chi)
 from .risk import CostMatrix, SingleObsRule
 from .single_obs import evidence_success, posterior, prior_success
 from .specfn import gauss_Q
@@ -51,10 +51,15 @@ def _load_scenario(path: str) -> ModelParams:
         raise InputError(f"cannot load scenario {path!r}: {exc}") from exc
 
 
+# Presets with the scenario of another preset's file
+_SAME_SCENARIO = {"fig2": "fig1", "fig3": "fig1", "fig5": "fig1"}
+
+
 def _resolve_preset(path: str):
     """Bare preset names like 'fig1' resolve to the shipped scenario files."""
     if "/" not in path and not path.endswith(".json"):
-        preset = resources.files("guardzone") / "scenarios" / f"{path}.json"
+        name = _SAME_SCENARIO.get(path, path)
+        preset = resources.files("guardzone") / "scenarios" / f"{name}.json"
         if preset.is_file():
             return preset
     return Path(path)
@@ -101,11 +106,6 @@ def parse_grid(spec: str | None, default: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------- output
 
-def _config_hash(payload: dict) -> str:
-    blob = json.dumps(payload, sort_keys=True, default=str).encode()
-    return hashlib.sha256(blob).hexdigest()[:12]
-
-
 def _fmt(v):
     if isinstance(v, float):
         return f"{v:.12g}"
@@ -139,7 +139,7 @@ def _rows(columns: dict) -> list[dict]:
 
 
 def _emit(args, columns, rows, comments, hash_payload, render_text=_render_csv) -> None:
-    cfg_hash = _config_hash(hash_payload)
+    cfg_hash = _digest(hash_payload)
     render = _render_json if args.format == "json" else render_text
     text = render(columns, rows, comments, cfg_hash)
     if args.out:
@@ -165,9 +165,11 @@ def cmd_correlation(args) -> int:
     p = _load_scenario(args.scenario)
     if args.sweep_density:
         coeffs = np.geomspace(1e-3, 10.0, 50)
-        rows = [{"coeff": float(a), "delta": delta,
-                 "chi_star": correlation.chi_star_from_coeff(a, delta)}
-                for delta in (1.0 / 3.0, 0.5, 2.0 / 3.0) for a in coeffs]
+        rows = []
+        for delta in (1.0 / 3.0, 0.5, 2.0 / 3.0):
+            rows += _rows({"coeff": coeffs, "delta": [delta] * len(coeffs),
+                           "chi_star": correlation.chi_star_from_coeff(
+                               coeffs, delta)})
         _emit(args, ("coeff", "delta", "chi_star"), rows, [],
               {"command": "correlation-sweep", "scenario": p.to_dict()})
         return 0
@@ -401,6 +403,7 @@ def cmd_validate(args) -> int:
     checks = []
 
     sim = montecarlo.estimate_single(p, grid, cfg)
+    estimates = [sim.config_hash]
     checks.append(_check("prior", prior_success(p), sim.prior))
     for i, r in enumerate(sim.r_O_grid):
         d_chi = chi_of_radius(derive(p), r)
@@ -420,6 +423,7 @@ def cmd_validate(args) -> int:
         nf_cfg = montecarlo.SimConfig(trials=args.trials, seed=args.seed,
                                       fading="none")
         nf = montecarlo.estimate_single(p, grid, nf_cfg)
+        estimates.append(nf.config_hash)
         checks.append(_check("prior_nofading", nofading.levy_prior(p), nf.prior))
         for i, r in enumerate(nf.r_O_grid):
             checks.append(_check(
@@ -430,6 +434,7 @@ def cmd_validate(args) -> int:
         aloha = _load_aloha(args.aloha)
         r_O = float(grid[0])
         mo = montecarlo.estimate_multiobs(p, aloha, r_O, cfg)
+        estimates.append(mo.config_hash)
         for k in range(aloha.N + 1):
             checks.append(_check(f"p_K[K={k}]",
                                  multi_obs.p_K(p, aloha, r_O, k), mo.p_K[k]))
@@ -452,7 +457,9 @@ def cmd_validate(args) -> int:
     hash_payload = {"command": "validate", "scenario": p.to_dict(),
                     "seed": args.seed, "trials": args.trials,
                     "grid": [float(r) for r in grid],
-                    "aloha": args.aloha}
+                    "aloha": args.aloha,
+                    # each simulation's own hash, which names its generator
+                    "estimates": estimates}
     _emit(args, ("quantity", "status", "analytic", "mc", "stderr", "z",
                  "samples", "p"), checks, notes, hash_payload, _render_checks)
     return 1 if any(c["status"] == "FAIL" for c in checks) else 0

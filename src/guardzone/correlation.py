@@ -14,9 +14,13 @@ vanishes at both extremes and peaks at some ``chi > 1`` solving
 
 Uniqueness of that stationary point is conjectured, not proven, so the
 solver scans for every root in its certified bracket, as one array
-evaluation of the residual on a log grid, and returns the global
-maximizer. ``rho``, ``f1``, ``f2`` and the residual take a float chi or
-an array of chi values.
+evaluation of the residual on a log grid, refines each sign change with
+:func:`guardzone.specfn._find_root`, and returns the global maximizer.
+The residual is divided by exp(C) and written with ``expm1``, so it has
+no terms of order 1 that cancel at a small scale. ``rho``, ``f1``,
+``f2`` and the residual take a float chi or an array of chi values;
+:func:`chi_star_from_coeff` takes a float scale or an array of scales,
+and solves for every scale at once.
 """
 
 from __future__ import annotations
@@ -25,21 +29,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from . import specfn
 from .params import ModelParams, derive
 from .single_obs import _B, _BmC, _C, _scale, prior_exponent
+from .specfn import BracketError
 
 
 @dataclass(frozen=True)
 class CorrelationCurve:
     chi_grid: np.ndarray
     rho_values: np.ndarray
-
-
-class BracketError(RuntimeError):
-    """No sign change found for the stationarity equation."""
 
 
 def _scaled_rho(a: float, delta: float, chi):
@@ -103,51 +103,77 @@ def _stationarity(a: float, delta: float, chi):
     """Scaled residual of the stationarity equation.
 
     Dividing (1-chi)e^B + (1+chi)e^C - 2 by e^C keeps everything bounded:
-    B - C <= a*kappa regardless of chi.
+    B - C <= a*kappa regardless of chi. Written as
+    ``(1-chi) expm1(B-C) - 2 expm1(-C)``, it has no terms of order 1 that
+    cancel: both are of order a, so a small scale does not cost digits.
     """
     xp = specfn._ops(chi)
-    return ((1.0 - chi) * xp.exp(_BmC(a, delta, chi)) + (1.0 + chi)
-            - 2.0 * xp.exp(-_C(a, delta, chi)))
+    return ((1.0 - chi) * xp.expm1(_BmC(a, delta, chi))
+            - 2.0 * xp.expm1(-_C(a, delta, chi)))
 
 
-def chi_star_from_coeff(a: float, delta: float) -> float:
-    """Maximizing chi as a function of the scale a = density*c_n*sigma**delta.
+def chi_star_from_coeff(a, delta: float):
+    """Maximizing chi as a function of the scale a = density*c_n*sigma**delta,
+    a float or a 1-d array of scales (one chi each).
 
     The bracket [1, chi_hat] is certified: chi_hat solves
     ``B - C = log((1+chi)/(chi-1))`` (monotone increasing vs. monotone
     decreasing), where the scaled residual is strictly negative, while it
     is strictly positive at chi = 1. Additional sign changes inside the
     bracket are scanned for on a log grid; the global maximizer of rho
-    among all roots is returned.
+    among all roots is returned. For an array every step is one call:
+    the brackets, the grid of every scale, and the refinement of every
+    sign change.
     """
-    if not a > 0:
+    array = np.ndim(a) > 0
+    a = np.asarray(a, dtype=float) if array else float(a)
+    if not specfn._all(a > 0):
         raise ValueError("coefficient a must be positive")
+    log = specfn._ops(a).log
 
     def g_diff(chi):
-        return _BmC(a, delta, chi) - math.log((chi + 1.0) / (chi - 1.0))
+        return _BmC(a, delta, chi) - log((chi + 1.0) / (chi - 1.0))
 
     # expand upper end geometrically until g1 > g2 (always happens since
     # g2 -> 0 and g1 -> a*kappa > 0)
-    hi = 2.0
-    while g_diff(hi) < 0:
-        hi *= 2.0
-        if hi > 1e18:
-            raise BracketError("failed to bracket chi_hat")
-    chi_hat = optimize.brentq(g_diff, 1.0 + 1e-12, hi, xtol=1e-13, rtol=1e-14)
+    lo, hi = specfn._expand(lambda chi: g_diff(chi) < 0, 1.0 + 1e-12,
+                            np.full(a.shape, 2.0) if array else 2.0, 1e18,
+                            "chi_hat")
+    chi_hat = specfn._find_root(g_diff, lo, hi, 1e-13, 1e-14)
 
-    resid = lambda chi: _stationarity(a, delta, chi)
+    # for an array, one column of grid points per scale
     grid = np.geomspace(1.0 + 1e-9, chi_hat, 64)
-    vals = resid(grid)
+    vals = _stationarity(a, delta, grid)
     # a zero on the grid is a root; a sign change brackets one
-    hits = np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0))
-    roots = [grid[i] if vals[i] == 0.0 else
-             optimize.brentq(resid, grid[i], grid[i + 1], xtol=1e-14, rtol=1e-14)
-             for i in hits]
-    if not roots:
+    zero = vals[:-1] == 0.0
+    hit = zero | (vals[:-1] * vals[1:] < 0)
+    if not array:
+        nodes = grid.tolist()
+        roots = [nodes[i] if zero[i] else specfn._find_root(
+                     lambda chi: _stationarity(a, delta, chi), nodes[i],
+                     nodes[i + 1], 1e-14, 1e-14)
+                 for i in np.flatnonzero(hit).tolist()]
+        if not roots:
+            raise BracketError(
+                "no stationary point found in the certified bracket "
+                f"[1, {chi_hat:g}]")
+        return max(roots, key=lambda chi: _scaled_rho(a, delta, chi))
+    col, row = np.nonzero(hit.T)
+    lo, hi, zero = grid[row, col], grid[row + 1, col], zero[row, col]
+    roots = lo.copy()
+    open_ = ~zero
+    roots[open_] = specfn._find_root(
+        lambda chi: _stationarity(a[col[open_]], delta, chi),
+        lo[open_], hi[open_], 1e-14, 1e-14)
+    # per scale, the first of its roots with the largest rho
+    order = np.lexsort((-_scaled_rho(a[col], delta, roots), col))
+    first = order[np.flatnonzero(np.diff(col[order], prepend=-1))]
+    if len(first) < len(a):
+        k = np.setdiff1d(np.arange(len(a)), col)[0]
         raise BracketError(
             "no stationary point found in the certified bracket "
-            f"[1, {chi_hat:g}]")
-    return max(roots, key=lambda chi: _scaled_rho(a, delta, chi))
+            f"[1, {chi_hat[k]:g}] of a = {a[k]:g}")
+    return roots[first]
 
 
 def chi_star(p: ModelParams) -> float:
@@ -163,9 +189,6 @@ def chi_star_low_density_limit(delta: float) -> float:
     def h(chi):  # the stationarity equation at first order in a, over a
         return _C(1.0, delta, chi) - (chi - 1.0) / (chi + 1.0) * _B(1.0, delta, chi)
 
-    hi = 2.0
-    while h(hi) > 0:
-        hi *= 2.0
-        if hi > 1e18:
-            raise BracketError("failed to bracket the low-density limit")
-    return optimize.brentq(h, 1.0 + 1e-12, hi, xtol=1e-13, rtol=1e-14)
+    lo, hi = specfn._expand(lambda chi: h(chi) > 0, 1.0 + 1e-12, 2.0, 1e18,
+                            "the low-density limit")
+    return specfn._find_root(h, lo, hi, 1e-13, 1e-14)

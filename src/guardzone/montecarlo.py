@@ -34,7 +34,10 @@ Radial positions are drawn through the volume substitution
 and the inside-ball test is ``u < (r_O / R)**n``, so no radii, angles, or
 coordinates are ever materialized. When ``2*alpha/n`` is a small integer
 (every shipped scenario), ``u**(alpha/n)`` is formed by a square root or
-a product, then multiplications, rather than ``pow``.
+a product, then multiplications, rather than ``pow``. ``u`` is 1 minus a
+float32 uniform, a multiple of 2**-24, so a guard zone with
+``(r_O / R)**n`` at most 2**-24 would never be busy; both estimators
+raise ``RuntimeError`` for one.
 
 Trials are processed in fixed-size chunks, each with its own PCG64
 stream keyed by ``SeedSequence([seed, chunk_index])``. Chunks run
@@ -48,8 +51,6 @@ these second moments.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -58,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .multi_obs import AlohaParams
-from .params import ModelParams, derive
+from .params import ModelParams, _digest, derive
 
 _CHUNK = 1024
 # Points per pathloss slice: bounds a chunk's float64 working memory.
@@ -72,6 +73,9 @@ _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 # Conditional estimates from fewer samples than this are flagged.
 _LOW_CONFIDENCE_COUNT = 100
+# Spacing of the volume coordinate u = 1 - a float32 uniform: a guard zone
+# with (r_O / R)**n at most this holds no point.
+_U_RESOLUTION = 2.0 ** -24
 # Default Rayleigh region radius, in units of the largest guard-zone
 # radius. The margin keeps sampled spread in every estimate: with a ball of
 # exactly that radius the clear-zone posterior there would be a constant.
@@ -204,6 +208,18 @@ def _region_radius(p: ModelParams, interferer_density: float, r_max: float,
     if cfg.fading == "rayleigh":
         R = min(_NEAR_FIELD * r_max, R)
     return R
+
+
+def _check_resolution(r_O: float, R: float, n: int) -> None:
+    """Raise ``RuntimeError`` if a guard zone of radius ``r_O`` in a region
+    of radius ``R`` is too small for the float32 volume draws to ever
+    find busy: its estimates would be silently wrong."""
+    if (r_O / R) ** n <= _U_RESOLUTION:
+        raise RuntimeError(
+            f"guard zone r_O = {r_O:g} is below the simulator's resolution "
+            f"in a region of radius R = {R:g}: (r_O/R)**n = "
+            f"{(r_O / R) ** n:.3g} is at most the float32 spacing 2**-24 "
+            f"= {_U_RESOLUTION:.3g}")
 
 
 def _far_field_log(p: ModelParams, interferer_density: float,
@@ -367,6 +383,7 @@ def estimate_single(p: ModelParams, r_O_grid, cfg: SimConfig) -> SingleObsEstima
     R = _region_radius(p, p.density, float(grid.max()), cfg)
     if np.any(grid >= R):
         raise ValueError("guard-zone radii must be smaller than the region radius")
+    _check_resolution(float(grid.min()), R, p.n)
     mean_pts = p.density * d.c_n * R**p.n
     thresholds = (grid / R) ** p.n
     far_log = (_far_field_log(p, p.density, R) if cfg.fading == "rayleigh"
@@ -460,6 +477,7 @@ def estimate_multiobs(p: ModelParams, aloha: AlohaParams, r_O: float,
     R = _region_radius(p, active_density, r_O, cfg)
     if r_O >= R:
         raise ValueError("guard-zone radius must be smaller than the region radius")
+    _check_resolution(r_O, R, p.n)
     mean_pts = p.density * d.c_n * R**p.n
     thr = (r_O / R) ** p.n
     far_log = _far_field_log(p, active_density, R)
@@ -532,5 +550,4 @@ def config_hash(p: ModelParams, cfg: SimConfig, r_O_grid,
     }
     if aloha is not None:
         payload["aloha"] = {"p": aloha.p, "N": aloha.N}
-    blob = json.dumps(payload, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:12]
+    return _digest(payload)

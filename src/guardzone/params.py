@@ -8,6 +8,7 @@ assume the invariants hold.
 from __future__ import annotations
 
 import functools
+import hashlib
 import json
 import math
 from dataclasses import dataclass, replace
@@ -16,6 +17,13 @@ from pathlib import Path
 from . import specfn
 
 _UNIT_BALL_VOLUME = {1: 2.0, 2: math.pi, 3: 4.0 * math.pi / 3.0}
+
+
+def _digest(payload: dict) -> str:
+    """Short stable digest of a JSON payload: the config hash of every
+    report and simulation."""
+    blob = json.dumps(payload, sort_keys=True, default=str).encode()
+    return hashlib.sha256(blob).hexdigest()[:12]
 
 
 @dataclass(frozen=True)

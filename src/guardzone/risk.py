@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from . import specfn
 from .params import ModelParams, chi_of_radius, derive
@@ -150,18 +149,21 @@ def optimal_radius(p: ModelParams, cost: CostMatrix) -> OptimalRadius:
     def h(r):
         return _f_left(p, cost, r) - _f_right(p, r)
 
-    lo = 1e-6 * p.r_T
-    hi = 2.0 * p.r_T
-    while h(hi) > 0:
-        hi *= 2.0
-        if hi > 1e15 * p.r_T:
-            raise RuntimeError("failed to bracket the optimal radius")
-    r_star = optimize.brentq(h, lo, hi, xtol=1e-14, rtol=1e-15)
+    r_star = _solve_up(h, p, "the optimal radius")
     chi = chi_of_radius(d, r_star)
     t = abc_terms(p, r_star)
     risk_min = (cost.c00 + (cost.c01 - cost.c00) * math.exp(-t.A)
                 - (cost.c10 - cost.c00) / chi * math.exp(-t.B))
     return OptimalRadius(exists=True, r_O=r_star, risk=risk_min)
+
+
+def _solve_up(f, p: ModelParams, what: str) -> float:
+    """The radius where ``f``, positive at small radii, turns negative:
+    the bracket [1e-6 r_T, 2 r_T] is doubled at its upper end until it
+    holds the sign change."""
+    lo, hi = specfn._expand(lambda r: f(r) > 0, 1e-6 * p.r_T, 2.0 * p.r_T,
+                            1e15 * p.r_T, what)
+    return specfn._find_root(f, lo, hi, 1e-14, 1e-15)
 
 
 def sensitivities(p: ModelParams, cost: CostMatrix) -> tuple[float, float]:
@@ -242,14 +244,8 @@ def operating_points(p: ModelParams) -> OperatingPoints:
         pi, pii = type_errors(p, r, rule)
         return pi - pii
 
-    lo = 1e-6 * p.r_T
-    hi = 2.0 * p.r_T
-    # p_I starts at 1 (> p_II); expand until the sign flips
-    while gap(hi) > 0:
-        hi *= 2.0
-        if hi > 1e15 * p.r_T:
-            raise RuntimeError("failed to bracket the equal-error radius")
-    r_ee = optimize.brentq(gap, lo, hi, xtol=1e-14, rtol=1e-15)
+    # p_I starts at 1 (> p_II)
+    r_ee = _solve_up(gap, p, "the equal-error radius")
     return OperatingPoints(r_DI=r_di, r_MM=r_mm, r_EE=r_ee)
 
 

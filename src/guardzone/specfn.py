@@ -10,6 +10,8 @@
   exposed because each difference is what an exponent needs.
 * ``gauss_Q(z)`` -- the standard normal CCDF, needed by the Levy-law
   prior and by Monte Carlo confidence intervals.
+* ``_find_root`` and ``_expand`` -- the bracketed root solver of every
+  equation the library solves, and the doubling search that brackets it.
 
 The integrals are closed forms in scipy's special functions, with no
 quadrature or series, and none is a difference of the others:
@@ -35,27 +37,32 @@ a closed form the functions to apply (``math`` and scipy's compiled
 scalar kernels for a float, numpy and scipy ufuncs for an array), and
 :func:`_share` picks a piecewise branch by a Python ``if`` for a float
 and by a boolean mask for an array. A float pays no array overhead.
+The root solver follows the same convention: it solves one equation in
+Python floats, or many at once, elementwise, in arrays.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from types import SimpleNamespace
 
 import numpy as np
 from scipy import special
 from scipy.special import cython_special
 
-_FLOAT_OPS = SimpleNamespace(exp=math.exp, expm1=math.expm1, log1p=math.log1p,
-                             sqrt=math.sqrt, betainc=cython_special.betainc,
+_FLOAT_OPS = SimpleNamespace(exp=math.exp, expm1=math.expm1, log=math.log,
+                             log1p=math.log1p, sqrt=math.sqrt,
+                             betainc=cython_special.betainc,
                              hyp2f1=cython_special.hyp2f1)
-_ARRAY_OPS = SimpleNamespace(exp=np.exp, expm1=np.expm1, log1p=np.log1p,
-                             sqrt=np.sqrt, betainc=special.betainc,
-                             hyp2f1=special.hyp2f1)
+_ARRAY_OPS = SimpleNamespace(exp=np.exp, expm1=np.expm1, log=np.log,
+                             log1p=np.log1p, sqrt=np.sqrt,
+                             betainc=special.betainc, hyp2f1=special.hyp2f1)
 
 
 def _ops(x) -> SimpleNamespace:
-    """The exp, expm1, log1p, sqrt, betainc and hyp2f1 that apply to ``x``.
+    """The exp, expm1, log, log1p, sqrt, betainc and hyp2f1 that apply to
+    ``x``.
 
     For an array: numpy and ``scipy.special``. For anything else, a float
     (numpy's float64 is one): ``math`` and scipy's ``cython_special``,
@@ -74,6 +81,14 @@ def _all(cond) -> bool:
 def _any(cond) -> bool:
     """Whether ``cond`` holds anywhere; see :func:`_all`."""
     return cond.any() if isinstance(cond, np.ndarray) else cond
+
+
+def _where(cond, x, y):
+    """``x`` where ``cond`` holds, else ``y``: by a Python ``if`` for a
+    bool, elementwise for a boolean array."""
+    if isinstance(cond, np.ndarray):
+        return np.where(cond, x, y)
+    return x if cond else y
 
 
 def _share(direct, u, delta, f, g):
@@ -171,3 +186,145 @@ def _check(u, delta: float):
 def gauss_Q(z: float) -> float:
     """Standard normal CCDF, ``P(Z >= z)`` for ``Z ~ N(0,1)``."""
     return 0.5 * math.erfc(z / math.sqrt(2.0))
+
+
+# Iterations of _find_root before it gives up; bisection alone needs fewer
+# than 70 to take a bracket of 40 decades to 4 ulps.
+_MAX_ITER = 100
+# Smallest relative tolerance of _find_root, as scipy's brentq: a bracket of
+# a few ulps around a root can still be told apart.
+_MIN_RTOL = 4.0 * sys.float_info.epsilon
+
+
+class BracketError(RuntimeError):
+    """An equation's root could not be bracketed by a sign change."""
+
+
+def _expand(short, lo, hi, cap: float, what: str):
+    """The bracket ``(lo, hi)`` with ``hi`` doubled, elementwise, while
+    ``short(hi)`` holds, and ``lo`` raised to the last such ``hi``.
+
+    Raises :class:`BracketError` naming ``what`` once any ``hi`` passes
+    ``cap``.
+    """
+    while True:
+        low = short(hi)
+        if not _any(low):
+            return lo, hi
+        lo, hi = _where(low, hi, lo), _where(low, 2.0 * hi, hi)
+        if _any(hi > cap):
+            raise BracketError(f"failed to bracket {what}")
+
+
+def _find_root(f, lo, hi, xtol: float, rtol: float):
+    """A root of ``f`` in ``[lo, hi]``, with ``0 < lo < hi`` and a sign
+    change (or a zero) between ``f(lo)`` and ``f(hi)``.
+
+    ``lo`` and ``hi`` are floats, and ``f`` takes and returns floats; or
+    either is an array, and ``f`` maps an array of that shape to its
+    values, so that every equation is solved at once. Chandrupatla's
+    method (AIAA J. 35, 1997; scipy's elementwise ``find_root``) keeps
+    the root bracketed. Its first step is the secant. Then it steps by
+    inverse quadratic interpolation through the last three points where
+    that is monotone on the bracket, and else bisects in log x, so a
+    bracket that spans decades is halved in decades. It stops, like
+    scipy's ``brentq``, once the bracket is narrower than
+    ``xtol + rtol * |x|``, with ``rtol`` at least ``_MIN_RTOL``, and
+    returns the end with the smaller ``|f|``.
+
+    The iteration is written twice, once in Python floats and once in
+    arrays, so that a float pays no array overhead and an array no
+    Python loop per element.
+
+    Raises :class:`BracketError` without a sign change, and
+    ``RuntimeError`` after ``_MAX_ITER`` steps.
+    """
+    rtol = max(rtol, _MIN_RTOL)
+    if isinstance(lo, np.ndarray) or isinstance(hi, np.ndarray):
+        lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float),
+                                     np.asarray(hi, dtype=float))
+        # a converged element divides by its zero-width bracket; its step
+        # is discarded
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return _root_array(f, lo, hi, xtol, rtol)
+    return _root_float(f, lo, hi, xtol, rtol)
+
+
+def _unbracketed(fa, fb) -> bool:
+    """Whether ``f`` has the same nonzero sign at both ends, anywhere."""
+    return _any(((fa < 0) == (fb < 0)) & (fa != 0) & (fb != 0))
+
+
+def _interpolates(a, fa, b, fb, c, fc):
+    """Chandrupatla's test: whether the inverse quadratic through the
+    newest point ``a``, the other end ``b`` of the bracket and the point
+    ``c`` that ``a`` replaced is monotone on the bracket."""
+    xi = (a - b) / (c - b)
+    phi = (fa - fb) / (fc - fb)
+    return (phi * phi < xi) & ((1.0 - phi) * (1.0 - phi) < 1.0 - xi)
+
+
+def _interpolated(a, fa, b, fb, c, fc):
+    """The root of that inverse quadratic, as a fraction of b - a from a."""
+    return (fa / (fb - fa) * fc / (fb - fc)
+            + (c - a) / (b - a) * fa / (fc - fa) * fb / (fc - fb))
+
+
+def _root_float(f, a: float, b: float, xtol: float, rtol: float) -> float:
+    """:func:`_find_root` in Python floats."""
+    fa, fb = f(a), f(b)
+    if _unbracketed(fa, fb):
+        raise BracketError(f"no sign change between {a} and {b}")
+    c = fc = None
+    for _ in range(_MAX_ITER):
+        x, fx = (a, fa) if abs(fa) <= abs(fb) else (b, fb)
+        tol = xtol + rtol * abs(x)
+        if fx == 0 or abs(b - a) < tol:
+            return x
+        if c is None:
+            t = fa / (fa - fb)  # the secant
+        elif _interpolates(a, fa, b, fb, c, fc):
+            t = _interpolated(a, fa, b, fb, c, fc)
+        else:  # the geometric mean
+            t = (math.sqrt(a) * math.sqrt(b) - a) / (b - a)
+        # at least tol / 2 inside the bracket
+        lim = 0.5 * tol / abs(b - a)
+        x = a + min(max(t, lim), 1.0 - lim) * (b - a)
+        fx = f(x)
+        if (fx < 0) == (fa < 0):
+            c, fc = a, fa
+        else:
+            c, fc, b, fb = b, fb, a, fa
+        a, fa = x, fx
+    raise RuntimeError(f"root solver did not converge in {_MAX_ITER} steps")
+
+
+def _root_array(f, a: np.ndarray, b: np.ndarray, xtol: float,
+                rtol: float) -> np.ndarray:
+    """:func:`_find_root` in arrays; an element stays where it converged."""
+    fa, fb = f(a), f(b)
+    if _unbracketed(fa, fb):
+        raise BracketError(f"no sign change between {a} and {b}")
+    c = fc = None
+    for _ in range(_MAX_ITER):
+        first = np.abs(fa) <= np.abs(fb)
+        x, fx = np.where(first, a, b), np.where(first, fa, fb)
+        tol = xtol + rtol * np.abs(x)
+        done = (fx == 0) | (np.abs(b - a) < tol)
+        if done.all():
+            return x
+        if c is None:
+            t = fa / (fa - fb)
+        else:
+            t = np.where(_interpolates(a, fa, b, fb, c, fc),
+                         _interpolated(a, fa, b, fb, c, fc),
+                         (np.sqrt(a) * np.sqrt(b) - a) / (b - a))
+        lim = 0.5 * tol / np.abs(b - a)
+        x = np.where(done, a,
+                     a + np.minimum(np.maximum(t, lim), 1.0 - lim) * (b - a))
+        fx = f(x)
+        same = (fx < 0) == (fa < 0)
+        c, fc = np.where(same, a, b), np.where(same, fa, fb)
+        b, fb = np.where(same, b, a), np.where(same, fb, fa)
+        a, fa = x, fx
+    raise RuntimeError(f"root solver did not converge in {_MAX_ITER} steps")

@@ -3,12 +3,16 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from guardzone import correlation
+import guardzone
+from guardzone import cli, correlation, montecarlo
 from guardzone.cli import main, parse_grid, InputError
 
 FIG1 = "fig1"
@@ -354,3 +358,68 @@ class TestPlumbing:
         proc = subprocess.run([sys.executable, "-m", "guardzone.cli",
                                "--version"], capture_output=True, text=True)
         assert proc.returncode == 0
+
+
+class TestResolutionGuard:
+    def test_validate_exits_3(self, capsys):
+        # fig4's no-fading region is R = 560, where (0.1 / R)**2 < 2**-24
+        code = main(["validate", "--scenario", "fig4", "--grid", "0.1",
+                     "--trials", "10240"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: guard zone r_O = 0.1 ")
+        assert "2**-24" in err
+
+
+class TestManifestHash:
+    def test_validate_names_generator(self, capsys, monkeypatch):
+        args = ["validate", "--scenario", "fig4", "--grid", "50",
+                "--trials", "10240"]
+        _, out = run_cli(args, capsys)
+        monkeypatch.setattr(montecarlo, "_BIT_GENERATOR", np.random.Philox)
+        _, other = run_cli(args, capsys)
+        assert out.startswith("# manifest ") and other.startswith("# manifest ")
+        assert other.splitlines()[0] != out.splitlines()[0]
+
+    @pytest.mark.parametrize("args, digest", [
+        (["correlation", "--scenario", "fig1", "--grid", "1,2"], "5076671f54dc"),
+        (["roc", "--scenario", "fig3", "--grid", "5,50"], "9a6a9590dd9f")])
+    def test_analytic_hashes_unchanged(self, capsys, args, digest):
+        _, out = run_cli(args, capsys)
+        assert out.splitlines()[0] == f"# manifest {digest}"
+
+
+class TestPresets:
+    @pytest.mark.parametrize("name", ["fig2", "fig3", "fig5"])
+    def test_same_scenario_as_fig1(self, name, capsys):
+        assert cli._resolve_preset(name) == cli._resolve_preset("fig1")
+        _, out = run_cli(["risk", "--scenario", name], capsys)
+        _, ref = run_cli(["risk", "--scenario", "fig1"], capsys)
+        assert out == ref
+
+
+class TestImports:
+    def test_analytic_commands_skip_scipy_optimize(self):
+        commands = [["correlation", "--scenario", "fig1"],
+                    ["correlation", "--scenario", "fig1", "--sweep-density"],
+                    ["risk", "--scenario", "fig2"],
+                    ["roc", "--scenario", "fig3"],
+                    ["fading-compare", "--scenario", "fig4"],
+                    ["multiobs", "--scenario", "fig5", "--aloha", "aloha_n2"]]
+        code = f"""
+import contextlib, io, sys
+import guardzone.cli
+loaded = ["import"] if "scipy.optimize" in sys.modules else []
+for args in {commands!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert guardzone.cli.main(args) == 0
+    if "scipy.optimize" in sys.modules:
+        loaded.append(" ".join(args))
+print(loaded)
+"""
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(guardzone.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from guardzone import correlation
+from guardzone import correlation, specfn
 from guardzone.params import ModelParams, derive
-from guardzone.single_obs import evidence_success, posterior, prior_success
+from guardzone.single_obs import (_scale, evidence_success, posterior,
+                                  prior_success)
 
 FIG1 = ModelParams(n=2, density=2e-4, alpha=3, beta=5, r_T=10)
 CHIS = [1e-3, 0.3, 1.0, 2.08, 15.0, 1e3]
@@ -128,3 +129,63 @@ class TestLowDensityLimit:
                 for a in np.geomspace(1e-4, 1.0, 30)]
         diffs = np.abs(np.diff(vals))
         assert np.max(diffs) < 0.5
+
+
+class TestArrayChiStar:
+    """chi_star_from_coeff on an array of scales: one call, the same roots."""
+
+    SWEEP = np.geomspace(1e-3, 10.0, 50)
+
+    @pytest.mark.parametrize("delta", [1 / 3, 0.5, 2 / 3])
+    def test_matches_float_path(self, delta):
+        scales = np.concatenate([self.SWEEP, np.geomspace(1e-4, 1.0, 30),
+                                 [1e-8, 0.25, 1.0, 4.0]])
+        roots = correlation.chi_star_from_coeff(scales, delta)
+        assert roots.shape == scales.shape
+        assert roots == pytest.approx(
+            [correlation.chi_star_from_coeff(float(a), delta) for a in scales],
+            rel=1e-13)
+
+    def test_matches_scenarios(self):
+        ps = [ModelParams(n=2, density=2e-4 * s, alpha=3, beta=5, r_T=10)
+              for s in (1.0, 0.25, 4.0)]
+        roots = correlation.chi_star_from_coeff(
+            [_scale(p, derive(p)) for p in ps], derive(FIG1).delta)
+        assert roots == pytest.approx([correlation.chi_star(p) for p in ps],
+                                      rel=1e-13)
+
+    def test_root_on_a_grid_node(self, monkeypatch):
+        # a residual that vanishes exactly on the 21st node of each grid,
+        # so no bracket is left to refine
+        for scales in (0.5, np.array([0.5, 2.0])):
+            state = {}
+
+            def resid(a, delta, chi):
+                if "node" not in state:  # the first call is the grid's
+                    state["node"] = chi[20]
+                return state["node"] - chi if chi.size else chi
+
+            monkeypatch.setattr(correlation, "_stationarity", resid)
+            got = correlation.chi_star_from_coeff(scales, 0.5)
+            assert np.array_equal(got, state["node"])
+
+    def test_bracket_error(self, monkeypatch):
+        # with B - C held negative, chi_hat is never bracketed
+        monkeypatch.setattr(correlation, "_BmC",
+                            lambda a, delta, chi: 0.0 * (a * chi) - 1.0)
+        with pytest.raises(correlation.BracketError, match="chi_hat"):
+            correlation.chi_star_from_coeff(np.array([1.0, 2.0]), 0.5)
+
+    def test_no_stationary_point(self, monkeypatch):
+        monkeypatch.setattr(correlation, "_stationarity",
+                            lambda a, delta, chi: -np.ones(np.shape(chi)))
+        for scales in (0.5, np.array([0.5, 2.0])):
+            with pytest.raises(correlation.BracketError,
+                               match="no stationary point"):
+                correlation.chi_star_from_coeff(scales, 0.5)
+
+    def test_non_convergence(self, monkeypatch):
+        monkeypatch.setattr(specfn, "_MAX_ITER", 2)
+        for scales in (0.5, self.SWEEP):
+            with pytest.raises(RuntimeError, match="did not converge"):
+                correlation.chi_star_from_coeff(scales, 0.5)

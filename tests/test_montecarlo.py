@@ -498,3 +498,26 @@ class TestNoFading:
         cfg = mc.SimConfig(trials=10_000, seed=3, fading="none")
         est = mc.estimate_single(p4, [10.0], cfg)
         assert abs(est.prior.value - levy_prior(p4)) < 4 * est.prior.stderr
+
+
+class TestResolution:
+    """The volume coordinate u = 1 - a float32 uniform is a multiple of
+    2**-24, so a guard zone with (r_O / R)**n at most that is never busy:
+    the simulator refuses it rather than report a wrong estimate."""
+
+    def test_single_raises(self):
+        # the no-fading region of fig4 is R = 560: (0.1 / 560)**2 = 3.2e-8
+        cfg = mc.SimConfig(trials=10_240, fading="none")
+        with pytest.raises(RuntimeError, match=r"r_O = 0\.1 .*R = 560"):
+            mc.estimate_single(FIG4, [0.1, 50.0], cfg)
+
+    def test_multiobs_raises(self):
+        cfg = mc.SimConfig(trials=10_240, region_radius=560.0)
+        with pytest.raises(RuntimeError, match=r"2\*\*-24"):
+            mc.estimate_multiobs(FIG4, AlohaParams(0.5, 1), 0.1, cfg)
+
+    def test_limit(self):
+        r_O = 560.0 * 2.0 ** -12  # (r_O / R)**2 = 2**-24 exactly
+        with pytest.raises(RuntimeError):
+            mc._check_resolution(r_O, 560.0, 2)
+        mc._check_resolution(1.001 * r_O, 560.0, 2)

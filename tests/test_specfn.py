@@ -156,3 +156,63 @@ class TestGaussQ:
 
     def test_known_value(self):
         assert specfn.gauss_Q(1.96) == pytest.approx(0.0249979, abs=1e-6)
+
+
+class TestFindRoot:
+    """The bracketed root solver, on floats and elementwise on arrays."""
+
+    @pytest.mark.parametrize("lo, hi", [(1e-6, 40.0), (2.0, 3.0), (1e-12, 1e9)])
+    def test_float_root(self, lo, hi):
+        root = specfn._find_root(lambda x: math.log(x) - 1.0, lo, hi,
+                                 1e-14, 1e-15)
+        assert isinstance(root, float)
+        assert root == pytest.approx(math.e, rel=4e-15)
+
+    def test_array_matches_float(self):
+        c = np.array([0.5, 2.0, 7.0, 1e3])
+        roots = specfn._find_root(lambda x: x**3 - c, 1e-3, np.full(4, 1e4),
+                                  1e-14, 1e-15)
+        assert roots == pytest.approx(np.cbrt(c), rel=4e-15)
+        assert roots == pytest.approx(
+            [specfn._find_root(lambda x: x**3 - k, 1e-3, 1e4, 1e-14, 1e-15)
+             for k in c], rel=1e-15)
+
+    def test_tolerance_is_kept(self):
+        # rtol below 4 eps is raised to it, so the bracket can still close
+        for xtol in (1e-3, 0.0):
+            root = specfn._find_root(lambda x: x - 1.0 / 3.0, 0.1, 1.0,
+                                     xtol, 0.0)
+            assert abs(root - 1.0 / 3.0) <= xtol + 4 * np.finfo(float).eps
+
+    def test_zero_at_an_end(self):
+        f = lambda x: x - 2.0
+        assert specfn._find_root(f, 2.0, 5.0, 1e-14, 1e-15) == 2.0
+        assert specfn._find_root(f, 1.0, 2.0, 1e-14, 1e-15) == 2.0
+        roots = specfn._find_root(f, np.array([2.0, 1.0]), np.array([5.0, 3.0]),
+                                  1e-14, 1e-15)
+        assert roots[0] == 2.0 and roots[1] == pytest.approx(2.0, rel=1e-15)
+
+    def test_no_sign_change(self):
+        with pytest.raises(specfn.BracketError):
+            specfn._find_root(lambda x: x + 1.0, 1.0, 2.0, 1e-14, 1e-15)
+        with pytest.raises(specfn.BracketError):
+            specfn._find_root(lambda x: x - 1.5, np.array([1.0, 2.0]),
+                              np.array([2.0, 3.0]), 1e-14, 1e-15)
+
+    def test_iteration_cap(self, monkeypatch):
+        monkeypatch.setattr(specfn, "_MAX_ITER", 3)
+        with pytest.raises(RuntimeError, match="did not converge"):
+            specfn._find_root(lambda x: math.log(x) - 1.0, 1e-6, 40.0,
+                              1e-14, 1e-15)
+        with pytest.raises(RuntimeError, match="did not converge"):
+            specfn._find_root(np.log, np.full(2, 1e-6), np.full(2, 40.0),
+                              1e-14, 1e-15)
+
+    def test_expand(self):
+        lo, hi = specfn._expand(lambda x: x < 10.0, 1.0, 2.0, 1e3, "ten")
+        assert (lo, hi) == (8.0, 16.0)
+        lo, hi = specfn._expand(lambda x: x < np.array([1.0, 10.0]), 1.0,
+                                np.full(2, 2.0), 1e3, "ten")
+        assert list(lo) == [1.0, 8.0] and list(hi) == [2.0, 16.0]
+        with pytest.raises(specfn.BracketError, match="failed to bracket ten"):
+            specfn._expand(lambda x: x < 1e4, 1.0, 2.0, 1e3, "ten")
