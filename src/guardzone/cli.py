@@ -192,14 +192,12 @@ def cmd_risk(args) -> int:
     p = _load_scenario(args.scenario)
     cost = _load_cost(args.cost)
     grid = parse_grid(args.grid, np.geomspace(0.01 * p.r_T, 100.0 * p.r_T, 400))
-    columns = ("r_O", "risk", "risk_deriv_fd", "f_L", "f_R", "is_optimum")
+    columns = ("r_O", "risk", "risk_deriv", "f_L", "f_R", "is_optimum")
 
     def rows_at(r, flag):
-        h = 1e-6 * r
-        deriv = (risk.bayes_risk(p, cost, r + h)
-                 - risk.bayes_risk(p, cost, r - h)) / (2.0 * h)
         return _rows({"r_O": r, "risk": risk.bayes_risk(p, cost, r),
-                      "risk_deriv_fd": deriv, "f_L": risk._f_left(p, cost, r),
+                      "risk_deriv": risk.bayes_risk_derivative(p, cost, r),
+                      "f_L": risk._f_left(p, cost, r),
                       "f_R": risk._f_right(p, r), "is_optimum": [flag] * len(r)})
 
     try:

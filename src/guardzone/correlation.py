@@ -112,6 +112,29 @@ def _stationarity(a: float, delta: float, chi):
             - 2.0 * xp.expm1(-_C(a, delta, chi)))
 
 
+# Largest chi_hat bracketed: chi_hat is about 2/(a kappa) <= 2/a, so every
+# scale a >= 1e-30 is certified
+_CHI_HAT_CAP = 1e32
+
+
+def _chi_hat(a, delta: float):
+    """The upper end of the certified bracket of chi*, for a float scale
+    or elementwise for an array: the root of
+    ``B - C = log((chi+1)/(chi-1))``, whose right side is formed as
+    ``log1p(2/(chi-1))``, so that it stays positive however large chi is.
+    The upper end is doubled until the left side (increasing to
+    ``a * kappa``) passes the right (decreasing to 0)."""
+    log1p = specfn._ops(a).log1p
+
+    def g_diff(chi):
+        return _BmC(a, delta, chi) - log1p(2.0 / (chi - 1.0))
+
+    lo, hi = specfn._expand(lambda chi: g_diff(chi) < 0, 1.0 + 1e-12,
+                            np.full(a.shape, 2.0) if np.ndim(a) else 2.0,
+                            _CHI_HAT_CAP, "chi_hat")
+    return specfn._find_root(g_diff, lo, hi, 1e-13, 1e-14)
+
+
 def chi_star_from_coeff(a, delta: float):
     """Maximizing chi as a function of the scale a = density*c_n*sigma**delta,
     a float or a 1-d array of scales (one chi each).
@@ -129,17 +152,7 @@ def chi_star_from_coeff(a, delta: float):
     a = np.asarray(a, dtype=float) if array else float(a)
     if not specfn._all(a > 0):
         raise ValueError("coefficient a must be positive")
-    log = specfn._ops(a).log
-
-    def g_diff(chi):
-        return _BmC(a, delta, chi) - log((chi + 1.0) / (chi - 1.0))
-
-    # expand upper end geometrically until g1 > g2 (always happens since
-    # g2 -> 0 and g1 -> a*kappa > 0)
-    lo, hi = specfn._expand(lambda chi: g_diff(chi) < 0, 1.0 + 1e-12,
-                            np.full(a.shape, 2.0) if array else 2.0, 1e18,
-                            "chi_hat")
-    chi_hat = specfn._find_root(g_diff, lo, hi, 1e-13, 1e-14)
+    chi_hat = _chi_hat(a, delta)
 
     # for an array, one column of grid points per scale
     grid = np.geomspace(1.0 + 1e-9, chi_hat, 64)

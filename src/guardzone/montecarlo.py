@@ -51,6 +51,7 @@ these second moments.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -80,6 +81,10 @@ _U_RESOLUTION = 2.0 ** -24
 # radius. The margin keeps sampled spread in every estimate: with a ball of
 # exactly that radius the clear-zone posterior there would be a constant.
 _NEAR_FIELD = 10.0
+# Far-field quadrature: points of each Gauss-Legendre panel, and where
+# the integrand is cut, in e-folds below its value at the knee
+_FAR_POINTS = 32
+_FAR_CUT = 40.0
 
 
 @dataclass(frozen=True)
@@ -222,6 +227,15 @@ def _check_resolution(r_O: float, R: float, n: int) -> None:
             f"= {_U_RESOLUTION:.3g}")
 
 
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the _FAR_POINTS-point Gauss-Legendre rule on
+    [-1, 1]; numpy.polynomial loads on first use only."""
+    from numpy.polynomial.legendre import leggauss
+
+    return leggauss(_FAR_POINTS)
+
+
 def _far_field_log(p: ModelParams, interferer_density: float,
                    R: float) -> float:
     """Log of the Rayleigh success factor of the interferers beyond R.
@@ -230,27 +244,32 @@ def _far_field_log(p: ModelParams, interferer_density: float,
     ``-density * int_R^inf n c_n r**(n-1) / (1 + r**alpha / sigma) dr``.
     Under ``t = log(r / R)`` the integral is
     ``n R**n int_0^inf exp(n t) / (1 + k exp(alpha t)) dt`` with
-    ``k = R**alpha / sigma``. The integrand rises up to the knee
-    ``r = sigma**(1/alpha)`` and falls exponentially beyond it; QUADPACK
-    evaluates each side of the knee to near machine precision, for a
-    region far inside the knee (small guard zones) as well as far beyond.
+    ``k = R**alpha / sigma``. The integrand rises like exp(n t) up to the
+    knee ``r = sigma**(1/alpha)`` and falls like exp(-(alpha - n) t)
+    beyond it, so it is cut where it is below e**-_FAR_CUT of its value
+    at the knee: 40/n before, 40/(alpha - n) after. Its poles lie pi/alpha
+    off the real line above the knee, so a composite Gauss-Legendre rule
+    on panels of width 6/alpha, split at the knee, is within 1e-15 of the
+    integral, for a region far inside the knee (small guard zones) as well
+    as far beyond.
     """
-    from scipy import integrate
-
     d = derive(p)
     log_k = p.alpha * math.log(R) - math.log(d.sigma)
     knee = max(-log_k / p.alpha, 0.0)
-
-    def integrand(t):
-        # 1 + k e^(alpha t) = e^s (e^-s + e^(x-s)) with s = max(x, 0),
-        # so that no exp overflows
-        x = p.alpha * t + log_k
-        s = max(x, 0.0)
-        return math.exp(p.n * t - s) / (math.exp(-s) + math.exp(x - s))
-
-    integral = sum(integrate.quad(integrand, a, b, epsabs=0.0,
-                                  epsrel=1e-13)[0]
-                   for a, b in ((0.0, knee), (knee, math.inf)))
+    width = 6.0 / p.alpha
+    edges = [np.linspace(a, b, math.ceil((b - a) / width) + 1)
+             for a, b in ((max(knee - _FAR_CUT / p.n, 0.0), knee),
+                          (knee, knee + _FAR_CUT / (p.alpha - p.n)))]
+    edges = np.concatenate([edges[0][:-1], edges[1]])
+    mid, half = (edges[1:] + edges[:-1]) / 2.0, (edges[1:] - edges[:-1]) / 2.0
+    nodes, weights = _gauss_legendre()
+    t = mid[:, None] + half[:, None] * nodes
+    # 1 + k e^(alpha t) = e^s (e^-s + e^(x-s)) with s = max(x, 0), so that
+    # no exp overflows
+    x = p.alpha * t + log_k
+    s = np.maximum(x, 0.0)
+    f = np.exp(p.n * t - s) / (np.exp(-s) + np.exp(x - s))
+    integral = float((f * (half[:, None] * weights)).sum())
     return -interferer_density * d.c_n * p.n * R**p.n * integral
 
 

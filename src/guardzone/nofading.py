@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .params import ModelParams, derive
 from .single_obs import evidence_success
@@ -84,7 +83,7 @@ def levy_prior(p: ModelParams) -> float:
             "SINR threshold unreachable even without interference "
             f"(1/sigma = {1.0 / d.sigma:g} <= eta = {p.eta:g})")
     arg = d.c_n * p.density * math.sqrt((math.pi / 2.0) / margin)
-    return float(special.erfc(arg / math.sqrt(2.0)))
+    return math.erfc(arg / math.sqrt(2.0))
 
 
 def J(s, u: float):
@@ -99,7 +98,12 @@ def J(s, u: float):
     Bromwich line. Principal square-root branch throughout, so
     Re(sqrt(su)) >= 0 and erfcx stays bounded. ``J(0, u) = 0`` and
     ``J(s, inf) = sqrt(pi*s)``.
+
+    The complex erfcx is scipy's, imported here, so that only no-fading
+    work loads ``scipy.special``.
     """
+    from scipy.special import erfcx
+
     if not u > 0:
         raise ValueError(f"u must be positive, got {u}")
     s = np.asarray(s, dtype=complex)
@@ -107,7 +111,7 @@ def J(s, u: float):
         raise ValueError("J is evaluated for Re(s) >= 0 only")
     root_pis = np.sqrt(math.pi * s)
     ru = 1.0 / math.sqrt(u)
-    return root_pis - ru + np.exp(-s * u) * (ru - root_pis * special.erfcx(np.sqrt(s * u)))
+    return root_pis - ru + np.exp(-s * u) * (ru - root_pis * erfcx(np.sqrt(s * u)))
 
 
 def lt_nofade_given_void(p: ModelParams, r_O: float, s):

@@ -120,6 +120,18 @@ def bayes_risk(p: ModelParams, cost: CostMatrix, r_O):
             + (cost.c11 + cost.c00 - cost.c10 - cost.c01) * xp.exp(-A - C))
 
 
+def bayes_risk_derivative(p: ModelParams, cost: CostMatrix, r_O):
+    """d/dr_O of :func:`bayes_risk`, in closed form: B grows like r_O**n,
+    so ``dB/dr_O = n B / r_O``, and ``dC/dr_O = chi/(1+chi) dB/dr_O``."""
+    A, B, C, _ = _exponents(p, r_O)
+    chi = chi_of_radius(derive(p), r_O)
+    xp = specfn._ops(B)
+    return -p.n * B / r_O * (
+        (cost.c10 - cost.c00) * xp.exp(-B)
+        + (cost.c11 + cost.c00 - cost.c10 - cost.c01) * chi / (1.0 + chi)
+        * xp.exp(-A - C))
+
+
 def _f_left(p: ModelParams, cost: CostMatrix, r_O):
     """log(1 + 1/chi) - log(1 + nu/gamma); decreasing from +inf."""
     d = derive(p)

@@ -13,62 +13,62 @@
 * ``_find_root`` and ``_expand`` -- the bracketed root solver of every
   equation the library solves, and the doubling search that brackets it.
 
-The integrals are closed forms in scipy's special functions, with no
-quadrature or series, and none is a difference of the others:
+The three integrals are sums of positive terms, with no library
+function but ``pow``. By Pfaff's transformation each is a factor times
+``F_c(x) = 2F1(1, 1; c; x) = sum_k k!/(c)_k x**k`` at ``x < 1``:
 
-* ``power_gap = delta * int_0^u t**(delta-1)/(1+t) dt`` becomes, under
-  ``t = s/(1-s)``, ``kappa * I_x(delta, 1-delta)`` at ``x = u/(1+u)``,
-  with ``I`` the regularized incomplete beta function, and
-  ``power_tail = delta * int_u^inf t**(delta-1)/(1+t) dt`` becomes
-  ``kappa * I_{1/(1+u)}(1-delta, delta)``. On the side of u = 1 where
-  it is the larger, each is kappa times ``1 - I`` of the other, because
-  ``u/(1+u)`` rounds towards 1 and loses the tail as u grows (scipy's
-  ``betaincc`` is off by 8e-11 at ``x = 4e-20``).
-* ``int_I = delta/(1+delta) * u**(1+delta) * 2F1(1, 1+delta; 2+delta; -u)``,
-  never ``u**delta - power_gap``, which cancels for small u, where
-  ``int_I`` is of order ``u**(1+delta)``.
+* for u <= 1, with ``x = u/(1+u)``,
+  ``power_gap = u**delta/(1+u) * F_{1+delta}(x)`` and
+  ``int_I = delta/(1+delta) * u**(1+delta)/(1+u) * F_{2+delta}(x)``;
+* for u >= 1, with ``v = 1/u`` and ``y = v/(1+v)``,
+  ``power_tail = delta/(1-delta) * v**(1-delta)/(1+v) * F_{2-delta}(y)``.
 
-All three are accurate to a few units in 1e-14, relative, for u from
-1e-12 (``power_tail`` from 1e-30) to 1e12 and delta from 0.01 to 0.99.
+On the other side of u = 1, ``power_gap`` and ``power_tail`` are each
+kappa minus the other. ``int_I`` keeps its series up to u = 3 (x = 3/4)
+and is ``u**delta - kappa + power_tail`` only beyond: just above u = 1
+that difference cancels as delta -> 1 (9e-13 off at delta = 0.99,
+u = 1.01). It is never ``u**delta - power_gap``, which cancels for small
+u, where int_I is of order ``u**(1+delta)``.
 
-Each takes a float or a numpy array ``u`` and returns the same. The
-float/array choice of the whole library lives here: :func:`_ops` gives
-a closed form the functions to apply (``math`` and scipy's compiled
-scalar kernels for a float, numpy and scipy ufuncs for an array), and
-:func:`_share` picks a piecewise branch by a Python ``if`` for a float
-and by a boolean mask for an array. A float pays no array overhead.
-The root solver follows the same convention: it solves one equation in
-Python floats, or many at once, elementwise, in arrays.
+``F_c`` is evaluated by one polynomial of degree 7 on each of 48 pieces of
+width 1/64 of x, summed by Estrin's scheme. The coefficients depend only
+on delta. They are computed once per delta and cached, as
+:func:`guardzone.params.derive` is. Each polynomial is the Taylor series
+of ``F_c`` about its piece's midpoint, whose coefficients are sums of
+positive terms, economized by Chebyshev polynomials (see
+:func:`_taylor_map`). All three functions are accurate to a few units in
+1e-14, relative, for u from 1e-12 (``power_tail`` from 1e-30) to 1e12 and
+delta from 0.01 to 0.99.
+
+Each takes a float or a numpy array ``u`` and returns the same. A float
+takes Python floats only, with no array overhead. An array takes the
+same operations elementwise, so the two differ only where numpy's
+``pow`` and the C library's round differently, by an ulp. The float/array choice of the other
+closed forms lives here as well: :func:`_ops` gives them ``math`` for a
+float and numpy for an array. The root solver follows the same
+convention: it solves one equation in Python floats, or many at once,
+elementwise, in arrays.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from types import SimpleNamespace
 
 import numpy as np
-from scipy import special
-from scipy.special import cython_special
 
 _FLOAT_OPS = SimpleNamespace(exp=math.exp, expm1=math.expm1, log=math.log,
-                             log1p=math.log1p, sqrt=math.sqrt,
-                             betainc=cython_special.betainc,
-                             hyp2f1=cython_special.hyp2f1)
+                             log1p=math.log1p, sqrt=math.sqrt)
 _ARRAY_OPS = SimpleNamespace(exp=np.exp, expm1=np.expm1, log=np.log,
-                             log1p=np.log1p, sqrt=np.sqrt,
-                             betainc=special.betainc, hyp2f1=special.hyp2f1)
+                             log1p=np.log1p, sqrt=np.sqrt)
 
 
 def _ops(x) -> SimpleNamespace:
-    """The exp, expm1, log, log1p, sqrt, betainc and hyp2f1 that apply to
-    ``x``.
-
-    For an array: numpy and ``scipy.special``. For anything else, a float
-    (numpy's float64 is one): ``math`` and scipy's ``cython_special``,
-    which return floats with none of a ufunc's per-call cost. The two
-    agree to an ulp or so, and the scipy pairs bit for bit.
-    """
+    """The exp, expm1, log, log1p and sqrt that apply to ``x``: numpy's
+    for an array, ``math``'s for anything else, a float (numpy's float64
+    is one), with none of a ufunc's per-call cost."""
     return _ARRAY_OPS if isinstance(x, np.ndarray) else _FLOAT_OPS
 
 
@@ -91,41 +91,165 @@ def _where(cond, x, y):
     return x if cond else y
 
 
-def _share(direct, u, delta, f, g):
-    """``f(ops, u, delta)`` where ``direct`` holds, ``1 - g(ops, u, delta)``
-    elsewhere, with ``ops`` from :func:`_ops`.
-
-    ``f + g = 1``; the caller marks by ``direct`` where ``f`` itself is
-    accurate. ``direct`` is a bool for a float ``u``, and a Python
-    ``if`` picks the branch; it is a mask for an array ``u``.
-    """
-    if not isinstance(u, np.ndarray):
-        return f(_FLOAT_OPS, u, delta) if direct else 1.0 - g(_FLOAT_OPS, u, delta)
-    out = np.empty(u.shape)
-    out[direct] = f(_ARRAY_OPS, u[direct], delta)
-    other = ~direct
-    out[other] = 1.0 - g(_ARRAY_OPS, u[other], delta)
-    return out
-
-
-def _below(ops, u, delta):
-    """``I_{u/(1+u)}(delta, 1-delta)``, the share of kappa below u."""
-    return ops.betainc(delta, 1.0 - delta, u / (1.0 + u))
-
-
-def _above(ops, u, delta):
-    """``I_{1/(1+u)}(1-delta, delta)``, the share of kappa above u."""
-    return ops.betainc(1.0 - delta, delta, 1.0 / (1.0 + u))
-
-
 def kappa(delta: float) -> float:
     """Evaluate ``pi*delta/sin(pi*delta)`` for ``delta`` in (0, 1).
 
-    Increasing from 1 (at delta -> 0) and diverging as delta -> 1.
+    Increasing from 1 (at delta -> 0) and diverging as delta -> 1. The
+    sine is taken of pi times the smaller of delta and the exact
+    ``1 - delta``: near delta = 1 the rounding of ``pi * delta`` would
+    cost sin(pi*delta) its relative accuracy (1e-14 at delta = 0.99).
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0,1), got {delta}")
-    return math.pi * delta / math.sin(math.pi * delta)
+    return math.pi * delta / math.sin(math.pi * min(delta, 1.0 - delta))
+
+
+# F_c(x) = sum_k k!/(c)_k x**k is one polynomial of degree 7 on each piece
+# [i/64, (i+1)/64] of x, in h = 128 x - (2i + 1), which spans [-1, 1] there.
+# The last piece ends at 3/4, where the series of int_I ends.
+_PIECES = 48
+_EDGES = np.arange(1, _PIECES) / 64.0
+_ODD_ARRAY = 2.0 * np.arange(_PIECES) + 1.0
+_TERMS = 8       # of each piece's polynomial
+_TAYLOR = 14     # Taylor terms economized to _TERMS
+_SERIES = 160    # terms of F_c in each Taylor coefficient
+# int_I takes its series up to x = u/(1+u) = 3/4, and the difference
+# u**delta - kappa + power_tail beyond
+_INT_SERIES_MAX = 3.0
+
+
+@functools.cache
+def _taylor_map() -> np.ndarray:
+    """The matrix that takes the coefficients ``k!/(c)_k`` of F_c, as a
+    column, to the polynomial of every piece: rows ``i*_TERMS`` on hold
+    piece i's coefficients, highest power of h first.
+
+    A piece with midpoint x0 starts from the Taylor coefficients of F_c in
+    h, ``128**-j sum_k C(k, j) x0**(k-j) k!/(c)_k``, sums of positive terms
+    and so exact to an ulp or two. As the nearest singularity of F_c is
+    x = 1, they fall like (1/128 / (1 - x0))**j, at least 33**-j. Each
+    power h**j from _TERMS on is then traded for ``h**j - 2**(1-j) T_j(h)``,
+    of lower degree, at an error of at most 2**(1-j) times its
+    coefficient on [-1, 1] (Lanczos' economization by the Chebyshev
+    polynomials T_j). Eight terms leave F_c to the rounding of their sum,
+    an ulp or two.
+    """
+    j = np.arange(_TAYLOR)[:, None]
+    k = np.arange(_SERIES)
+    ratios = (k - j[:-1]) / (j[:-1] + 1.0)
+    binom = np.cumprod(np.vstack([np.ones(_SERIES), ratios]), axis=0)
+    x0 = _ODD_ARRAY[:, None, None] / 128.0
+    taylor = binom * x0 ** (k - j) * 128.0 ** -j.astype(float)
+    cheb = np.zeros((_TAYLOR, _TAYLOR))  # row n: the powers of T_n
+    cheb[0, 0] = cheb[1, 1] = 1.0
+    for n in range(2, _TAYLOR):
+        cheb[n, 1:] = 2.0 * cheb[n - 1, :-1]
+        cheb[n] -= cheb[n - 2]
+    econ = np.eye(_TAYLOR)  # Taylor coefficients to economized ones
+    for n in range(_TAYLOR - 1, _TERMS - 1, -1):
+        econ -= np.outer(econ[:, n], cheb[n] / cheb[n, n])
+    return (econ[:, _TERMS - 1::-1].T @ taylor).reshape(-1, _SERIES)
+
+
+class _Table:
+    """What :func:`power_gap`, :func:`power_tail` and :func:`int_I` need
+    at one delta: kappa, and three series, each with its constant factor,
+    as :class:`_Series`. ``gap`` is power_gap's below u = 1, ``tail``
+    power_tail's above u = 1 (in 1/u), ``int`` int_I's below u = 3."""
+
+    __slots__ = ("kappa", "gap", "tail", "int")
+
+
+class _Series:
+    """One series' polynomials, with each piece's 2i + 1 first and then
+    its coefficients c0..c7 (c0 that of h**7) in the order c0, c4, c2,
+    c6, c1, c5, c3, c7 of Estrin's pairs: ``rows`` has one column a
+    piece, for arrays; ``pieces`` one tuple a piece, for floats, and the
+    last twice, for x up to 3/4 inclusive."""
+
+    __slots__ = ("pieces", "rows")
+
+    def __init__(self, rows: np.ndarray):
+        self.rows = rows
+        pieces = rows.T.tolist()
+        self.pieces = tuple(map(tuple, pieces + pieces[-1:]))
+
+
+# The order of the coefficients in a _Series
+_ESTRIN_ORDER = [0, 4, 2, 6, 1, 5, 3, 7]
+
+
+@functools.lru_cache(maxsize=64)
+def _table(delta: float) -> _Table:
+    """The :class:`_Table` of ``delta``, built once: a few hundred flops
+    and one product with :func:`_taylor_map`."""
+    t = _Table()
+    t.kappa = kappa(delta)  # raises for a delta outside (0, 1)
+    c = np.array([1.0 + delta, 2.0 - delta, 2.0 + delta])
+    scale = np.array([1.0, delta / (1.0 - delta), delta / (1.0 + delta)])
+    k = np.arange(1.0, _SERIES)[:, None]
+    # scale * k!/(c)_k, k = 0, 1, ...
+    series = np.cumprod(np.vstack([scale, k / (c + k - 1.0)]), axis=0)
+    coeffs = (_taylor_map() @ series).reshape(_PIECES, _TERMS, 3)
+    t.gap, t.tail, t.int = (
+        _Series(np.vstack([_ODD_ARRAY, coeffs[:, _ESTRIN_ORDER, s].T]))
+        for s in range(3))
+    return t
+
+
+def _ratio(series: _Series, w: float, e: float) -> float:
+    """``w**e/(1+w) * F(x)`` at ``x = w/(1+w)`` in [0, 3/4], with F the
+    ``series``. The polynomial is summed by Estrin's scheme: in pairs,
+    the pairs in pairs in h**2, and those two in h**4."""
+    s = 1.0 + w
+    x = w / s
+    odd, c0, c4, c2, c6, c1, c5, c3, c7 = series.pieces[int(64.0 * x)]
+    h = 128.0 * x - odd
+    h2 = h * h
+    return w**e * (((c0 * h + c1) * h2 + (c2 * h + c3)) * (h2 * h2)
+                   + ((c4 * h + c5) * h2 + (c6 * h + c7))) / s
+
+
+def _ratio_array(series: _Series, w: np.ndarray, e: float) -> np.ndarray:
+    """:func:`_ratio` elementwise, by the same operations."""
+    s = 1.0 + w
+    x = w / s
+    c = series.rows.take(np.searchsorted(_EDGES, x, side="right"), axis=1)
+    h = 128.0 * x - c[0]
+    h2 = h * h
+    f = c[1:5] * h + c[5:]  # c0 h + c1, c4 h + c5, c2 h + c3, c6 h + c7
+    f = f[:2] * h2 + f[2:]
+    return w**e * (f[0] * (h2 * h2) + f[1]) / s
+
+
+def _by_side(u: np.ndarray, above, upper, lower) -> np.ndarray:
+    """``upper(u)`` where ``above(u)``, ``lower(u)`` elsewhere, each taken
+    only on its own elements, with ``u`` checked to be nonnegative.
+
+    ``above`` is a test that holds from some u on, so the smallest and the
+    largest element tell whether one side takes every element, and then
+    no mask is formed.
+    """
+    lo = u.min() if u.size else math.inf
+    if above(lo):
+        return upper(u)
+    if lo < 0.0:
+        raise ValueError(f"u must be nonnegative, got {lo}")
+    if lo == lo and not above(u.max()):  # lo is nan if any element is
+        return lower(u)
+    mask = above(u)
+    out = np.empty(u.shape)
+    out[mask] = upper(u[mask])
+    mask = ~mask
+    out[mask] = lower(u[mask])
+    return out
+
+
+def _nan_or_raise(u: float) -> float:
+    """``u`` if it is nan; else ``u`` is negative, and this raises."""
+    if u < 0.0:
+        raise ValueError(f"u must be nonnegative, got {u}")
+    return u
 
 
 def power_gap(u, delta: float):
@@ -134,8 +258,17 @@ def power_gap(u, delta: float):
     Equals ``u**delta - int_I(u, delta)``; increases from 0 to
     ``kappa(delta)`` as u grows.
     """
-    u = _check(u, delta)
-    return kappa(delta) * _share(u <= 1.0, u, delta, _below, _above)
+    t = _table(delta)
+    if isinstance(u, float):
+        if u > 1.0:
+            return t.kappa - _ratio(t.tail, 1.0 / u, 1.0 - delta)
+        if u >= 0.0:
+            return _ratio(t.gap, u, delta)
+        return _nan_or_raise(u)
+    return _by_side(
+        np.asarray(u, dtype=float), lambda v: v > 1.0,
+        lambda v: t.kappa - _ratio_array(t.tail, 1.0 / v, 1.0 - delta),
+        lambda v: _ratio_array(t.gap, v, delta))
 
 
 def power_tail(u, delta: float):
@@ -144,8 +277,17 @@ def power_tail(u, delta: float):
     Equals ``kappa(delta) - power_gap(u, delta)``; decreases from
     ``kappa(delta)`` to 0 as u grows.
     """
-    u = _check(u, delta)
-    return kappa(delta) * _share(u >= 1.0, u, delta, _above, _below)
+    t = _table(delta)
+    if isinstance(u, float):
+        if u >= 1.0:
+            return _ratio(t.tail, 1.0 / u, 1.0 - delta)
+        if u >= 0.0:
+            return t.kappa - _ratio(t.gap, u, delta)
+        return _nan_or_raise(u)
+    return _by_side(
+        np.asarray(u, dtype=float), lambda v: v >= 1.0,
+        lambda v: _ratio_array(t.tail, 1.0 / v, 1.0 - delta),
+        lambda v: t.kappa - _ratio_array(t.gap, v, delta))
 
 
 def int_I(u, delta: float):
@@ -154,33 +296,18 @@ def int_I(u, delta: float):
     Nonnegative, strictly increasing in u, with derivative
     ``delta*u**delta/(1+u)`` and ``int_I(0) = 0``.
     """
-    u = _check(u, delta)
-    if not isinstance(u, np.ndarray):
-        if u == math.inf:
-            return math.inf
-    elif np.isinf(u).any():  # inf there; the product below would be inf * 0
-        out = np.full(u.shape, math.inf)
-        finite = np.isfinite(u)
-        out[finite] = int_I(u[finite], delta)
-        return out
-    # u * 2F1(...) tends to (1+delta)/delta, so this product cannot overflow
-    # before the value itself does
-    u_f = u * _ops(u).hyp2f1(1.0, 1.0 + delta, 2.0 + delta, -u)
-    return delta / (1.0 + delta) * u**delta * u_f
-
-
-def _check(u, delta: float):
-    """Validate the arguments; return ``u`` as a float, or as a float array."""
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0,1), got {delta}")
+    t = _table(delta)
     if isinstance(u, float):
-        if u < 0:
-            raise ValueError(f"u must be nonnegative, got {u}")
-        return u
-    u = np.asarray(u, dtype=float)
-    if (u < 0).any():
-        raise ValueError(f"u must be nonnegative, got {u[u < 0].min()}")
-    return u
+        if u > _INT_SERIES_MAX:
+            return u**delta - t.kappa + _ratio(t.tail, 1.0 / u, 1.0 - delta)
+        if u >= 0.0:
+            return _ratio(t.int, u, 1.0 + delta)
+        return _nan_or_raise(u)
+    return _by_side(
+        np.asarray(u, dtype=float), lambda v: v > _INT_SERIES_MAX,
+        lambda v: (v**delta - t.kappa
+                   + _ratio_array(t.tail, 1.0 / v, 1.0 - delta)),
+        lambda v: _ratio_array(t.int, v, 1.0 + delta))
 
 
 def gauss_Q(z: float) -> float:

@@ -94,6 +94,15 @@ class TestRisk:
         assert float(opt[0]["r_O"]) == pytest.approx(21.11, abs=0.01)
         assert any("dr_dlambda" in c for c in comments)
 
+    def test_derivative_column(self, capsys):
+        _, out = run_cli(["risk", "--scenario", FIG1, "--grid", "5,10,50"],
+                         capsys)
+        rows, _ = parse_csv(out)
+        slope = [float(r["risk_deriv"]) for r in rows]
+        # the risk falls to its optimum near r_O = 21 and rises beyond
+        assert slope[0] < 0 and slope[1] < 0 < slope[2]
+        assert abs(slope[3]) < 1e-12 * abs(slope[0])
+
     def test_irregular_cost_rejected(self, capsys, tmp_path):
         bad = tmp_path / "cost.json"
         bad.write_text('{"c00": 1, "c01": 1, "c10": 1, "c11": 1}')
@@ -423,3 +432,47 @@ print(loaded)
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    @staticmethod
+    def _modules_after(commands, *packages):
+        """In a fresh interpreter, after ``import guardzone.cli`` and then
+        after each command: for each of ``packages``, whether it (or a
+        module in it) has been imported."""
+        code = f"""
+import contextlib, io, sys
+def loaded():
+    return [any(m == p or m.startswith(p + ".") for m in sys.modules)
+            for p in {packages!r}]
+import guardzone.cli
+seen = [loaded()]
+for args in {commands!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert guardzone.cli.main(args) == 0
+    seen.append(loaded())
+print(seen)
+"""
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(guardzone.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.strip()
+
+    def test_analytic_commands_skip_scipy(self):
+        # not a deferred import: no analytic command but fading-compare
+        # (the no-fading transform's complex erfcx) loads scipy at all
+        commands = [["correlation", "--scenario", "fig1"],
+                    ["correlation", "--scenario", "fig1", "--sweep-density"],
+                    ["risk", "--scenario", "fig2"],
+                    ["roc", "--scenario", "fig3"],
+                    ["multiobs", "--scenario", "fig5", "--aloha", "aloha_n2"]]
+        assert self._modules_after(commands, "scipy") == str([[False]] * 6)
+
+    def test_rayleigh_validate_skips_scipy(self):
+        # the far field is a Gauss-Legendre sum; fading-compare then loads
+        # scipy.special, and nothing else of scipy
+        commands = [["validate", "--scenario", "fig1", "--trials", "10240"],
+                    ["fading-compare", "--scenario", "fig4"]]
+        seen = self._modules_after(commands, "scipy", "scipy.integrate",
+                                   "scipy.optimize")
+        assert seen == str([[False] * 3, [False] * 3, [True, False, False]])

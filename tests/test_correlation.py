@@ -169,6 +169,21 @@ class TestArrayChiStar:
             got = correlation.chi_star_from_coeff(scales, 0.5)
             assert np.array_equal(got, state["node"])
 
+    def test_tiny_scale(self):
+        # chi_hat ~ 2/(a kappa) ~ 1.3e30, far beyond where (chi+1)/(chi-1)
+        # rounds to 1; chi* is the low-density limit
+        a, delta = 1e-30, 0.5
+        assert correlation._chi_hat(a, delta) == pytest.approx(
+            2.0 / (a * specfn.kappa(delta)), rel=1e-9)
+        assert correlation._chi_hat(np.array([a]), delta)[0] == pytest.approx(
+            2.0 / (a * specfn.kappa(delta)), rel=1e-9)
+        limit = correlation.chi_star_low_density_limit(delta)
+        assert limit == pytest.approx(1.93695, abs=1e-5)
+        assert correlation.chi_star_from_coeff(a, delta) == pytest.approx(
+            limit, rel=1e-12)
+        assert correlation.chi_star_from_coeff(np.array([a, 1e-3]), delta)[0] \
+            == pytest.approx(limit, rel=1e-12)
+
     def test_bracket_error(self, monkeypatch):
         # with B - C held negative, chi_hat is never bracketed
         monkeypatch.setattr(correlation, "_BmC",

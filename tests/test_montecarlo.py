@@ -11,6 +11,7 @@ import dataclasses
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -302,6 +303,27 @@ class TestFarField:
             warnings.simplefilter("error")  # no IntegrationWarning
             got = mc._far_field_log(p, p.density, R)
         assert got == pytest.approx(want, rel=1e-13)
+
+
+    @pytest.mark.parametrize("n, alpha", [(2, 2.2), (2, 3.0), (2, 4.0),
+                                          (2, 6.0), (1, 1.2), (3, 7.0)])
+    @pytest.mark.parametrize("R_over_knee", [1e-3, 0.5, 2.0, 50.0])
+    def test_against_mpmath(self, n, alpha, R_over_knee):
+        # alpha - n from 0.2 to 4, R inside and beyond the knee
+        # r = sigma**(1/alpha); the integral in t = log(r/R), in 30 digits
+        p = ModelParams(n=n, density=1e-3, alpha=alpha, beta=5, r_T=10)
+        d = derive(p)
+        knee = d.sigma ** (1.0 / alpha)
+        R = R_over_knee * knee
+        with mpmath.workdps(30):
+            k = mpmath.mpf(R) ** alpha / mpmath.mpf(d.sigma)
+            t_knee = max(-mpmath.log(k) / alpha, 0)
+            integral = mpmath.quad(
+                lambda t: mpmath.exp(n * t) / (1 + k * mpmath.exp(alpha * t)),
+                [0, t_knee, t_knee + 5, t_knee + 50, mpmath.inf])
+            want = -p.density * d.c_n * n * mpmath.mpf(R) ** n * integral
+        assert mc._far_field_log(p, p.density, R) == pytest.approx(
+            float(want), rel=1e-13)
 
 
 def per_trial(p, r_O, cfg):

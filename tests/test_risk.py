@@ -8,7 +8,8 @@ import pytest
 
 from guardzone.params import ModelParams, derive
 from guardzone.risk import (ALL_SINGLE_OBS_RULES, CostMatrix, SingleObsRule,
-                            _f_right, bayes_risk, operating_points,
+                            _f_right, bayes_risk, bayes_risk_derivative,
+                            operating_points,
                             optimal_radius, roc_curve, sensitivities,
                             type_errors)
 from guardzone.single_obs import evidence_success, posterior, prior_success
@@ -65,6 +66,31 @@ class TestBayesRisk:
                      if vals[i] < vals[i - 1] and vals[i] < vals[i + 1])
         assert minima == 1
         assert vals[1] < vals[0] and vals[-1] >= vals[-2]
+
+
+class TestRiskDerivative:
+    @pytest.mark.parametrize("p", [FIG2, FIG4, NOISY,
+                                   ModelParams(n=1, density=5e-3, alpha=2.5,
+                                               beta=3, r_T=5)])
+    @pytest.mark.parametrize("cost", [UNIFORM, CostMatrix(0.1, 2.0, 1.5, 0.2)])
+    def test_matches_central_difference(self, p, cost):
+        # the risk report's grid; a difference quotient carries the
+        # rounding of the two risks, a few ulp over 2h
+        r = np.geomspace(0.01 * p.r_T, 100.0 * p.r_T, 400)
+        h = 1e-6 * r
+        fd = (bayes_risk(p, cost, r + h) - bayes_risk(p, cost, r - h)) / (2 * h)
+        got = bayes_risk_derivative(p, cost, r)
+        assert np.all(np.abs(got - fd)
+                      <= 1e-6 * np.abs(got) + 4 * np.spacing(1.0) / h)
+        assert got[:10].tolist() == [bayes_risk_derivative(p, cost, x)
+                                     for x in r[:10].tolist()]
+
+    def test_zero_at_optimum(self):
+        for cost in (UNIFORM, CostMatrix(0.1, 2.0, 1.5, 0.2)):
+            opt = optimal_radius(FIG2, cost)
+            slope = bayes_risk_derivative(FIG2, cost, np.array([0.9, 1.1]) * opt.r_O)
+            assert slope[0] < 0 < slope[1]
+            assert abs(bayes_risk_derivative(FIG2, cost, opt.r_O)) < 1e-12 * abs(slope[0])
 
 
 class TestOptimalRadius:

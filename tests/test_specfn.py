@@ -31,6 +31,15 @@ class TestKappa:
             expected = special.gamma(1 + delta) * special.gamma(1 - delta)
             assert specfn.kappa(delta) == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("delta", [0.9, 0.99, 0.999, 0.01])
+    def test_relative_accuracy(self, delta):
+        # near delta = 1, kappa - power_tail is power_gap: kappa's own
+        # error, not just its share, reaches power_gap there
+        with mpmath.workdps(40):
+            d = mpmath.mpf(delta)
+            want = float(mpmath.pi * d / mpmath.sin(mpmath.pi * d))
+        assert specfn.kappa(delta) == pytest.approx(want, rel=4e-16)
+
     def test_reference_value(self):
         # pi*(2/3)/sin(2*pi/3) for the planar alpha=3 case
         assert specfn.kappa(2 / 3) == pytest.approx(2.4184, abs=1e-4)
@@ -145,6 +154,88 @@ class TestAgainstMpmath:
         # small u (up to 14 digits here) leaves the oracle exact
         _check_draws(specfn.int_I, log_us, delta,
                      lambda u, delta: mpmath.mpf(u) ** delta - mp_power_gap(u, delta))
+
+
+    @pytest.mark.parametrize("u, delta", [
+        (1.001, 0.99), (1.01, 0.99), (1.1, 0.99),
+        (0.99, 0.01), (0.999, 0.01), (1.0, 0.01), (1.001, 0.01), (1.01, 0.01)])
+    def test_near_one(self, u, delta):
+        # just above u = 1, int_I = u**delta - kappa + power_tail would
+        # lose three digits at delta = 0.99 (kappa = 99); near u = 1 at
+        # delta = 0.01 each function is small next to kappa = 1.0002
+        with mpmath.workdps(40):
+            gap = mp_power_gap(u, delta)
+            d = mpmath.mpf(delta)
+            refs = {specfn.power_gap: gap,
+                    specfn.power_tail: mpmath.pi * d / mpmath.sin(mpmath.pi * d) - gap,
+                    specfn.int_I: mpmath.mpf(u) ** d - gap}
+        for fn, ref in refs.items():
+            assert fn(u, delta) == pytest.approx(float(ref), rel=1e-12, abs=0.0)
+            assert fn(np.array([u]), delta)[0] == pytest.approx(
+                float(ref), rel=1e-12, abs=0.0)
+
+
+class TestFloatArrayAgree:
+    """The float path and the array path are the same operations, apart
+    from ``pow``, where numpy and the C library may differ by an ulp."""
+
+    @given(draws(-12.0, 12.0), st.floats(0.01, 0.99))
+    @settings(max_examples=200, deadline=None)
+    def test_within_two_ulp(self, log_us, delta):
+        us = np.array([10.0**x for x in log_us] + [0.0, 1.0, 3.0, 0.5])
+        kappa = specfn.kappa(delta)
+        # where a value is a series, within 2 ulp of it; where it is kappa
+        # minus a series (u**delta - kappa plus one, for int_I), within
+        # 2 ulp of the larger of the terms
+        for fn, series, terms in (
+                (specfn.power_gap, us <= 1.0, kappa),
+                (specfn.power_tail, us >= 1.0, kappa),
+                (specfn.int_I, us <= 3.0, kappa + us**delta)):
+            arr = fn(us, delta)
+            one = np.array([fn(u, delta) for u in us.tolist()])
+            scale = np.where(series, np.abs(one), terms)
+            assert np.all(np.abs(arr - one) <= 2.0 * np.spacing(scale)), fn
+
+
+class TestEdges:
+    def test_infinity(self):
+        delta = 0.4
+        assert specfn.power_gap(math.inf, delta) == specfn.kappa(delta)
+        assert specfn.power_tail(math.inf, delta) == 0.0
+        assert specfn.int_I(math.inf, delta) == math.inf
+        u = np.array([math.inf, 2.0])
+        assert specfn.power_gap(u, delta)[0] == specfn.kappa(delta)
+        assert specfn.power_tail(u, delta)[0] == 0.0
+        assert specfn.int_I(u, delta)[0] == math.inf
+
+    def test_nan_propagates(self):
+        for fn in (specfn.power_gap, specfn.power_tail, specfn.int_I):
+            assert math.isnan(fn(math.nan, 0.5))
+            out = fn(np.array([0.5, math.nan, 5.0]), 0.5)
+            assert math.isnan(out[1])
+            assert out[[0, 2]] == pytest.approx([fn(0.5, 0.5), fn(5.0, 0.5)],
+                                                rel=1e-15)
+
+    @pytest.mark.parametrize("u", [-1.0, np.array([0.5, -1e-300])])
+    def test_negative(self, u):
+        for fn in (specfn.power_gap, specfn.power_tail, specfn.int_I):
+            with pytest.raises(ValueError, match="nonnegative"):
+                fn(u, 0.5)
+
+    @pytest.mark.parametrize("delta", [0.0, 1.0, -0.5, math.nan])
+    def test_bad_delta(self, delta):
+        for fn in (specfn.power_gap, specfn.power_tail, specfn.int_I):
+            for u in (0.5, np.array([0.5, 2.0])):
+                with pytest.raises(ValueError, match="delta"):
+                    fn(u, delta)
+
+    def test_shapes(self):
+        u = np.array([[0.5, 2.0], [4.0, 0.0]])
+        for fn in (specfn.power_gap, specfn.power_tail, specfn.int_I):
+            assert fn(u, 0.5).shape == (2, 2)
+            assert fn(np.empty(0), 0.5).shape == (0,)
+            assert fn([0.5, 2.0], 0.5) == pytest.approx(
+                [fn(0.5, 0.5), fn(2.0, 0.5)], rel=1e-15)
 
 
 class TestGaussQ:
