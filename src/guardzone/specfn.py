@@ -153,29 +153,20 @@ def _taylor_map() -> np.ndarray:
 
 class _Table:
     """What :func:`power_gap`, :func:`power_tail` and :func:`int_I` need
-    at one delta: kappa, and three series, each with its constant factor,
-    as :class:`_Series`. ``gap`` is power_gap's below u = 1, ``tail``
-    power_tail's above u = 1 (in 1/u), ``int`` int_I's below u = 3."""
+    at one delta: kappa, and three series, each with its constant factor.
+    ``gap`` is power_gap's below u = 1, ``tail`` power_tail's above u = 1
+    (in 1/u), ``int`` int_I's below u = 3. Each piece holds its 2i + 1 and
+    then its coefficients c0..c7 (c0 that of h**7) in the order c0, c4,
+    c2, c6, c1, c5, c3, c7 of Estrin's pairs. For a float, ``gap``,
+    ``tail`` and ``int`` hold one tuple a piece, the last twice, for x up
+    to 3/4 inclusive. For an array, ``gap_rows`` and ``int_rows`` hold
+    the same, one column a piece: of the lower series, of tail, and of
+    both, tail's _PIECES columns last."""
 
-    __slots__ = ("kappa", "gap", "tail", "int")
-
-
-class _Series:
-    """One series' polynomials, with each piece's 2i + 1 first and then
-    its coefficients c0..c7 (c0 that of h**7) in the order c0, c4, c2,
-    c6, c1, c5, c3, c7 of Estrin's pairs: ``rows`` has one column a
-    piece, for arrays; ``pieces`` one tuple a piece, for floats, and the
-    last twice, for x up to 3/4 inclusive."""
-
-    __slots__ = ("pieces", "rows")
-
-    def __init__(self, rows: np.ndarray):
-        self.rows = rows
-        pieces = rows.T.tolist()
-        self.pieces = tuple(map(tuple, pieces + pieces[-1:]))
+    __slots__ = ("kappa", "gap", "tail", "int", "gap_rows", "int_rows")
 
 
-# The order of the coefficients in a _Series
+# The order of the coefficients in a piece
 _ESTRIN_ORDER = [0, 4, 2, 6, 1, 5, 3, 7]
 
 
@@ -191,30 +182,49 @@ def _table(delta: float) -> _Table:
     # scale * k!/(c)_k, k = 0, 1, ...
     series = np.cumprod(np.vstack([scale, k / (c + k - 1.0)]), axis=0)
     coeffs = (_taylor_map() @ series).reshape(_PIECES, _TERMS, 3)
-    t.gap, t.tail, t.int = (
-        _Series(np.vstack([_ODD_ARRAY, coeffs[:, _ESTRIN_ORDER, s].T]))
-        for s in range(3))
+    gap, tail, int_ = (np.vstack([_ODD_ARRAY, coeffs[:, _ESTRIN_ORDER, s].T])
+                       for s in range(3))
+    t.gap, t.tail, t.int = (tuple(map(tuple, rows.T.tolist() + [rows[:, -1].tolist()]))
+                            for rows in (gap, tail, int_))
+    t.gap_rows = gap, tail, np.hstack([gap, tail])
+    t.int_rows = int_, tail, np.hstack([int_, tail])
     return t
 
 
-def _ratio(series: _Series, w: float, e: float) -> float:
+def _ratio(pieces: tuple, w: float, e: float) -> float:
     """``w**e/(1+w) * F(x)`` at ``x = w/(1+w)`` in [0, 3/4], with F the
-    ``series``. The polynomial is summed by Estrin's scheme: in pairs,
-    the pairs in pairs in h**2, and those two in h**4."""
+    series of ``pieces``. The polynomial is summed by Estrin's scheme: in
+    pairs, the pairs in pairs in h**2, and those two in h**4."""
     s = 1.0 + w
     x = w / s
-    odd, c0, c4, c2, c6, c1, c5, c3, c7 = series.pieces[int(64.0 * x)]
+    odd, c0, c4, c2, c6, c1, c5, c3, c7 = pieces[int(64.0 * x)]
     h = 128.0 * x - odd
     h2 = h * h
     return w**e * (((c0 * h + c1) * h2 + (c2 * h + c3)) * (h2 * h2)
                    + ((c4 * h + c5) * h2 + (c6 * h + c7))) / s
 
 
-def _ratio_array(series: _Series, w: np.ndarray, e: float) -> np.ndarray:
-    """:func:`_ratio` elementwise, by the same operations."""
+def _ratio_array(rows: tuple, u: np.ndarray, hi, e_lo: float,
+                 e_hi: float) -> np.ndarray:
+    """:func:`_ratio` elementwise, by the same operations: of the lower
+    series of ``rows`` at u, with exponent ``e_lo``, and of tail at 1/u,
+    with ``e_hi``, where ``hi``, a mask from :func:`_sides`, or True or
+    False for every element."""
+    lower, upper, both = rows
+    if hi is True:
+        w, e, rows = 1.0 / u, e_hi, upper
+    elif hi is False:
+        w, e, rows = u, e_lo, lower
+    else:
+        w = u.copy()
+        np.divide(1.0, u, out=w, where=hi)
+        e, rows = np.where(hi, e_hi, e_lo), both
     s = 1.0 + w
     x = w / s
-    c = series.rows.take(np.searchsorted(_EDGES, x, side="right"), axis=1)
+    i = np.searchsorted(_EDGES, x, side="right")
+    if rows is both:
+        np.add(i, _PIECES, out=i, where=hi)
+    c = rows.take(i, axis=1)
     h = 128.0 * x - c[0]
     h2 = h * h
     f = c[1:5] * h + c[5:]  # c0 h + c1, c4 h + c5, c2 h + c3, c6 h + c7
@@ -222,27 +232,23 @@ def _ratio_array(series: _Series, w: np.ndarray, e: float) -> np.ndarray:
     return w**e * (f[0] * (h2 * h2) + f[1]) / s
 
 
-def _by_side(u: np.ndarray, above, upper, lower) -> np.ndarray:
-    """``upper(u)`` where ``above(u)``, ``lower(u)`` elsewhere, each taken
-    only on its own elements, with ``u`` checked to be nonnegative.
+def _sides(u, above) -> tuple:
+    """``u`` as a float array, checked to be nonnegative, and where
+    ``above(u)`` holds: True or False if for every element, else a mask.
 
     ``above`` is a test that holds from some u on, so the smallest and the
-    largest element tell whether one side takes every element, and then
-    no mask is formed.
+    largest element tell whether it holds for all or none, and then no
+    mask is formed.
     """
+    u = np.asarray(u, dtype=float)
     lo = u.min() if u.size else math.inf
     if above(lo):
-        return upper(u)
+        return u, True
     if lo < 0.0:
         raise ValueError(f"u must be nonnegative, got {lo}")
     if lo == lo and not above(u.max()):  # lo is nan if any element is
-        return lower(u)
-    mask = above(u)
-    out = np.empty(u.shape)
-    out[mask] = upper(u[mask])
-    mask = ~mask
-    out[mask] = lower(u[mask])
-    return out
+        return u, False
+    return u, above(u)
 
 
 def _nan_or_raise(u: float) -> float:
@@ -265,10 +271,11 @@ def power_gap(u, delta: float):
         if u >= 0.0:
             return _ratio(t.gap, u, delta)
         return _nan_or_raise(u)
-    return _by_side(
-        np.asarray(u, dtype=float), lambda v: v > 1.0,
-        lambda v: t.kappa - _ratio_array(t.tail, 1.0 / v, 1.0 - delta),
-        lambda v: _ratio_array(t.gap, v, delta))
+    u, hi = _sides(u, lambda v: v > 1.0)
+    s = _ratio_array(t.gap_rows, u, hi, delta, 1.0 - delta)
+    if hi is False:
+        return s
+    return _where(hi, t.kappa - s, s)
 
 
 def power_tail(u, delta: float):
@@ -284,10 +291,11 @@ def power_tail(u, delta: float):
         if u >= 0.0:
             return t.kappa - _ratio(t.gap, u, delta)
         return _nan_or_raise(u)
-    return _by_side(
-        np.asarray(u, dtype=float), lambda v: v >= 1.0,
-        lambda v: _ratio_array(t.tail, 1.0 / v, 1.0 - delta),
-        lambda v: t.kappa - _ratio_array(t.gap, v, delta))
+    u, hi = _sides(u, lambda v: v >= 1.0)
+    s = _ratio_array(t.gap_rows, u, hi, delta, 1.0 - delta)
+    if hi is True:
+        return s
+    return _where(hi, s, t.kappa - s)
 
 
 def int_I(u, delta: float):
@@ -303,11 +311,11 @@ def int_I(u, delta: float):
         if u >= 0.0:
             return _ratio(t.int, u, 1.0 + delta)
         return _nan_or_raise(u)
-    return _by_side(
-        np.asarray(u, dtype=float), lambda v: v > _INT_SERIES_MAX,
-        lambda v: (v**delta - t.kappa
-                   + _ratio_array(t.tail, 1.0 / v, 1.0 - delta)),
-        lambda v: _ratio_array(t.int, v, 1.0 + delta))
+    u, hi = _sides(u, lambda v: v > _INT_SERIES_MAX)
+    s = _ratio_array(t.int_rows, u, hi, 1.0 + delta, 1.0 - delta)
+    if hi is False:
+        return s
+    return _where(hi, u**delta - t.kappa + s, s)
 
 
 def gauss_Q(z: float) -> float:
