@@ -111,7 +111,8 @@ def J(s, u: float):
         raise ValueError("J is evaluated for Re(s) >= 0 only")
     root_pis = np.sqrt(math.pi * s)
     ru = 1.0 / math.sqrt(u)
-    return root_pis - ru + np.exp(-s * u) * (ru - root_pis * erfcx(np.sqrt(s * u)))
+    return root_pis - ru + np.exp(-s * u) * (
+        ru - root_pis * erfcx(np.sqrt(s * u)))
 
 
 def lt_nofade_given_void(p: ModelParams, r_O: float, s):

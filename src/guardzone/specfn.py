@@ -42,12 +42,13 @@ delta from 0.01 to 0.99.
 
 Each takes a float or a numpy array ``u`` and returns the same. A float
 takes Python floats only, with no array overhead. An array takes the
-same operations elementwise, so the two differ only where numpy's
-``pow`` and the C library's round differently, by an ulp. The float/array choice of the other
-closed forms lives here as well: :func:`_ops` gives them ``math`` for a
-float and numpy for an array. The root solver follows the same
-convention: it solves one equation in Python floats, or many at once,
-elementwise, in arrays.
+same operations elementwise, in one pass whichever side of the split
+its elements lie on, so the two differ only where numpy's ``pow`` and
+the C library's round differently, by an ulp. The float/array choice of
+the other closed forms lives here as well: :func:`_ops` gives them
+``math`` for a float and numpy for an array. The root solver follows
+the same convention: it solves one equation in Python floats, or many
+at once, elementwise, in arrays.
 """
 
 from __future__ import annotations
@@ -184,8 +185,9 @@ def _table(delta: float) -> _Table:
     coeffs = (_taylor_map() @ series).reshape(_PIECES, _TERMS, 3)
     gap, tail, int_ = (np.vstack([_ODD_ARRAY, coeffs[:, _ESTRIN_ORDER, s].T])
                        for s in range(3))
-    t.gap, t.tail, t.int = (tuple(map(tuple, rows.T.tolist() + [rows[:, -1].tolist()]))
-                            for rows in (gap, tail, int_))
+    t.gap, t.tail, t.int = (
+        tuple(map(tuple, rows.T.tolist() + [rows[:, -1].tolist()]))
+        for rows in (gap, tail, int_))
     t.gap_rows = gap, tail, np.hstack([gap, tail])
     t.int_rows = int_, tail, np.hstack([int_, tail])
     return t
@@ -212,19 +214,19 @@ def _ratio_array(rows: tuple, u: np.ndarray, hi, e_lo: float,
     False for every element."""
     lower, upper, both = rows
     if hi is True:
-        w, e, rows = 1.0 / u, e_hi, upper
+        w, e, coeffs = 1.0 / u, e_hi, upper
     elif hi is False:
-        w, e, rows = u, e_lo, lower
+        w, e, coeffs = u, e_lo, lower
     else:
         w = u.copy()
         np.divide(1.0, u, out=w, where=hi)
-        e, rows = np.where(hi, e_hi, e_lo), both
+        e, coeffs = np.where(hi, e_hi, e_lo), both
     s = 1.0 + w
     x = w / s
     i = np.searchsorted(_EDGES, x, side="right")
-    if rows is both:
+    if coeffs is both:
         np.add(i, _PIECES, out=i, where=hi)
-    c = rows.take(i, axis=1)
+    c = coeffs.take(i, axis=1)
     h = 128.0 * x - c[0]
     h2 = h * h
     f = c[1:5] * h + c[5:]  # c0 h + c1, c4 h + c5, c2 h + c3, c6 h + c7

@@ -88,9 +88,11 @@ class TestRiskDerivative:
     def test_zero_at_optimum(self):
         for cost in (UNIFORM, CostMatrix(0.1, 2.0, 1.5, 0.2)):
             opt = optimal_radius(FIG2, cost)
-            slope = bayes_risk_derivative(FIG2, cost, np.array([0.9, 1.1]) * opt.r_O)
+            slope = bayes_risk_derivative(FIG2, cost,
+                                          np.array([0.9, 1.1]) * opt.r_O)
             assert slope[0] < 0 < slope[1]
-            assert abs(bayes_risk_derivative(FIG2, cost, opt.r_O)) < 1e-12 * abs(slope[0])
+            at_optimum = bayes_risk_derivative(FIG2, cost, opt.r_O)
+            assert abs(at_optimum) < 1e-12 * abs(slope[0])
 
 
 class TestOptimalRadius:

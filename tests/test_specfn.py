@@ -166,8 +166,8 @@ class TestAgainstMpmath:
         with mpmath.workdps(40):
             gap = mp_power_gap(u, delta)
             d = mpmath.mpf(delta)
-            refs = {specfn.power_gap: gap,
-                    specfn.power_tail: mpmath.pi * d / mpmath.sin(mpmath.pi * d) - gap,
+            kappa = mpmath.pi * d / mpmath.sin(mpmath.pi * d)
+            refs = {specfn.power_gap: gap, specfn.power_tail: kappa - gap,
                     specfn.int_I: mpmath.mpf(u) ** d - gap}
         for fn, ref in refs.items():
             assert fn(u, delta) == pytest.approx(float(ref), rel=1e-12, abs=0.0)
