@@ -33,7 +33,7 @@ import numpy as np
 
 from . import __version__, correlation, montecarlo, multi_obs, nofading, risk
 from .nofading import IltConvergenceError
-from .params import (ModelParams, _digest, chi_of_radius, derive, load_scenario,
+from .params import (ModelParams, _digest, chi_of_radius, derive,
                      radius_of_chi)
 from .risk import CostMatrix, SingleObsRule
 from .single_obs import evidence_success, posterior, prior_success
@@ -42,13 +42,6 @@ from .specfn import gauss_Q
 
 class InputError(Exception):
     """Bad file, flag, or precondition; maps to exit code 2."""
-
-
-def _load_scenario(path: str) -> ModelParams:
-    try:
-        return load_scenario(_resolve_preset(path))
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot load scenario {path!r}: {exc}") from exc
 
 
 # Presets with the scenario of another preset's file
@@ -65,27 +58,26 @@ def _resolve_preset(path: str):
     return Path(path)
 
 
-def _load_cost(path: str | None) -> CostMatrix:
-    if path is None:
-        return CostMatrix.uniform()
-    try:
-        with open(_resolve_preset(path)) as fh:
-            d = json.load(fh)
-        return CostMatrix(c00=float(d["c00"]), c01=float(d["c01"]),
-                          c10=float(d["c10"]), c11=float(d["c11"]))
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot load cost matrix {path!r}: {exc}") from exc
+# JSON inputs: name in error messages, value with no file, maker of value
+_INPUT_FILES = {
+    "scenario": ("scenario", None, ModelParams.from_dict),
+    "cost": ("cost matrix", CostMatrix.uniform(), lambda d: CostMatrix(
+        **{k: float(d[k]) for k in ("c00", "c01", "c10", "c11")})),
+    "aloha": ("Aloha parameters", multi_obs.AlohaParams(p=0.5, N=1),
+              lambda d: multi_obs.AlohaParams(p=float(d["p"]), N=int(d["N"]))),
+}
 
 
-def _load_aloha(path: str | None) -> multi_obs.AlohaParams:
+def _load_input(option: str, path: str | None):
+    """The value of ``--<option>`` from a file or preset path."""
+    what, default, build = _INPUT_FILES[option]
     if path is None:
-        return multi_obs.AlohaParams(p=0.5, N=1)
+        return default
     try:
         with open(_resolve_preset(path)) as fh:
-            d = json.load(fh)
-        return multi_obs.AlohaParams(p=float(d["p"]), N=int(d["N"]))
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot load Aloha parameters {path!r}: {exc}") from exc
+            return build(json.load(fh))
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"cannot load {what} {path!r}: {exc}") from exc
 
 
 def parse_grid(spec: str | None, default: np.ndarray) -> np.ndarray:
@@ -162,7 +154,7 @@ def _emit(args, columns, rows, comments, hash_payload, render_text=_render_csv) 
 # -------------------------------------------------------------- commands
 
 def cmd_correlation(args) -> int:
-    p = _load_scenario(args.scenario)
+    p = _load_input("scenario", args.scenario)
     if args.sweep_density:
         coeffs = np.geomspace(1e-3, 10.0, 50)
         rows = []
@@ -189,8 +181,8 @@ def cmd_correlation(args) -> int:
 
 
 def cmd_risk(args) -> int:
-    p = _load_scenario(args.scenario)
-    cost = _load_cost(args.cost)
+    p = _load_input("scenario", args.scenario)
+    cost = _load_input("cost", args.cost)
     grid = parse_grid(args.grid, np.geomspace(0.01 * p.r_T, 100.0 * p.r_T, 400))
     columns = ("r_O", "risk", "risk_deriv", "f_L", "f_R", "is_optimum")
 
@@ -235,7 +227,7 @@ def _roc_rows(p, radii, labels):
 
 
 def cmd_roc(args) -> int:
-    p = _load_scenario(args.scenario)
+    p = _load_input("scenario", args.scenario)
     grid = parse_grid(args.grid, np.geomspace(0.05 * p.r_T, 50.0 * p.r_T, 200))
     rows = _roc_rows(p, grid, [""] * len(grid))
     comments = []
@@ -261,7 +253,7 @@ def cmd_roc(args) -> int:
 
 
 def cmd_fading_compare(args) -> int:
-    p = _load_scenario(args.scenario)
+    p = _load_input("scenario", args.scenario)
     if p.alpha != 2 * p.n:
         raise InputError(
             "fading comparison needs the no-fading closed forms, which "
@@ -290,8 +282,8 @@ def cmd_fading_compare(args) -> int:
 
 
 def cmd_multiobs(args) -> int:
-    p = _load_scenario(args.scenario)
-    aloha = _load_aloha(args.aloha)
+    p = _load_input("scenario", args.scenario)
+    aloha = _load_input("aloha", args.aloha)
     grid = parse_grid(args.grid, np.array([2.0 * p.r_T]))
     if len(grid) != 1:
         raise InputError("multiobs evaluates all rules at a single r_O; "
@@ -395,7 +387,7 @@ def _render_checks(columns, checks, comments, cfg_hash) -> str:
 
 
 def cmd_validate(args) -> int:
-    p = _load_scenario(args.scenario)
+    p = _load_input("scenario", args.scenario)
     cfg = montecarlo.SimConfig(trials=args.trials, seed=args.seed)
     grid = parse_grid(args.grid, np.array([10.0, 30.0, 50.0, 80.0]))
     checks = []
@@ -429,7 +421,7 @@ def cmd_validate(args) -> int:
                 nofading.posterior_nofade(p, r).value, nf.posterior_d1[i]))
 
     if args.aloha is not None:
-        aloha = _load_aloha(args.aloha)
+        aloha = _load_input("aloha", args.aloha)
         r_O = float(grid[0])
         mo = montecarlo.estimate_multiobs(p, aloha, r_O, cfg)
         estimates.append(mo.config_hash)

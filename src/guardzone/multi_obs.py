@@ -217,12 +217,6 @@ class DecisionRuleTable:
         return int(self.bits[2 * K + d_obs])
 
     @classmethod
-    def from_map(cls, N: int, mapping) -> "DecisionRuleTable":
-        bits = "".join(str(int(mapping[(K, d)]))
-                       for K in range(N + 1) for d in (0, 1))
-        return cls(N=N, bits=bits)
-
-    @classmethod
     def follow_observation(cls, N: int) -> "DecisionRuleTable":
         """g(K, d) = d."""
         return cls(N=N, bits="01" * (N + 1))

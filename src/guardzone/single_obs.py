@@ -130,9 +130,9 @@ def posterior(p: ModelParams, r_O) -> PosteriorTable:
     """Posterior distribution of physical success given the protocol outcome.
 
     Rejects ``r_O = 0`` and non-finite radii: conditioning on a failed
-    (resp. clear) guard zone is then a null event. The limiting values
-    are exposed by :func:`posterior_limit_small` / ``..._large`` instead.
-    An array of radii gives a table of arrays.
+    (resp. clear) guard zone is then a null event; P(success | clear)
+    tends to :func:`prior_success` as r_O -> 0 and to ``exp(-sigma*eta)``
+    as r_O -> inf. An array of radii gives a table of arrays.
     """
     if not specfn._all((r_O > 0) & (r_O < math.inf)):
         raise ValueError(
@@ -144,18 +144,6 @@ def posterior(p: ModelParams, r_O) -> PosteriorTable:
     p10 = math.exp(-A) * xp.expm1(-C) / xp.expm1(-B)
     return PosteriorTable(p_h1_d1=xp.exp(-T), p_h1_d0=p10,
                           p_h0_d1=-xp.expm1(-T), p_h0_d0=1.0 - p10)
-
-
-def posterior_limit_small(p: ModelParams) -> float:
-    """Limit of P(success | clear) as r_O -> 0: the unconditional prior."""
-    return prior_success(p)
-
-
-def posterior_limit_large(p: ModelParams) -> float:
-    """Limit of P(success | clear) as r_O -> inf: the no-interference
-    ceiling ``exp(-sigma*eta)``."""
-    d = derive(p)
-    return math.exp(-d.sigma * p.eta)
 
 
 def lt_interference_given_void(p: ModelParams, r_O: float, s: float) -> float:

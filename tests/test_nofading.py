@@ -1,6 +1,8 @@
 """No-fading branch: Levy prior, transform identities, and the inversion."""
 
 import cmath
+import contextlib
+import io
 import math
 
 import mpmath
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.special
 
-from guardzone import nofading
+from guardzone import cli, nofading
 from guardzone.nofading import (IltConvergenceError, J, levy_prior,
                                 lt_nofade_given_void, posterior_nofade,
                                 rho_nofade)
@@ -88,6 +90,35 @@ class TestJ:
         loop = np.array([scalar_J(sv, u) for sv in s])
         assert np.allclose(J(s, u), loop, rtol=1e-14, atol=0.0)
         assert J(0.0, u) == 0.0
+
+
+class TestErfcx:
+    @staticmethod
+    def _relative_error(z):
+        ref = scipy.special.erfcx(z)
+        return np.max(np.abs(nofading._erfcx(z) - ref) / np.abs(ref))
+
+    def test_bromwich_nodes(self, monkeypatch):
+        # the 385 nodes of each of the 80 default fading-compare rows
+        nodes = []
+        kernel = nofading._erfcx
+
+        def recording(z):
+            nodes.append(z.copy())
+            return kernel(z)
+
+        monkeypatch.setattr(nofading, "_erfcx", recording)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["fading-compare", "--scenario", "fig4"]) == 0
+        assert [z.size for z in nodes] == [385] * 80
+        assert self._relative_error(np.concatenate(nodes)) < 1e-13
+
+    def test_right_half_plane(self):
+        # |z| from 1e-8 to 1e6 on rays from the real to the imaginary axis
+        r = np.geomspace(1e-8, 1e6, 1401)
+        theta = np.linspace(0.0, math.pi / 2, 91)
+        z = np.outer(r, np.exp(1j * theta))
+        assert self._relative_error(z) < 1e-12
 
 
 class TestConditionalTransform:

@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 from guardzone.params import ModelParams, derive
 from guardzone.single_obs import (abc_terms, evidence_success,
                                   lt_interference_given_void, posterior,
-                                  posterior_limit_large,
-                                  posterior_limit_small, prior_success)
+                                  prior_success)
 
 FIG1 = ModelParams(n=2, density=2e-4, alpha=3, beta=5, r_T=10)
 NOISY = ModelParams(n=2, density=2e-4, alpha=3, beta=5, r_T=10, eta=1e-5)
@@ -131,11 +130,14 @@ class TestPosterior:
         assert all(a < b for a, b in zip(p11, p11[1:]))
 
     def test_limits(self):
+        # the prior as r_O -> 0, the no-interference ceiling as r_O -> inf
         assert posterior(FIG1, 1e-4).p_h1_d1 == pytest.approx(
-            posterior_limit_small(FIG1), abs=1e-6)
-        assert posterior(FIG1, 1e8).p_h1_d1 == pytest.approx(
-            posterior_limit_large(FIG1), abs=1e-6)
-        assert posterior_limit_large(NOISY) == pytest.approx(
+            prior_success(FIG1), abs=1e-6)
+        for p in (FIG1, NOISY):
+            ceiling = math.exp(-derive(p).sigma * p.eta)
+            assert posterior(p, 1e8).p_h1_d1 == pytest.approx(ceiling,
+                                                              abs=1e-6)
+        assert math.exp(-derive(NOISY).sigma * NOISY.eta) == pytest.approx(
             math.exp(-5000.0 * 1e-5))
 
     def test_remark_value_thinned(self):
