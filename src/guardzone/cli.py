@@ -32,7 +32,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, correlation, montecarlo, multi_obs, nofading, risk
-from .nofading import IltConvergenceError
 from .params import (ModelParams, _digest, chi_of_radius, derive,
                      radius_of_chi)
 from .risk import CostMatrix, SingleObsRule
@@ -166,13 +165,11 @@ def cmd_correlation(args) -> int:
               {"command": "correlation-sweep", "scenario": p.to_dict()})
         return 0
     grid = parse_grid(args.grid, np.geomspace(1e-3, 1e4, 400))
-    rows = _rows({"chi": grid, "rho": correlation.rho(p, grid),
-                  "f1": correlation.f1(p, grid), "f2": correlation.f2(p, grid),
-                  "is_chi_star": [0] * len(grid)})
     cs = correlation.chi_star(p)
-    rows.append({"chi": cs, "rho": correlation.rho(p, cs),
-                 "f1": correlation.f1(p, cs), "f2": correlation.f2(p, cs),
-                 "is_chi_star": 1})
+    chi = np.append(grid, cs)
+    rows = _rows({"chi": chi, "rho": correlation.rho(p, chi),
+                  "f1": correlation.f1(p, chi), "f2": correlation.f2(p, chi),
+                  "is_chi_star": [0] * len(grid) + [1]})
     comments = [f"chi_star {cs:.6g} r_O_star {radius_of_chi(derive(p), cs):.6g}"]
     _emit(args, ("chi", "rho", "f1", "f2", "is_chi_star"), rows, comments,
           {"command": "correlation", "scenario": p.to_dict(),
@@ -184,52 +181,32 @@ def cmd_risk(args) -> int:
     p = _load_input("scenario", args.scenario)
     cost = _load_input("cost", args.cost)
     grid = parse_grid(args.grid, np.geomspace(0.01 * p.r_T, 100.0 * p.r_T, 400))
-    columns = ("r_O", "risk", "risk_deriv", "f_L", "f_R", "is_optimum")
-
-    def rows_at(r, flag):
-        return _rows({"r_O": r, "risk": risk.bayes_risk(p, cost, r),
-                      "risk_deriv": risk.bayes_risk_derivative(p, cost, r),
-                      "f_L": risk._f_left(p, cost, r),
-                      "f_R": risk._f_right(p, r), "is_optimum": [flag] * len(r)})
-
-    try:
-        cost.require_regular()
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    rows = rows_at(grid, 0)
-    comments = []
+    cost.require_regular()
     opt = risk.optimal_radius(p, cost)
+    r = np.append(grid, opt.r_O) if opt.exists else grid
+    rows = _rows({"r_O": r, "risk": risk.bayes_risk(p, cost, r),
+                  "risk_deriv": risk.bayes_risk_derivative(p, cost, r),
+                  "f_L": risk._f_left(p, cost, r), "f_R": risk._f_right(p, r),
+                  "is_optimum": [0] * len(grid) + [1] * opt.exists})
     if opt.exists:
-        rows.extend(rows_at(np.array([opt.r_O]), 1))
-        comments.append(f"r_O_star {opt.r_O:.6g} risk_star {opt.risk:.6g}")
+        comments = [f"r_O_star {opt.r_O:.6g} risk_star {opt.risk:.6g}"]
         if p.eta == 0:
             d_dlam, d_dsig = risk.sensitivities(p, cost)
             comments.append(f"dr_dlambda {d_dlam:.6g} dr_dsigma {d_dsig:.6g}")
     else:
-        comments.append(
-            f"no interior optimum; risk decreases toward {opt.risk:.6g} "
-            "as r_O grows")
-    _emit(args, columns, rows, comments,
+        comments = [f"no interior optimum; risk decreases toward {opt.risk:.6g} "
+                    "as r_O grows"]
+    _emit(args, ("r_O", "risk", "risk_deriv", "f_L", "f_R", "is_optimum"),
+          rows, comments,
           {"command": "risk", "scenario": p.to_dict(),
            "cost": [cost.c00, cost.c01, cost.c10, cost.c11],
            "grid": [float(r) for r in grid]})
     return 0
 
 
-def _roc_rows(p, radii, labels):
-    radii = np.asarray(radii, dtype=float)
-    chi = chi_of_radius(derive(p), radii)
-    p_i, p_ii = risk.type_errors(p, radii, SingleObsRule.identity())
-    pH = prior_success(p)
-    return _rows({"r_O": radii, "chi": chi, "p_I": p_i, "p_II": p_ii,
-                  "risk": p_i * (1.0 - pH) + p_ii * pH,
-                  "rho": correlation.rho(p, chi), "label": labels})
-
-
 def cmd_roc(args) -> int:
     p = _load_input("scenario", args.scenario)
     grid = parse_grid(args.grid, np.geomspace(0.05 * p.r_T, 50.0 * p.r_T, 200))
-    rows = _roc_rows(p, grid, [""] * len(grid))
     comments = []
     ops = risk.operating_points(p)
     named = [("r_T", p.r_T), ("r_MM", ops.r_MM), ("r_EE", ops.r_EE)]
@@ -244,7 +221,14 @@ def cmd_roc(args) -> int:
     if opt.exists:
         named.append(("r_risk", opt.r_O))
     labels, radii = zip(*named)
-    rows.extend(_roc_rows(p, radii, labels))
+    r = np.append(grid, radii)
+    chi = chi_of_radius(d, r)
+    p_i, p_ii = risk.type_errors(p, r, SingleObsRule.identity())
+    pH = prior_success(p)
+    rows = _rows({"r_O": r, "chi": chi, "p_I": p_i, "p_II": p_ii,
+                  "risk": p_i * (1.0 - pH) + p_ii * pH,
+                  "rho": correlation.rho(p, chi),
+                  "label": [""] * len(grid) + list(labels)})
     _emit(args, ("r_O", "chi", "p_I", "p_II", "risk", "rho", "label"),
           rows, comments,
           {"command": "roc", "scenario": p.to_dict(),
@@ -254,25 +238,16 @@ def cmd_roc(args) -> int:
 
 def cmd_fading_compare(args) -> int:
     p = _load_input("scenario", args.scenario)
-    if p.alpha != 2 * p.n:
-        raise InputError(
-            "fading comparison needs the no-fading closed forms, which "
-            f"require alpha = 2n; scenario has n={p.n}, alpha={p.alpha}")
     grid = parse_grid(args.grid, np.geomspace(0.1 * p.r_T, 30.0 * p.r_T, 80))
     chi = chi_of_radius(derive(p), grid)
+    ilt = nofading._invert(p, grid)
     rows = _rows({"r_O": grid, "chi": chi,
                   "posterior_fading": posterior(p, grid).p_h1_d1,
-                  "rho_fading": correlation.rho(p, chi)})
-    for row in rows:
-        r = row["r_O"]
-        try:
-            ilt = nofading.posterior_nofade(p, r)
-            row.update(posterior_nofading=ilt.value,
-                       rho_nofading=nofading._rho_given_posterior(p, r, ilt.value),
-                       ilt_error=ilt.error_estimate, ilt_converged=1)
-        except IltConvergenceError as exc:
-            row.update(posterior_nofading=math.nan, rho_nofading=math.nan,
-                       ilt_error=exc.achieved, ilt_converged=0)
+                  "rho_fading": correlation.rho(p, chi),
+                  "posterior_nofading": ilt.value,
+                  "rho_nofading": nofading._rho_given_posterior(p, grid, ilt.value),
+                  "ilt_error": ilt.error_estimate,
+                  "ilt_converged": (ilt.terms_used > 0).astype(int)})
     _emit(args, ("r_O", "chi", "posterior_fading", "posterior_nofading",
                  "rho_fading", "rho_nofading", "ilt_error", "ilt_converged"),
           rows, [],
@@ -289,10 +264,7 @@ def cmd_multiobs(args) -> int:
         raise InputError("multiobs evaluates all rules at a single r_O; "
                          "pass exactly one grid value")
     r_O = float(grid[0])
-    try:
-        evals = multi_obs.enumerate_rules(p, aloha, r_O)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    evals = multi_obs.enumerate_rules(p, aloha, r_O)
     best = min(evals, key=lambda e: e.risk)
     worst = max(evals, key=lambda e: e.risk)
     rows = [{"rule": e.rule.bits, "p_I": e.p_I, "p_II": e.p_II,
@@ -394,20 +366,18 @@ def cmd_validate(args) -> int:
 
     sim = montecarlo.estimate_single(p, grid, cfg)
     estimates = [sim.config_hash]
+    post = posterior(p, grid)
+    p_i, p_ii = risk.type_errors(p, grid, SingleObsRule.identity())
+    # the analytic column of each estimate field, in report order
+    analytic = {"evidence": evidence_success(p, grid),
+                "posterior_d1": post.p_h1_d1, "posterior_d0": post.p_h1_d0,
+                "rho": correlation.rho(p, chi_of_radius(derive(p), grid)),
+                "p_I": p_i, "p_II": p_ii}
     checks.append(_check("prior", prior_success(p), sim.prior))
     for i, r in enumerate(sim.r_O_grid):
-        d_chi = chi_of_radius(derive(p), r)
-        p_i, p_ii = risk.type_errors(p, r, SingleObsRule.identity())
-        checks.append(_check(f"evidence[r_O={r:g}]",
-                             evidence_success(p, r), sim.evidence[i]))
-        checks.append(_check(f"posterior_d1[r_O={r:g}]",
-                             posterior(p, r).p_h1_d1, sim.posterior_d1[i]))
-        checks.append(_check(f"posterior_d0[r_O={r:g}]",
-                             posterior(p, r).p_h1_d0, sim.posterior_d0[i]))
-        checks.append(_check(f"rho[r_O={r:g}]",
-                             correlation.rho(p, d_chi), sim.rho[i]))
-        checks.append(_check(f"p_I[r_O={r:g}]", p_i, sim.p_I[i]))
-        checks.append(_check(f"p_II[r_O={r:g}]", p_ii, sim.p_II[i]))
+        for name, column in analytic.items():
+            checks.append(_check(f"{name}[r_O={r:g}]", float(column[i]),
+                                 getattr(sim, name)[i]))
 
     if p.alpha == 2 * p.n:
         nf_cfg = montecarlo.SimConfig(trials=args.trials, seed=args.seed,
@@ -420,20 +390,17 @@ def cmd_validate(args) -> int:
                 f"posterior_nofading[r_O={r:g}]",
                 nofading.posterior_nofade(p, r).value, nf.posterior_d1[i]))
 
+    aloha = None
     if args.aloha is not None:
         aloha = _load_input("aloha", args.aloha)
         r_O = float(grid[0])
         mo = montecarlo.estimate_multiobs(p, aloha, r_O, cfg)
         estimates.append(mo.config_hash)
         for k in range(aloha.N + 1):
-            checks.append(_check(f"p_K[K={k}]",
-                                 multi_obs.p_K(p, aloha, r_O, k), mo.p_K[k]))
-            checks.append(_check(f"p_h_given_K[K={k}]",
-                                 multi_obs.p_h_given_K(p, aloha, r_O, k),
-                                 mo.p_h_given_K[k]))
-            checks.append(_check(f"p_d_given_K[K={k}]",
-                                 multi_obs.p_d_given_K(p, aloha, r_O, k),
-                                 mo.p_d_given_K[k]))
+            for name in ("p_K", "p_h_given_K", "p_d_given_K"):
+                checks.append(_check(
+                    f"{name}[K={k}]", getattr(multi_obs, name)(p, aloha, r_O, k),
+                    getattr(mo, name)[k]))
             for d_obs in (0, 1):
                 checks.append(_check(
                     f"posterior[K={k},d={d_obs}]",
@@ -447,7 +414,7 @@ def cmd_validate(args) -> int:
     hash_payload = {"command": "validate", "scenario": p.to_dict(),
                     "seed": args.seed, "trials": args.trials,
                     "grid": [float(r) for r in grid],
-                    "aloha": args.aloha,
+                    "aloha": None if aloha is None else vars(aloha),
                     # each simulation's own hash, which names its generator
                     "estimates": estimates}
     _emit(args, ("quantity", "status", "analytic", "mc", "stderr", "z",

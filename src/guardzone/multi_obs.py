@@ -4,8 +4,8 @@ Node positions are drawn once and held fixed; in every slot each
 potential transmitter contends independently with probability ``p``, so
 the active set in a slot is a thinning of the fixed layout. After N
 observed slots, the count K of protocol successes is a sufficient
-statistic for the history, and the conditional prior / evidence /
-posterior for slot N+1 reduce to ratios of the alternating sums
+statistic for the history, and the conditional prior and evidence for
+slot N+1 reduce to ratios of the alternating sums
 
     f_d(nu, a; k, l) = sum_j C(l,j) (-1)^j exp(-nu (1 - a^{k+j}))
 
@@ -24,8 +24,11 @@ import math
 from dataclasses import dataclass
 from itertools import product
 
+import numpy as np
+
 from .params import ModelParams
-from .single_obs import _B, _coordinates, _exponents, posterior, prior_success
+from .single_obs import (_B, _BmC, _C, _coordinates, _exponents, posterior,
+                         prior_success)
 
 # Switch f_d to the truncated-Poisson route beyond this l: the
 # alternating sum loses roughly l*log10(e)*nu digits at worst.
@@ -174,9 +177,12 @@ def posterior_given_K_d(p: ModelParams, aloha: AlohaParams, r_O: float,
     """P(physical success | K past successes, current protocol outcome).
 
     Given a clear guard zone the history is uninformative and the value
-    equals the thinned single-slot posterior for every K; given a busy
-    zone the history matters and the value follows from Bayes' rule on
-    the K-conditional prior and evidence.
+    equals the thinned single-slot posterior for every K. Given a busy
+    zone it is that posterior times ``sum w_m pb^m expm1(m log1p(xi)) /
+    sum w_m (1 - pb^m)`` over the count m >= 1 of potential transmitters
+    in the zone, ``w_m = Poisson(m; mu_d) pb^(mK) (1 - pb^m)^(N-K)``, summed
+    in log space over ``nu +- (12 sqrt(nu) + 20)``, ``nu = mu_d pb^K``.
+    ``pb^m (1 + xi)^m`` is ``(1 - p (B - C)/B)^m``, exact as B, C diverge.
     """
     _check_noiseless(p)
     _check_K(aloha, K)
@@ -185,15 +191,23 @@ def posterior_given_K_d(p: ModelParams, aloha: AlohaParams, r_O: float,
     p11 = posterior(p.thinned(aloha.p), r_O).p_h1_d1
     if d_obs == 1:
         return p11
-    pHK = p_h_given_K(p, aloha, r_O, K)
-    pDK = p_d_given_K(p, aloha, r_O, K)
-    denom = 1.0 - pDK
-    if denom < 1e-12:
-        raise ValueError(
-            "conditioning on a busy guard zone is degenerate here "
-            f"(P(clear | K={K}) = {pDK:g} is essentially 1)")
-    val = (pHK - p11 * pDK) / denom
-    return min(max(val, 0.0), 1.0)
+    args = _coordinates(p, r_O)
+    B, C, gap = _B(*args), _C(*args), _BmC(*args)
+    nu = B * aloha.p_bar**K
+    half = 12.0 * math.sqrt(nu) + 20.0
+    m = np.arange(max(1, int(nu - half)), int(nu + half) + 1)
+    # log Poisson(m; nu) less its value at the mode, summed outward from
+    # the mode so that the terms that matter carry the least rounding
+    mode = max(int(nu) - m[0], 0)
+    step = np.log(nu / m)
+    log_w = np.concatenate([-np.cumsum(step[mode:0:-1])[::-1], [0.0],
+                            np.cumsum(step[mode + 1:])])
+    log_busy = np.log(-np.expm1(m * math.log(aloha.p_bar)))
+    log_w += (aloha.N - K) * log_busy
+    log_hit = (m * math.log1p(-aloha.p * gap / B)
+               + np.log(-np.expm1(-m * math.log1p(_xi(aloha, B, C)))))
+    return p11 * math.exp(np.logaddexp.reduce(log_w + log_hit)
+                          - np.logaddexp.reduce(log_w + log_busy))
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,10 @@ and the posterior is the numerically inverted CDF transform
 
 Inversion is the Euler-summed Bromwich series (Abate & Whitt, 1992) on
 the nodes ``s_k = (18.4 + 2*pi*i*k) / (2t)``: with m terms, the binomially
-weighted mean of the partial sums m..2m. The transform is evaluated once,
-at the 385 nodes that 192 terms need, and every term count reads one
-cumulative sum; 24 terms are doubled until two estimates agree to 1e-6.
+weighted mean of the partial sums m..2m. The transform is evaluated once
+per grid, as one (radii x 385) array over the nodes that 192 terms need,
+and every term count reads one cumulative sum along the nodes; 24 terms
+are doubled until two estimates agree to 1e-6 at every radius.
 
 A Talbot contour is unusable here: with the guard zone in place each
 interferer contributes at most ``r_O**(-alpha)``, so the transform is
@@ -35,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import specfn
 from .params import ModelParams, derive
 from .single_obs import evidence_success
 
@@ -60,6 +62,8 @@ _DECAY = 18.4
 
 @dataclass(frozen=True)
 class IltResult:
+    """Floats, or arrays with an entry per radius (see :func:`_invert`)."""
+
     value: float
     error_estimate: float
     terms_used: int
@@ -89,10 +93,11 @@ def levy_prior(p: ModelParams) -> float:
     return math.erfc(arg / math.sqrt(2.0))
 
 
-def J(s, u: float):
+def J(s, u):
     """The guard-zone-truncated exponent ``(1/2) int_0^u (1-e^{-sy}) y^{-3/2} dy``.
 
-    Takes a complex scalar or array ``s`` with ``Re(s) >= 0``. Evaluated in
+    Takes a complex scalar or array ``s`` with ``Re(s) >= 0`` and a positive
+    scalar or array ``u``, which broadcast together. Evaluated in
     the cancellation-free form
 
         sqrt(pi*s) - 1/sqrt(u) + e^{-su} * (1/sqrt(u) - sqrt(pi*s)*erfcx(sqrt(su)))
@@ -102,13 +107,13 @@ def J(s, u: float):
     from 1e-8 to 1e6. The principal square-root branch keeps Re(sqrt(su)) >= 0
     and erfcx bounded. ``J(0, u) = 0`` and ``J(s, inf) = sqrt(pi*s)``.
     """
-    if not u > 0:
+    if not np.all(u > 0):
         raise ValueError(f"u must be positive, got {u}")
     s = np.asarray(s, dtype=complex)
     if np.any(s.real < 0):
         raise ValueError("J is evaluated for Re(s) >= 0 only")
     root_pis = np.sqrt(math.pi * s)
-    ru = 1.0 / math.sqrt(u)
+    ru = 1.0 / np.sqrt(u)
     return root_pis - ru + np.exp(-s * u) * (
         ru - root_pis * _erfcx(np.sqrt(s * u)))
 
@@ -140,11 +145,12 @@ def _erfcx(z: np.ndarray) -> np.ndarray:
     return (2.0 * p / d + 1.0 / math.sqrt(math.pi)) / d
 
 
-def lt_nofade_given_void(p: ModelParams, r_O: float, s):
-    """LT of the no-fading interference given a clear guard zone, at a
-    complex scalar or array ``s``."""
+def lt_nofade_given_void(p: ModelParams, r_O, s):
+    """LT of the no-fading interference given a clear guard zone of radius
+    r_O, at a complex scalar or array ``s``; ``r_O`` and ``s`` broadcast."""
     _require_half(p)
-    if not r_O > 0:
+    r_O = np.asarray(r_O, dtype=float)
+    if not np.all(r_O > 0):
         raise ValueError(f"r_O must be positive, got {r_O}")
     d = derive(p)
     return np.exp(-p.density * d.c_n * J(s, r_O ** (-p.alpha)))
@@ -160,41 +166,52 @@ def _euler_weights(terms: int) -> np.ndarray:
     return weights
 
 
-def _euler_sum(partial: np.ndarray, terms: int) -> float:
-    """Binomially weighted mean of the partial sums ``terms .. 2*terms``."""
-    return float(np.dot(_euler_weights(terms), partial[terms:2 * terms + 1]))
-
-
-def posterior_nofade(p: ModelParams, r_O: float) -> IltResult:
-    """No-fading success probability given a clear guard zone of radius r_O.
-
-    The conditional interference CDF is recovered by numerical inversion
-    and evaluated at ``1/sigma - eta``. The returned value is clamped to
-    [0, 1]; the error estimate comes from doubling the term count until
-    two consecutive inversions agree within the precision target.
-    Raises :class:`IltConvergenceError` when the target is not met.
-    """
-    _require_half(p)
+def _invert(p: ModelParams, r_O: np.ndarray) -> IltResult:
+    """:func:`posterior_nofade` at each radius of a 1-d array, from one
+    transform evaluation, as arrays; a radius that misses the target gets
+    value nan, ``terms_used`` 0 and the error of the last doubling."""
     d = derive(p)
     t = 1.0 / d.sigma - p.eta
     if not t > 0:
         raise ValueError("SINR threshold unreachable even without interference")
     k = np.arange(2 * (_TERMS << _DOUBLINGS) + 1)
     s = (_DECAY + 2j * math.pi * k) / (2.0 * t)
-    vals = (lt_nofade_given_void(p, r_O, s) / s).real * (-1.0) ** k
-    vals[0] *= 0.5
-    partial = np.cumsum(vals)
+    vals = (lt_nofade_given_void(p, r_O[:, None], s) / s).real * (-1.0) ** k
+    vals[:, 0] *= 0.5
+    partial = np.cumsum(vals, axis=1)
     scale = math.exp(_DECAY / 2.0) / t
 
-    prev = scale * _euler_sum(partial, _TERMS)
+    def estimate(terms):
+        # binomially weighted mean of the partial sums terms .. 2*terms
+        return scale * (partial[:, terms:2 * terms + 1] @ _euler_weights(terms))
+
+    value, error = np.full(len(r_O), math.nan), np.empty(len(r_O))
+    terms_used = np.zeros(len(r_O), dtype=int)
+    prev = estimate(_TERMS)
     for i in range(1, _DOUBLINGS + 1):
-        cur = scale * _euler_sum(partial, _TERMS << i)
-        err = abs(cur - prev)
-        if err <= _TARGET:
-            return IltResult(value=min(max(cur, 0.0), 1.0),
-                             error_estimate=err, terms_used=_TERMS << i)
+        cur = estimate(_TERMS << i)
+        open_ = terms_used == 0
+        error[open_] = np.abs(cur - prev)[open_]
+        done = open_ & (error <= _TARGET)
+        value[done] = np.clip(cur[done], 0.0, 1.0)
+        terms_used[done] = _TERMS << i
+        if terms_used.all():
+            break
         prev = cur
-    raise IltConvergenceError(achieved=err, target=_TARGET)
+    return IltResult(value, error, terms_used)
+
+
+def posterior_nofade(p: ModelParams, r_O: float) -> IltResult:
+    """No-fading success probability given a clear guard zone of radius r_O:
+    the inverted conditional interference CDF at ``1/sigma - eta``, clamped
+    to [0, 1], with the difference of the last two term counts, doubled
+    until it is within the precision target, as its error estimate.
+    Raises :class:`IltConvergenceError` when the target is not met."""
+    res = _invert(p, np.array([r_O], dtype=float))
+    error, terms = float(res.error_estimate[0]), int(res.terms_used[0])
+    if not terms:
+        raise IltConvergenceError(achieved=error, target=_TARGET)
+    return IltResult(float(res.value[0]), error, terms)
 
 
 def rho_nofade(p: ModelParams, r_O: float) -> float:
@@ -207,10 +224,10 @@ def rho_nofade(p: ModelParams, r_O: float) -> float:
     return _rho_given_posterior(p, r_O, posterior_nofade(p, r_O).value)
 
 
-def _rho_given_posterior(p: ModelParams, r_O: float, post: float) -> float:
+def _rho_given_posterior(p: ModelParams, r_O, post):
     """The correlation from the no-fading posterior ``post`` at r_O, for
-    a caller that has already inverted the transform."""
+    a caller that has already inverted the transform; floats or arrays."""
     prior = levy_prior(p)
     pD = evidence_success(p, r_O)
-    return (post / prior - 1.0) * math.sqrt(
+    return (post / prior - 1.0) * specfn._ops(pD).sqrt(
         prior * pD / ((1.0 - prior) * (1.0 - pD)))

@@ -137,20 +137,45 @@ class TestFadingCompare:
         assert all(r["ilt_converged"] == "1" for r in rows)
 
     def test_one_inversion_per_row(self, capsys, monkeypatch):
-        # rho_nofading reuses the row's posterior instead of inverting again
+        # one transform evaluation covers every row, and rho_nofading
+        # reuses the row's posterior instead of inverting again
         from guardzone import nofading
         calls = []
         transform = nofading.lt_nofade_given_void
 
         def counted(*args):
-            calls.append(args[1])
+            calls.append(np.size(args[1]))
             return transform(*args)
 
         monkeypatch.setattr(nofading, "lt_nofade_given_void", counted)
         code, out = run_cli(["fading-compare", "--scenario", "fig4"], capsys)
         assert code == 0
         assert len(parse_csv(out)[0]) == 80
-        assert len(calls) == 80
+        assert calls == [80]
+
+    def test_unconverged_row(self, capsys, monkeypatch):
+        # a row that misses the ILT target is nan and flagged, with the
+        # error it reached; a row that converged is unaffected
+        from guardzone import nofading
+        args = ["fading-compare", "--scenario", "fig4", "--grid", "5,150",
+                "--format", "json"]
+        _, out = run_cli(args, capsys)
+        unpatched = json.loads(out)["rows"]
+        # one doubling, and a target between the errors at r_O = 5 and 150
+        monkeypatch.setattr(nofading, "_DOUBLINGS", 1)
+        monkeypatch.setattr(nofading, "_TARGET", 1e-14)
+        with pytest.raises(nofading.IltConvergenceError) as exc:
+            nofading.posterior_nofade(cli._load_input("scenario", "fig4"), 150.0)
+        code, out = run_cli(args, capsys)
+        assert code == 0
+        converged, failed = json.loads(out)["rows"]
+        assert converged == unpatched[0]
+        assert converged["ilt_converged"] == 1
+        assert np.isnan(failed["posterior_nofading"])
+        assert np.isnan(failed["rho_nofading"])
+        assert failed["ilt_converged"] == 0
+        assert failed["ilt_error"] == pytest.approx(exc.value.achieved,
+                                                    abs=1e-13)
 
 
 class TestMultiobs:
@@ -199,6 +224,18 @@ class TestValidate:
         first_line = out.read_text().splitlines()[0]
         assert first_line == f"# manifest {manifest['config_hash']}"
 
+
+    def test_aloha_file_hashes_as_its_values(self, tmp_path, capsys):
+        # the preset and a copy of it elsewhere give the same report
+        from importlib import resources
+        copy = tmp_path / "aloha.json"
+        copy.write_text((resources.files("guardzone") / "scenarios"
+                         / "aloha_n1.json").read_text())
+        args = ["validate", "--scenario", "fig4", "--grid", "10",
+                "--trials", "10240", "--seed", "1", "--aloha"]
+        _, by_name = run_cli(args + ["aloha_n1"], capsys)
+        _, by_path = run_cli(args + [str(copy)], capsys)
+        assert by_name == by_path
 
     def test_nan_analytic_fails(self, capsys, monkeypatch):
         from guardzone import cli

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from guardzone import multi_obs as mo
-from guardzone.params import ModelParams
+from guardzone.params import ModelParams, derive
 from guardzone.risk import SingleObsRule, type_errors
 from guardzone.single_obs import evidence_success, posterior, prior_success
 from test_single_obs import joint_exponents
@@ -31,6 +31,42 @@ def f_d_oracle(nu, a, k, l, m_max=None):
         total += math.exp(log_w) * am**k * (1 - am) ** l
         log_w += math.log(nu) - math.log(m + 1)
     return total
+
+
+def busy_zone_oracle(p, pc, r_O, K, n_max):
+    """{N: P(H=1 | K, busy guard zone)} for N = K .. n_max, as a 30-digit
+    Poisson sum over the count m >= 1 of potential transmitters in the
+    zone, with B, C and T from their hypergeometric forms."""
+    d = derive(p)
+    with mpmath.workdps(30):
+        delta = mpmath.mpf(p.n) / p.alpha
+        chi = mpmath.mpf(r_O) ** p.alpha / d.sigma
+        a = p.density * d.c_n * mpmath.mpf(d.sigma) ** delta
+        B = a * chi**delta
+        C = a * delta / (delta + 1) * chi ** (delta + 1) * mpmath.hyp2f1(
+            1, delta + 1, delta + 2, -chi)
+        T = a * delta / (1 - delta) * chi ** (delta - 1) * mpmath.hyp2f1(
+            1, 1 - delta, 2 - delta, -1 / chi)
+        pc = mpmath.mpf(pc)
+        pb = 1 - pc
+        log1p_xi = mpmath.log1p(pc / pb * C / B)
+        nu = B * pb**K
+        half = 12 * mpmath.sqrt(nu) + 20
+        lo = max(1, int(nu - half))
+        # Poisson weights relative to the first one, by their recurrence
+        w, pbm = mpmath.mpf(1), pb**lo
+        num = [mpmath.mpf(0)] * (n_max + 1)
+        den = list(num)
+        for m in range(lo, int(nu + half) + 1):
+            hit = pbm * mpmath.expm1(m * log1p_xi)
+            for N in range(K, n_max + 1):
+                weight = w * (1 - pbm) ** (N - K)
+                num[N] += weight * hit
+                den[N] += weight * (1 - pbm)
+            w *= nu / (m + 1)
+            pbm *= pb
+        return {N: mpmath.exp(-pc * T) * num[N] / den[N]
+                for N in range(K, n_max + 1)}
 
 
 class TestAlohaParams:
@@ -199,6 +235,36 @@ class TestPosteriorGivenKd:
         for k in range(3):
             assert mo.posterior_given_K_d(FIG5, ALOHA2, 50.0, k, 1) \
                 == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("p,pc,r_O,K,N", [
+        (ModelParams(1, 5e-3, 2.5, 2, 4), 0.5, 4.7e-4, 0, 0),
+        (ModelParams(1, 5e-3, 2.5, 2, 4), 0.5, 4e-3, 0, 0),
+        (ModelParams(3, 1e-5, 4.5, 3, 6), 0.5, 7e-3, 1, 3),
+        (FIG5, 0.5, 1.47e-4, 0, 3)])
+    def test_busy_zone_reference_points(self, p, pc, r_O, K, N):
+        # where a completeness subtraction, 1 - P(clear), cancels
+        want = busy_zone_oracle(p, pc, r_O, K, N)[N]
+        got = mo.posterior_given_K_d(p, mo.AlohaParams(pc, N), r_O, K, 0)
+        assert got == pytest.approx(float(want), rel=1e-12)
+
+    @pytest.mark.parametrize("p,pc", [
+        (FIG5, 0.5), (FIG5, 0.05), (ModelParams(1, 5e-3, 2.5, 2, 4), 0.9)])
+    def test_busy_zone_relative_accuracy(self, p, pc):
+        for r_O in [1e-6] + [p.r_T * 10.0**e for e in range(-4, 4)]:
+            for K in range(4):
+                for N, want in busy_zone_oracle(p, pc, r_O, K, 3).items():
+                    if want > 1e-290:
+                        got = mo.posterior_given_K_d(
+                            p, mo.AlohaParams(pc, N), r_O, K, 0)
+                        assert got == pytest.approx(float(want), rel=1e-12), \
+                            (r_O, N, K)
+
+    def test_busy_zone_without_history(self):
+        thin = FIG5.thinned(0.5)
+        for r_O in np.geomspace(1e-3, 1e3, 13):
+            assert mo.posterior_given_K_d(FIG5, mo.AlohaParams(0.5, 0),
+                                          r_O, 0, 0) == pytest.approx(
+                posterior(thin, r_O).p_h1_d0, rel=1e-12)
 
     def test_bayes_consistency(self):
         # p_{H|K} = post(1|K) p_{D|K} + post(0-branch) (1 - p_{D|K})

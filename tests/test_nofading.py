@@ -99,7 +99,8 @@ class TestErfcx:
         return np.max(np.abs(nofading._erfcx(z) - ref) / np.abs(ref))
 
     def test_bromwich_nodes(self, monkeypatch):
-        # the 385 nodes of each of the 80 default fading-compare rows
+        # the 385 nodes of each of the 80 default fading-compare rows, in
+        # however many calls they arrive
         nodes = []
         kernel = nofading._erfcx
 
@@ -110,8 +111,10 @@ class TestErfcx:
         monkeypatch.setattr(nofading, "_erfcx", recording)
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["fading-compare", "--scenario", "fig4"]) == 0
-        assert [z.size for z in nodes] == [385] * 80
-        assert self._relative_error(np.concatenate(nodes)) < 1e-13
+        z = np.concatenate([z.ravel() for z in nodes])
+        assert z.size == 80 * 385
+        assert len(np.unique(z)) == 80 * 385
+        assert self._relative_error(z) < 1e-13
 
     def test_right_half_plane(self):
         # |z| from 1e-8 to 1e6 on rays from the real to the imaginary axis
@@ -175,6 +178,16 @@ class TestInversion:
         monkeypatch.setattr(nofading, "lt_nofade_given_void", counting)
         posterior_nofade(FIG4, 2.0)
         assert calls == [385]
+
+    def test_grid_matches_single_radius(self):
+        # one evaluation over the default fading-compare grid gives each
+        # radius's own inversion
+        grid = np.geomspace(1.0, 300.0, 80)
+        res = nofading._invert(FIG4, grid)
+        for i, r in enumerate(grid):
+            one = posterior_nofade(FIG4, float(r))
+            assert abs(res.value[i] - one.value) <= 1e-15
+            assert res.terms_used[i] == one.terms_used
 
 
 class TestRhoNofade:
