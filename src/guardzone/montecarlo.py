@@ -32,12 +32,15 @@ fading:
 Radial positions are drawn through the volume substitution
 ``u = (r / R)**n ~ U(0, 1)``: pathloss is ``R**-alpha * u**(-alpha/n)``
 and the inside-ball test is ``u < (r_O / R)**n``, so no radii, angles, or
-coordinates are ever materialized. When ``2*alpha/n`` is a small integer
-(every shipped scenario), ``u**(alpha/n)`` is formed by a square root or
-a product, then multiplications, rather than ``pow``. ``u`` is 1 minus a
-float32 uniform, a multiple of 2**-24, so a guard zone with
-``(r_O / R)**n`` at most 2**-24 would never be busy; both estimators
-raise ``RuntimeError`` for one.
+coordinates are ever materialized. ``u`` is ``k * 2**-24`` with the
+integer ``k`` from 1 to 2**24, taken from the generator's raw 64-bit
+words by :func:`_volume_draw`: the same values as 1 minus a float32
+uniform, in 4 bytes a point and with no float32 array. So a guard zone
+with ``(r_O / R)**n`` at most 2**-24 would never be busy; both estimators
+raise ``RuntimeError`` for one. The guard-zone tests compare ``k`` with
+the thresholds times 2**24, which is exact. When ``2*alpha/n`` is a small
+integer (every shipped scenario), ``k**(alpha/n)`` is formed by a square
+root or a product, then multiplications, rather than ``pow``.
 
 Trials are processed in fixed-size chunks, each with its own PCG64
 stream keyed by ``SeedSequence([seed, chunk_index])``. Chunks run
@@ -54,7 +57,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,8 +76,8 @@ _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 # Conditional estimates from fewer samples than this are flagged.
 _LOW_CONFIDENCE_COUNT = 100
-# Spacing of the volume coordinate u = 1 - a float32 uniform: a guard zone
-# with (r_O / R)**n at most this holds no point.
+# Spacing of the volume coordinate u = k * 2**-24: a guard zone with
+# (r_O / R)**n at most this holds no point.
 _U_RESOLUTION = 2.0 ** -24
 # Default Rayleigh region radius, in units of the largest guard-zone
 # radius. The margin keeps sampled spread in every estimate: with a ball of
@@ -217,8 +219,8 @@ def _region_radius(p: ModelParams, interferer_density: float, r_max: float,
 
 def _check_resolution(r_O: float, R: float, n: int) -> None:
     """Raise ``RuntimeError`` if a guard zone of radius ``r_O`` in a region
-    of radius ``R`` is too small for the float32 volume draws to ever
-    find busy: its estimates would be silently wrong."""
+    of radius ``R`` is too small for the volume draws, multiples of
+    2**-24, to ever find busy: its estimates would be silently wrong."""
     if (r_O / R) ** n <= _U_RESOLUTION:
         raise RuntimeError(
             f"guard zone r_O = {r_O:g} is below the simulator's resolution "
@@ -283,14 +285,36 @@ def _chunk_sizes(trials: int) -> list[int]:
     return [_CHUNK] * full + ([rem] if rem else [])
 
 
+def _volume_draw(rng: np.random.Generator, n: int) -> np.ndarray:
+    """``n`` volume draws as int32 ``k``, with ``u = k * 2**-24`` in (0, 1].
+
+    A float32 uniform is ``(w >> 8) * 2**-24`` over 32-bit words ``w``,
+    and PCG64 hands out each 64-bit word as its low half, then its high
+    half. So ``k = 2**24 - (w >> 8)`` over the halves of ``(n + 1) // 2``
+    raw words is ``2**24 * (1 - rng.random(n, dtype=np.float32))``, bit for
+    bit, and leaves the stream where that draw would. ``u`` = 0 would put
+    a point on the receiver, so the draw is 1 minus the uniform. The
+    little-endian view fixes the word order on every platform; ``k`` is
+    computed in place in the raw buffer.
+    """
+    raw = rng.bit_generator.random_raw((n + 1) // 2)
+    w = raw.astype("<u8", copy=False).view("<u4")[:n]
+    np.right_shift(w, 8, out=w)
+    np.subtract(1 << 24, w, out=w)
+    return w.view("<i4")
+
+
 def _sum_over_chunks(kernel, cfg: SimConfig) -> np.ndarray:
     """Sum the float64 sums ``kernel(rng, size)`` over every chunk.
 
     Up to ``_WORKERS`` chunks run at once. Each draws only from its own
     stream, and ``pool.map`` yields the results in chunk order, so they
     are added in the same order, and the result is the same bits, at any
-    worker count.
+    worker count. ``concurrent.futures`` loads on first use only, so the
+    commands that simulate nothing do not import it.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     jobs = list(enumerate(_chunk_sizes(cfg.trials)))
 
     def run(job):
@@ -319,17 +343,21 @@ def _half_power(x: np.ndarray, m: int, tmp: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _interference(u: np.ndarray, ends: np.ndarray, scale: float,
+def _interference(k: np.ndarray, ends: np.ndarray, scale: float,
                   exponent: float, log1p: bool) -> np.ndarray:
-    """Per-trial sums of ``x = scale * u**(-exponent)``, or of
-    ``log1p(x)`` if ``log1p`` is set.
+    """Per-trial sums of ``x = scale * u**(-exponent)`` over the points
+    ``u = k * 2**-24`` of :func:`_volume_draw`, or of ``log1p(x)`` if
+    ``log1p`` is set.
 
-    Trial ``t`` owns the points ``u[ends[t-1]:ends[t]]``. Points are
+    Trial ``t`` owns the points ``k[ends[t-1]:ends[t]]``. Points are
     processed in slices of whole trials, so float64 working memory stays
     near ``_SLICE`` points whatever the chunk's size. Each slice is cast
-    to float64 once; if ``m = 2 * exponent`` is an integer up to
-    ``_MAX_HALF_POWER``, ``u**(m/2)`` is built by :func:`_half_power` and
-    ``scale`` divided by it, else ``np.power`` forms ``u**-exponent``.
+    to float64 once. If ``m = 2 * exponent`` is an integer up to
+    ``_MAX_HALF_POWER``, ``k**(m/2)`` is built by :func:`_half_power` and
+    ``scale * 2**(12*m)`` divided by it: scaling by a power of two commutes
+    with rounded ``*``, ``/`` and ``sqrt``, and ``k**(m/2) <= 2**96``, so
+    this is ``scale / u**(m/2)`` to the bit. Else the slice is scaled to
+    ``u``, also exactly, and ``np.power`` forms ``u**-exponent``.
     """
     counts = np.diff(ends, prepend=0)
     out = np.zeros(len(ends))
@@ -337,10 +365,12 @@ def _interference(u: np.ndarray, ends: np.ndarray, scale: float,
     busy = np.flatnonzero(counts)
     busy_ends = ends[busy]
     busy_starts = busy_ends - counts[busy]
-    buf = np.empty(min(len(u), max(_SLICE, int(counts.max()))))
+    buf = np.empty(min(len(k), max(_SLICE, int(counts.max()))))
     m = 2.0 * exponent
     half = m.is_integer() and 1 <= m <= _MAX_HALF_POWER
     tmp = np.empty_like(buf) if half else None
+    if half:
+        scale *= 2.0 ** (12 * m)
     lo = 0
     while lo < len(busy):
         # the most whole trials from busy[lo] on that fit in buf
@@ -348,10 +378,11 @@ def _interference(u: np.ndarray, ends: np.ndarray, scale: float,
                                  side="right"))
         a, b = busy_starts[lo], busy_ends[hi - 1]
         seg = buf[:b - a]
-        seg[...] = u[a:b]
+        seg[...] = k[a:b]
         if half:
             np.divide(scale, _half_power(seg, int(m), tmp[:b - a]), out=seg)
         else:
+            seg *= _U_RESOLUTION
             np.power(seg, -exponent, out=seg)
             seg *= scale
         if log1p:
@@ -361,18 +392,19 @@ def _interference(u: np.ndarray, ends: np.ndarray, scale: float,
     return out
 
 
-def _success(u: np.ndarray, ends: np.ndarray, p: ModelParams, R: float,
+def _success(k: np.ndarray, ends: np.ndarray, p: ModelParams, R: float,
              far_log: float | None) -> np.ndarray:
-    """Per-trial physical success: the probability h under Rayleigh
-    fading (``far_log`` given), else the 0/1 outcome of the SINR test."""
+    """Per-trial physical success at the volume draws ``k``: the
+    probability h under Rayleigh fading (``far_log`` given), else the 0/1
+    outcome of the SINR test."""
     d = derive(p)
     # alpha / n, unlike 1 / delta, is exact for integer alpha and n
     exponent = p.alpha / p.n
     if far_log is None:
-        interference = _interference(u, ends, R ** (-p.alpha), exponent,
+        interference = _interference(k, ends, R ** (-p.alpha), exponent,
                                      False)
         return (interference <= 1.0 / d.sigma - p.eta).astype(float)
-    log_fade = _interference(u, ends, d.sigma * R ** (-p.alpha), exponent,
+    log_fade = _interference(k, ends, d.sigma * R ** (-p.alpha), exponent,
                              True)
     return np.exp(far_log - d.sigma * p.eta - log_fade)
 
@@ -405,6 +437,8 @@ def estimate_single(p: ModelParams, r_O_grid, cfg: SimConfig) -> SingleObsEstima
     _check_resolution(float(grid.min()), R, p.n)
     mean_pts = p.density * d.c_n * R**p.n
     thresholds = (grid / R) ** p.n
+    # u < thr exactly when k < thr * 2**24, a product that is exact
+    near_cut = math.ceil(thresholds.max() / _U_RESOLUTION)
     far_log = (_far_field_log(p, p.density, R) if cfg.fading == "rayleigh"
                else None)
     k = len(grid)
@@ -412,16 +446,12 @@ def estimate_single(p: ModelParams, r_O_grid, cfg: SimConfig) -> SingleObsEstima
     def chunk(rng, size):
         counts = rng.poisson(mean_pts, size=size)
         ends = np.cumsum(counts)
-        u = rng.random(int(ends[-1]), dtype=np.float32)
-        # (0, 1] rather than [0, 1): u = 0 would put a point on the receiver
-        np.subtract(1.0, u, out=u)
-        h = _success(u, ends, p, R, far_log)
+        draws = _volume_draw(rng, int(ends[-1]))
+        h = _success(draws, ends, p, R, far_log)
         hh = h * h
-        # Guard-zone tests run only on points inside the largest ball. The
-        # scan stays in float32: no float32 lies strictly between a threshold
-        # and its float32 rounding, so it keeps every point with u < thr.
-        near = np.flatnonzero(u <= np.float32(thresholds.max()))
-        u_near = u[near]
+        # Guard-zone tests run only on points inside the largest ball
+        near = np.flatnonzero(draws < near_cut)
+        u_near = draws[near] * _U_RESOLUTION
         trial_near = np.searchsorted(ends, near, side="right")
         sums = np.empty(2 + 5 * k)
         sums[0], sums[1] = h.sum(), hh.sum()
@@ -498,7 +528,10 @@ def estimate_multiobs(p: ModelParams, aloha: AlohaParams, r_O: float,
         raise ValueError("guard-zone radius must be smaller than the region radius")
     _check_resolution(r_O, R, p.n)
     mean_pts = p.density * d.c_n * R**p.n
-    thr = (r_O / R) ** p.n
+    # The inside-ball test is u < float32(thr): that rounding keeps every
+    # seed's histories as they were. As k < float32(thr) * 2**24 it is exact.
+    inside_cut = math.ceil(float(np.float32((r_O / R) ** p.n))
+                           / _U_RESOLUTION)
     far_log = _far_field_log(p, active_density, R)
     N = aloha.N
 
@@ -506,9 +539,8 @@ def estimate_multiobs(p: ModelParams, aloha: AlohaParams, r_O: float,
         counts = rng.poisson(mean_pts, size=size)
         ends = np.cumsum(counts)
         total = int(ends[-1])
-        u = rng.random(total, dtype=np.float32)
-        np.subtract(1.0, u, out=u)  # (0, 1], see estimate_single
-        inside = np.flatnonzero(u < thr)
+        draws = _volume_draw(rng, total)
+        inside = np.flatnonzero(draws < inside_cut)
 
         # K: count observed slots whose guard zone had no active node.
         # Only inside-ball points need contention marks for the history.
@@ -523,7 +555,7 @@ def estimate_multiobs(p: ModelParams, aloha: AlohaParams, r_O: float,
         # the active interferers and the literal guard-zone test.
         active = rng.random(total) < aloha.p
         active_ends = np.searchsorted(np.flatnonzero(active), ends)
-        h = _success(u[active], active_ends, p, R, far_log)
+        h = _success(draws[active], active_ends, p, R, far_log)
         hh = h * h
         D = np.bincount(inside_trials[active[inside]], minlength=size) == 0
         # per K cell, where D = 1 and where D = 0 (each summed, as in

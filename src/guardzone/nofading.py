@@ -58,6 +58,11 @@ _DOUBLINGS = 3
 _TARGET = 1e-6
 # discretization-control exponent: e^-_DECAY bounds the aliasing error
 _DECAY = 18.4
+# J's power series in x = s*u: where |x| is at most _J_SERIES_MAX, its
+# coefficients (-1)**(k+1) / (k! (2k-1)), k = 14 down to 1, for Horner's rule
+_J_SERIES_MAX = 0.25
+_J_SERIES = tuple((-1) ** (k + 1) / (math.factorial(k) * (2 * k - 1))
+                  for k in range(14, 0, -1))
 
 
 @dataclass(frozen=True)
@@ -105,7 +110,15 @@ def J(s, u):
     stable on the whole Bromwich line, with Weideman's N = 32 rational erfcx
     (SIAM J. Numer. Anal. 31, 1994), 3.1e-13 relative or better for |sqrt(su)|
     from 1e-8 to 1e6. The principal square-root branch keeps Re(sqrt(su)) >= 0
-    and erfcx bounded. ``J(0, u) = 0`` and ``J(s, inf) = sqrt(pi*s)``.
+    and erfcx bounded. Where ``|su| <= 1/4`` that form cancels (its terms
+    are about ``sqrt(pi/|su|)`` times J) and the series
+
+        u**-0.5 * sum_{k>=1} (-1)**(k+1) (su)**k / (k! (2k-1))
+
+    is summed instead, to 14 terms by Horner's rule. Against 40-digit
+    mpmath, J is within 1e-14 relative at the fig4 Bromwich nodes for r_O
+    from 1 to 300 (down to ``|su| = 6e-5``). ``J(0, u) = 0`` and
+    ``J(s, inf) = sqrt(pi*s)``.
     """
     if not np.all(u > 0):
         raise ValueError(f"u must be positive, got {u}")
@@ -114,8 +127,18 @@ def J(s, u):
         raise ValueError("J is evaluated for Re(s) >= 0 only")
     root_pis = np.sqrt(math.pi * s)
     ru = 1.0 / np.sqrt(u)
-    return root_pis - ru + np.exp(-s * u) * (
-        ru - root_pis * _erfcx(np.sqrt(s * u)))
+    su = s * u
+    out = np.asarray(root_pis - ru + np.exp(-s * u) * (
+        ru - root_pis * _erfcx(np.sqrt(su))))
+    small = np.abs(su) <= _J_SERIES_MAX
+    if small.any():
+        x = su[small]
+        acc = np.full_like(x, _J_SERIES[0])
+        for c in _J_SERIES[1:]:
+            acc *= x
+            acc += c
+        out[small] = acc * x * np.broadcast_to(ru, out.shape)[small]
+    return out[()]
 
 
 @functools.cache

@@ -493,3 +493,24 @@ print(codes)
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == str([0] * len(commands))
+
+
+class TestStartup:
+    def test_import_skips_thread_pool(self):
+        # concurrent.futures loads with the first simulation, not with the
+        # CLI: a command that simulates nothing never pays for it
+        code = """
+import contextlib, io, sys
+import guardzone.cli
+print("concurrent.futures" in sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    guardzone.cli.main(["validate", "--scenario", "fig1", "--trials",
+                        "10240", "--grid", "50"])
+print("concurrent.futures" in sys.modules)
+"""
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(guardzone.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "True"]

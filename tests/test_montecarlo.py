@@ -8,6 +8,7 @@ tolerances widened accordingly.
 """
 
 import dataclasses
+import hashlib
 import math
 import warnings
 
@@ -243,16 +244,17 @@ class TestChunkKernel:
         assert est.p_II[0].stderr == pytest.approx(se, rel=1e-9)
 
     def test_interference_skips_empty_segments(self):
-        u = np.array([0.5, 0.25, 1.0, 0.5], dtype=np.float32)
+        # u = k * 2**-24 = [0.5, 0.25, 1.0, 0.5]
+        k = np.array([2**23, 2**22, 2**24, 2**23], dtype=np.int32)
         # trials 0, 2, 4 and 5 are empty, including the last
         ends = np.array([0, 2, 2, 3, 4, 4])
-        got = mc._interference(u, ends, 2.0, 1.0, False)
+        got = mc._interference(k, ends, 2.0, 1.0, False)
         assert got.tolist() == [0.0, 2 * (2.0 + 4.0), 0.0, 2.0, 4.0, 0.0]
-        got = mc._interference(u, ends, 2.0, 1.0, True)
+        got = mc._interference(k, ends, 2.0, 1.0, True)
         assert got == pytest.approx(
             [0.0, math.log(5 * 9), 0.0, math.log(3), math.log(5), 0.0],
             rel=1e-15)
-        assert mc._interference(u[:0], np.zeros(3, dtype=np.int64),
+        assert mc._interference(k[:0], np.zeros(3, dtype=np.int64),
                                 2.0, 1.0, False).tolist() == [0.0] * 3
 
 
@@ -262,17 +264,60 @@ class TestChunkKernel:
     @pytest.mark.parametrize("exponent", [2.0, 1.5, 3.0, 2.25, 0.5, 1.0,
                                           2.5, 3.5, 4.0])
     def test_interference_matches_power(self, exponent, log1p):
-        values = [2.0**-24, 1e-3, 0.5, 1.0]
-        u = np.array(values * 3 + values[::-1], dtype=np.float32)
+        # u = k * 2**-24 = [2**-24, 16777 * 2**-24 (about 1e-3), 0.5, 1.0]
+        values = [1, 16777, 2**23, 2**24]
+        k = np.array(values * 3 + values[::-1], dtype=np.int32)
         # trials 0, 3 and 6 are empty, including the last
         ends = np.array([0, 1, 4, 4, 9, 16, 16])
         scale = 0.37
-        x = scale * np.power(u.astype(np.float64), -exponent)
+        x = scale * np.power(k * 2.0**-24, -exponent)
         if log1p:
             x = np.log1p(x)
         want = [x[a:b].sum() for a, b in zip(np.r_[0, ends[:-1]], ends)]
-        got = mc._interference(u, ends, scale, exponent, log1p)
+        got = mc._interference(k, ends, scale, exponent, log1p)
         np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 1023, 100001])
+    def test_volume_draw_is_float32_route(self, n):
+        # after the Poisson counts, as in the chunk kernels
+        ref, raw = mc._chunk_rng(5, 0), mc._chunk_rng(5, 0)
+        ref.poisson(3.0, size=7)
+        raw.poisson(3.0, size=7)
+        u = 1.0 - ref.random(n, dtype=np.float32)
+        k = mc._volume_draw(raw, n)
+        assert k.dtype == np.int32 and k.shape == (n,)
+        np.testing.assert_array_equal(k, u.astype(np.float64) * 2.0**24)
+        # the Aloha kernel draws its doubles after the points
+        assert raw.random() == ref.random()
+
+    def test_guard_zone_boundary(self, monkeypatch):
+        # every point of a run put just inside, or on, the guard zone:
+        # u < thr is decided exactly, in float64 for the single-slot
+        # thresholds, at thr rounded to float32 for the Aloha one
+        real = mc._volume_draw
+
+        def all_at(k):
+            def draw(rng, n):
+                real(rng, n)  # the stream moves on as in a real draw
+                return np.full(n, k, dtype=np.int32)
+            monkeypatch.setattr(mc, "_volume_draw", draw)
+
+        cfg = mc.SimConfig(trials=10_000, seed=4, region_radius=100.0)
+        # thr = 0.09 lies between grid points, 2**-8 on one
+        for r_O, cut in ((30.0, 1509950), (100.0 * 2**-4, 2**16)):
+            for k, clear in ((cut - 1, False), (cut, True)):
+                all_at(k)
+                est = mc.estimate_single(FIG1, [r_O], cfg)
+                assert (est.evidence[0].value == 1.0) == clear
+        # thr = 0.25 + 2**-30 rounds to float32 0.25 = 2**22 * 2**-24
+        r_O = 100.0 * math.sqrt(0.25 + 2.0**-30)
+        thr = (r_O / 100.0) ** 2
+        assert thr > 0.25 and np.float32(thr) == 0.25
+        for k, clear in ((2**22 - 1, False), (2**22, True)):
+            all_at(k)
+            est = mc.estimate_multiobs(FIG1, AlohaParams(0.5, 1), r_O, cfg)
+            busy = sum(est.posterior[(K, 0)].count for K in range(2))
+            assert (busy == 0) == clear
 
     def test_config_hash_names_generator(self, monkeypatch):
         cfg = dataclasses.replace(FAST, trials=10_000)
@@ -284,6 +329,28 @@ class TestChunkKernel:
         other = mc.estimate_single(FIG1, [20.0], cfg)
         assert other.prior.value != est.prior.value
         assert other.config_hash != est.config_hash
+
+
+class TestPinnedEstimates:
+    """sha256 of ``repr`` of whole estimates at fixed seeds, one per
+    chunk kernel: Rayleigh and no-fading single-slot, and Aloha. A change
+    to any drawn point, guard-zone test or rounding of the sums moves
+    them."""
+
+    @pytest.mark.parametrize("run, digest", [
+        (lambda: mc.estimate_single(FIG1, [10.0, 30.0, 50.0],
+                                    mc.SimConfig(trials=10_240, seed=1)),
+         "a6f8a6ae8211933c0538f6b8d53abb5c5373716ab185f1a6e3c6a554dd6574b4"),
+        (lambda: mc.estimate_single(FIG4, [10.0, 25.0],
+                                    mc.SimConfig(trials=10_240, seed=2,
+                                                 fading="none")),
+         "29d8c786e7df991034a0caa31c28fd9bec8fc9934cf8a2062d9ad0bf310236ae"),
+        (lambda: mc.estimate_multiobs(FIG4, AlohaParams(0.5, 2), 10.0,
+                                      mc.SimConfig(trials=10_240, seed=3)),
+         "cbe03ae2aaf36d2b85ea86bbee34c116baa2f48f842616add3116e668c3b1d4b"),
+    ], ids=["fig1-rayleigh", "fig4-nofading", "fig4-aloha"])
+    def test_digest(self, run, digest):
+        assert hashlib.sha256(repr(run()).encode()).hexdigest() == digest
 
 
 class TestFarField:

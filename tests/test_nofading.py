@@ -77,6 +77,30 @@ class TestJ:
         with pytest.raises(ValueError):
             J(np.array([1.0, -1.0 + 2.0j]), 0.01)
 
+    @staticmethod
+    def _mpmath_J(s, u):
+        # sqrt(pi*s)*erf(sqrt(su)) - (1 - e^{-su})/sqrt(u) at 40 digits,
+        # of which the cancellation at small |su| costs a few
+        with mpmath.workdps(40):
+            s, u = mpmath.mpc(s), mpmath.mpf(u)
+            return complex(mpmath.sqrt(mpmath.pi * s)
+                           * mpmath.erf(mpmath.sqrt(s * u))
+                           - (1 - mpmath.exp(-s * u)) / mpmath.sqrt(u))
+
+    def test_relative_accuracy(self):
+        # the Bromwich nodes of fig4 at radii from 1 to 300, where |su|
+        # falls to 6e-5 and the closed form cancels
+        t = 1.0 / derive(FIG4).sigma
+        s = (nofading._DECAY + 2j * math.pi * np.arange(385)) / (2.0 * t)
+        u = np.geomspace(1.0, 300.0, 11)[:, None] ** -FIG4.alpha
+        # and both sides of the series' cut |su| = 1/4, at u = 1
+        cut = np.outer([0.2, 0.25, 0.25 * (1 + 1e-9), 0.3],
+                       np.exp(1j * np.linspace(-math.pi / 2, math.pi / 2, 7)))
+        for s, u in ((s, u), (cut, 1.0)):
+            got = J(s, u)
+            want = np.vectorize(self._mpmath_J)(s, u)
+            assert np.max(np.abs(got - want) / np.abs(want)) < 1e-14
+
     def test_array_matches_scalar_loop(self):
         # the same formula, one cmath evaluation per node
         def scalar_J(s, u):
