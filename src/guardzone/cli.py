@@ -63,7 +63,7 @@ _INPUT_FILES = {
     "cost": ("cost matrix", CostMatrix.uniform(), lambda d: CostMatrix(
         **{k: float(d[k]) for k in ("c00", "c01", "c10", "c11")})),
     "aloha": ("Aloha parameters", multi_obs.AlohaParams(p=0.5, N=1),
-              lambda d: multi_obs.AlohaParams(p=float(d["p"]), N=int(d["N"]))),
+              lambda d: multi_obs.AlohaParams(p=float(d["p"]), N=d["N"])),
 }
 
 

@@ -4,15 +4,23 @@ Node positions are drawn once and held fixed; in every slot each
 potential transmitter contends independently with probability ``p``, so
 the active set in a slot is a thinning of the fixed layout. After N
 observed slots, the count K of protocol successes is a sufficient
-statistic for the history, and the conditional prior and evidence for
-slot N+1 reduce to ratios of the alternating sums
+statistic for the history. Given the count m of potential transmitters
+inside the guard zone, M ~ Poisson(B), each slot is a protocol success
+with probability pb^m (pb = 1 - p), and the current slot's protocol
+outcome d and physical outcome h have the law
 
-    f_d(nu, a; k, l) = sum_j C(l,j) (-1)^j exp(-nu (1 - a^{k+j}))
+    P(d=1, h=1 | m) = e^{-pT} pb^m,    P(d=1, h=0 | m) = E pb^m,
+    P(d=0, h=1 | m) = e^{-pT} (u^m - pb^m) = e^{-pT} u^m (1 - (1 + xi)^-m),
+    P(d=0, h=0 | m) = E (1 - pb^m) + e^{-pT} (1 - u^m),
 
-which are Poisson expectations E[(a^M)^k (1 - a^M)^l] over the count M
-of potential transmitters inside the guard zone. For large l the
-alternating form cancels catastrophically, so the expectation is then
-summed directly over a truncated Poisson range.
+with ``E = -expm1(-pT)``, ``u = 1 - p (B - C)/B`` the chance that one
+node in the zone does not spoil the slot, and ``1 + xi = u/pb = 1 +
+p C/(pb B)``. Every cell P(K, d, h) of the joint law is the Poisson
+expectation of one of these terms times the history law ``C(N,K)
+pb^(mK) (1 - pb^m)^(N-K)``: a sum of nonnegative terms over a window of
+counts (:func:`_weights`, :func:`_cells`). Every public quantity is a sum
+or a ratio of cells, so none is formed by a subtraction, and ``f_d`` is
+the same window sum.
 
 Single-slot quantities reappear throughout with the density thinned to
 ``p * density``.
@@ -26,13 +34,8 @@ from itertools import product
 
 import numpy as np
 
-from .params import ModelParams
-from .single_obs import (_B, _BmC, _C, _coordinates, _exponents, posterior,
-                         prior_success)
-
-# Switch f_d to the truncated-Poisson route beyond this l: the
-# alternating sum loses roughly l*log10(e)*nu digits at worst.
-_FD_ALTERNATING_MAX_L = 20
+from .params import ModelParams, _integral
+from .single_obs import _BmC, _coordinates, _exponents, prior_success
 
 
 @dataclass(frozen=True)
@@ -45,6 +48,7 @@ class AlohaParams:
     def __post_init__(self):
         if not 0.0 < self.p < 1.0:
             raise ValueError(f"contention probability must be in (0,1), got {self.p}")
+        object.__setattr__(self, "N", _integral(self.N, "N"))
         if self.N < 0:
             raise ValueError(f"N must be nonnegative, got {self.N}")
 
@@ -58,25 +62,32 @@ def _check_noiseless(p: ModelParams) -> None:
         raise ValueError("multi-observation results assume a noiseless channel (eta = 0)")
 
 
-def _mu_d(p: ModelParams, r_O: float) -> float:
-    """Mean count of potential transmitters in the guard zone: the
-    evidence exponent B of the unthinned scenario."""
-    if not r_O > 0:
-        raise ValueError(f"r_O must be positive, got {r_O}")
-    return _B(*_coordinates(p, r_O))
+def _weights(nu_lo, nu):
+    """Counts m and Poisson(m; nu) weights for each row of ``nu``, scaled so
+    that a row's largest is 1: m runs over [nu_lo - h(nu_lo), nu + h(nu)],
+    clipped at 0, with h(x) = 12 sqrt(x) + 20, and the weight is 0 past a
+    row's end.
 
-
-def _xi(aloha: AlohaParams, B: float, C: float) -> float:
-    """xi = (p/p_bar) * C/B, the relative weight of one potential
-    transmitter inside the guard zone."""
-    return aloha.p / aloha.p_bar * C / B
+    The log weights are summed by the recurrence ``Poisson(m)/Poisson(m-1)
+    = nu/m`` from the window's low end; the window hugs the mass, so the
+    partial sums stay small. A sum over the window is divided by the
+    window's own mass, so no ``-nu + m log nu - lgamma(m+1)`` is needed.
+    """
+    # a mean that underflowed (nu a^k at large k) keeps its mass at m = 0
+    nu = np.maximum(nu, np.finfo(float).tiny)
+    lo = np.maximum(nu_lo - 12.0 * np.sqrt(nu_lo) - 20.0, 0.0).astype(int)
+    hi = (nu + 12.0 * np.sqrt(nu) + 20.0).astype(int)
+    m = lo[:, None] + np.arange((hi - lo).max() + 1)
+    log_w = np.cumsum(np.log(nu[:, None] / np.maximum(m, 1)), axis=1)
+    log_w[m > hi[:, None]] = -np.inf
+    return m, np.exp(log_w - log_w.max(axis=1, keepdims=True))
 
 
 def f_d(nu: float, a: float, k: int, l: int) -> float:
     """E[(a^M)^k (1 - a^M)^l] for M ~ Poisson(nu).
 
-    Alternating binomial sum for small l; truncated Poisson expectation
-    otherwise (the two forms are algebraically identical).
+    ``e^{-nu (1 - a^k)}`` times the mean of ``(1 - a^m)^l`` under the
+    tilted law Poisson(nu a^k), summed over its window.
     """
     if not nu > 0:
         raise ValueError(f"nu must be positive, got {nu}")
@@ -84,87 +95,86 @@ def f_d(nu: float, a: float, k: int, l: int) -> float:
         raise ValueError(f"a must be in (0,1), got {a}")
     if k < 0 or l < 0:
         raise ValueError("k and l must be nonnegative")
-    if l <= _FD_ALTERNATING_MAX_L:
-        total = 0.0
-        for j in range(l + 1):
-            term = math.comb(l, j) * math.exp(-nu * (1.0 - a ** (k + j)))
-            total += term if j % 2 == 0 else -term
-        if total > 1e-12:  # trust the fast route away from cancellation
-            return min(total, 1.0)
-    return _f_d_poisson(nu, a, k, l)
+    mean = np.array([nu * a**k])  # of the tilted law
+    m, w = _weights(mean, mean)
+    busy = (w * (-np.expm1(m * math.log(a))) ** l).sum() / w.sum()
+    return math.exp(nu * math.expm1(k * math.log(a))) * float(busy)
 
 
-def _f_d_poisson(nu: float, a: float, k: int, l: int) -> float:
-    """Direct truncated sum of (a^m)^k (1-a^m)^l over Poisson(nu) weights."""
-    m_max = int(nu + 12.0 * math.sqrt(nu) + 20.0)
-    log_w = -nu  # log Poisson(0; nu)
-    total = 0.0
-    for m in range(m_max + 1):
-        am = a**m
-        total += math.exp(log_w) * am**k * (1.0 - am) ** l
-        log_w += math.log(nu) - math.log(m + 1)
-    return min(max(total, 0.0), 1.0)
+def _cells(p: ModelParams, aloha: AlohaParams, r_O: float):
+    """The joint law of (K, d, h) as P(K), P(d | K) and P(h | K, d):
+    arrays of shape (N+1,), (N+1, 2) and (N+1, 2, 2).
+
+    ``Poisson(m; B) pb^(mK)`` is ``e^{-B (1 - pb^K)} Poisson(m; B pb^K)``,
+    so row K sums over the window of ``nu_K = B pb^K`` for d = 0 and of
+    ``nu_(K+1)`` for d = 1, each divided by its own mass; the windows reach
+    down to ``nu u``, where ``u^m - pb^m`` has its mass. Each factor is a
+    ratio of sums of nonnegative terms over a window where they are large,
+    so it keeps its relative accuracy where the joint law underflows. The
+    sums are taken in linear space: a row fails only if its history law
+    underflows everywhere, which takes p^(N-K) nu_K below about 1e-308.
+    """
+    _check_noiseless(p)
+    _, B, C, T = _exponents(p, r_O)
+    gap = _BmC(*_coordinates(p, r_O))
+    N, pc = aloha.N, aloha.p
+    log_pb, log_u = math.log1p(-pc), math.log1p(-pc * gap / B)
+    hit, miss = math.exp(-pc * T), -math.expm1(-pc * T)
+    nu = B * aloha.p_bar ** np.arange(N + 2)
+    m, w = _weights(nu * math.exp(log_u), nu)
+    busy = -np.expm1(m * log_pb)  # P(d=0 | m)
+    K = np.arange(N + 1)
+    m0, l = m[:-1], (N - K)[:, None]
+    # the history law of row K over its d = 0 and its d = 1 window
+    w0, w1 = w[:-1] * busy[:-1] ** l, w[1:] * busy[1:] ** l
+    h0 = miss * busy[:-1] - hit * np.expm1(m0 * log_u)
+    h1 = hit * np.exp(m0 * log_u) * -np.expm1(
+        -m0 * math.log1p(pc * C / (aloha.p_bar * B)))
+    mass0, mass1, s0, s1, c0, c1 = np.add.reduce(
+        np.array([w[:-1], w[1:], w0, w1, w0 * h0, w0 * h1]), axis=2)
+    p_K = (np.array([math.comb(N, k) for k in K])
+           * np.exp(B * np.expm1(K * log_pb)) * s0 / mass0)
+    p_d1 = np.exp(-pc * nu[:-1]) * (s1 / mass1) / (s0 / mass0)
+    p_h = np.empty((N + 1, 2, 2))
+    p_h[:, 0] = np.array([c0, c1]).T / (c0 + c1)[:, None]
+    p_h[:, 1] = miss, hit
+    return p_K, np.array([(c0 + c1) / s0, p_d1]).T, p_h
 
 
 def p_h_given_m(p: ModelParams, aloha: AlohaParams, r_O: float, m: int) -> float:
     """Physical success probability given m potential TX in the guard zone.
 
     Product of an outside-ball factor (thinned void-conditioned LT) and a
-    per-inside-node factor ``(1 + xi) * (1 - p)``, geometric in m.
+    per-inside-node factor ``u = 1 - p (B - C)/B``, geometric in m.
     """
     _check_noiseless(p)
     if m < 0:
         raise ValueError(f"m must be nonnegative, got {m}")
-    _, B, C, T = _exponents(p, r_O)
-    return math.exp(-aloha.p * T) * ((1.0 + _xi(aloha, B, C)) * aloha.p_bar) ** m
+    _, B, _, T = _exponents(p, r_O)
+    gap = _BmC(*_coordinates(p, r_O))
+    return math.exp(-aloha.p * T + m * math.log1p(-aloha.p * gap / B))
 
 
 def p_h_given_K(p: ModelParams, aloha: AlohaParams, r_O: float, K: int) -> float:
     """Physical success probability in slot N+1 given K of N past protocol
-    successes.
-
-    Written as ``exp(p*(mu_h - A)) * f_d(mu_h, K+1) / f_d(mu_d, K)``, the
-    first factor overflows and the ratio underflows at large radii, so
-    ``f_d(nu, a, k, l) = e^{-nu(1-a^k)} f_d(nu*a^k, a, 0, l)`` moves both
-    into one exponent, which lies in [-p*A, 0].
-    """
-    _check_noiseless(p)
+    successes: the sum over d of P(d | K) P(h=1 | K, d)."""
     _check_K(aloha, K)
-    A, mu_d, C, T = _exponents(p, r_O)
-    if aloha.N == 0:
-        return prior_success(p.thinned(aloha.p))
-    mu_h = mu_d * (1.0 + _xi(aloha, mu_d, C))
-    q = aloha.p_bar**K
-    num = f_d(mu_h * q * aloha.p_bar, aloha.p_bar, 0, aloha.N - K)
-    den = f_d(mu_d * q, aloha.p_bar, 0, aloha.N - K)
-    return math.exp(-aloha.p * (A * q + T * (1.0 - q))) * num / den
+    _, p_d, p_h = _cells(p, aloha, r_O)
+    return float(p_d[K] @ p_h[K, :, 1])
 
 
 def p_d_given_K(p: ModelParams, aloha: AlohaParams, r_O: float, K: int) -> float:
-    """Protocol success probability in slot N+1 given K past successes.
-
-    It is ``f_d(mu_d, K+1) / f_d(mu_d, K)``, but both terms underflow at
-    large radii; the identity used in :func:`p_h_given_K` turns it into
-    ``exp(-mu_d*p*q) * f_d(mu_d*q*p_bar, 0) / f_d(mu_d*q, 0)`` with
-    ``q = p_bar**K``, whose two f_d terms tend to 1 as the radius grows.
-    """
+    """Protocol success probability in slot N+1 given K past successes:
+    ``e^{-p nu_K}``, ``nu_K = B pb^K``, times a ratio of window sums that
+    tends to 1 as the radius grows."""
     _check_K(aloha, K)
-    mu_d = _mu_d(p, r_O)
-    if aloha.N == 0:
-        return math.exp(-aloha.p * mu_d)
-    q = aloha.p_bar**K
-    num = f_d(mu_d * q * aloha.p_bar, aloha.p_bar, 0, aloha.N - K)
-    den = f_d(mu_d * q, aloha.p_bar, 0, aloha.N - K)
-    return math.exp(-mu_d * aloha.p * q) * num / den
+    return float(_cells(p, aloha, r_O)[1][K, 1])
 
 
 def p_K(p: ModelParams, aloha: AlohaParams, r_O: float, K: int) -> float:
     """Marginal probability of K protocol successes in the N observed slots."""
     _check_K(aloha, K)
-    if aloha.N == 0:
-        return 1.0
-    mu_d = _mu_d(p, r_O)
-    return math.comb(aloha.N, K) * f_d(mu_d, aloha.p_bar, K, aloha.N - K)
+    return float(_cells(p, aloha, r_O)[0][K])
 
 
 def _check_K(aloha: AlohaParams, K: int) -> None:
@@ -177,37 +187,13 @@ def posterior_given_K_d(p: ModelParams, aloha: AlohaParams, r_O: float,
     """P(physical success | K past successes, current protocol outcome).
 
     Given a clear guard zone the history is uninformative and the value
-    equals the thinned single-slot posterior for every K. Given a busy
-    zone it is that posterior times ``sum w_m pb^m expm1(m log1p(xi)) /
-    sum w_m (1 - pb^m)`` over the count m >= 1 of potential transmitters
-    in the zone, ``w_m = Poisson(m; mu_d) pb^(mK) (1 - pb^m)^(N-K)``, summed
-    in log space over ``nu +- (12 sqrt(nu) + 20)``, ``nu = mu_d pb^K``.
-    ``pb^m (1 + xi)^m`` is ``(1 - p (B - C)/B)^m``, exact as B, C diverge.
+    equals the thinned single-slot posterior ``e^{-pT}`` for every K. Given
+    a busy zone it is the (d=0, h=1) cell over the sum of both d=0 cells.
     """
-    _check_noiseless(p)
     _check_K(aloha, K)
     if d_obs not in (0, 1):
         raise ValueError(f"d must be 0 or 1, got {d_obs}")
-    p11 = posterior(p.thinned(aloha.p), r_O).p_h1_d1
-    if d_obs == 1:
-        return p11
-    args = _coordinates(p, r_O)
-    B, C, gap = _B(*args), _C(*args), _BmC(*args)
-    nu = B * aloha.p_bar**K
-    half = 12.0 * math.sqrt(nu) + 20.0
-    m = np.arange(max(1, int(nu - half)), int(nu + half) + 1)
-    # log Poisson(m; nu) less its value at the mode, summed outward from
-    # the mode so that the terms that matter carry the least rounding
-    mode = max(int(nu) - m[0], 0)
-    step = np.log(nu / m)
-    log_w = np.concatenate([-np.cumsum(step[mode:0:-1])[::-1], [0.0],
-                            np.cumsum(step[mode + 1:])])
-    log_busy = np.log(-np.expm1(m * math.log(aloha.p_bar)))
-    log_w += (aloha.N - K) * log_busy
-    log_hit = (m * math.log1p(-aloha.p * gap / B)
-               + np.log(-np.expm1(-m * math.log1p(_xi(aloha, B, C)))))
-    return p11 * math.exp(np.logaddexp.reduce(log_w + log_hit)
-                          - np.logaddexp.reduce(log_w + log_busy))
+    return float(_cells(p, aloha, r_O)[2][K, d_obs, 1])
 
 
 @dataclass(frozen=True)
@@ -228,6 +214,8 @@ class DecisionRuleTable:
                 f"characters, got {self.bits!r}")
 
     def __call__(self, K: int, d_obs: int) -> int:
+        if not 0 <= K <= self.N or d_obs not in (0, 1):
+            raise ValueError(f"no rule input (K={K}, d={d_obs}) for N={self.N}")
         return int(self.bits[2 * K + d_obs])
 
     @classmethod
@@ -247,33 +235,22 @@ class DecisionRuleTable:
 
 def rule_errors(p: ModelParams, aloha: AlohaParams, r_O: float,
                 rule: DecisionRuleTable) -> tuple[float, float]:
-    """(Type I, Type II) error probabilities of a (K, d)-rule."""
+    """(Type I, Type II) error probabilities of a (K, d)-rule g:
+    ``sum_{g(K,d)=1} P(K, d, h=0) / P(h=0)`` and
+    ``sum_{g(K,d)=0} P(K, d, h=1) / P(h=1)``, with P(h) the sum of the
+    cells of that h, which is the thinned single-slot prior."""
     _check_noiseless(p)
     if rule.N != aloha.N:
         raise ValueError(f"rule is for N={rule.N}, scenario has N={aloha.N}")
-    thin = p.thinned(aloha.p)
-    pH = prior_success(thin)
-    p11 = posterior(thin, r_O).p_h1_d1
-
-    pK = [p_K(p, aloha, r_O, K) for K in range(aloha.N + 1)]
-    pDK = [p_d_given_K(p, aloha, r_O, K) for K in range(aloha.N + 1)]
-    pHK = [p_h_given_K(p, aloha, r_O, K) for K in range(aloha.N + 1)]
     if len(set(rule.bits)) == 1:  # a constant rule ignores the observations
         h = rule(0, 0)
         return float(h), float(1 - h)
-
-    def delta_hd(h, d_obs):
-        return sum(pDK[K] * pK[K] for K in range(aloha.N + 1)
-                   if rule(K, d_obs) == h)
-
-    delta_I = sum((1.0 - pHK[K]) * pK[K] for K in range(aloha.N + 1)
-                  if rule(K, 0) == 1)
-    delta_II = sum(pHK[K] * pK[K] for K in range(aloha.N + 1)
-                   if rule(K, 0) == 0)
-
-    p_i = ((1.0 - p11) * (delta_hd(1, 1) - delta_hd(1, 0)) + delta_I) / (1.0 - pH)
-    p_ii = (p11 * (delta_hd(0, 1) - delta_hd(0, 0)) + delta_II) / pH
-    return min(max(p_i, 0.0), 1.0), min(max(p_ii, 0.0), 1.0)
+    p_K, p_d, p_h = _cells(p, aloha, r_O)
+    g = np.frombuffer(rule.bits.encode(), np.uint8) == ord("1")
+    # rows: the cells the rule calls a success, then a failure; columns: h
+    (g1h0, g1h1), (g0h0, g0h1) = np.array([g, ~g], float) @ (
+        p_K[:, None, None] * p_d[:, :, None] * p_h).reshape(-1, 2)
+    return float(g1h0 / (g1h0 + g0h0)), float(g0h1 / (g0h1 + g1h1))
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,14 @@ def _digest(payload: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
+def _integral(value, name: str) -> int:
+    """``value`` as an int, read as ``float`` reads it: 2, 2.0 and "2"
+    pass; a bool or a fraction raises ValueError."""
+    if isinstance(value, bool) or not float(value).is_integer():
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(float(value))
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Physical scenario of a bipolar Poisson network.
@@ -48,6 +56,10 @@ class ModelParams:
     eta: float = 0.0
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _integral(self.n, "dimension n"))
+        for name in ("density", "alpha", "beta", "r_T", "eta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.n not in (1, 2, 3):
             raise ValueError(f"dimension n must be 1, 2 or 3, got {self.n}")
         if not self.alpha > self.n:
@@ -68,7 +80,7 @@ class ModelParams:
         """Build from the JSON scenario schema
         ``{"n", "lambda", "alpha", "beta", "r_T", "eta"}``."""
         try:
-            return cls(n=int(d["n"]), density=float(d["lambda"]),
+            return cls(n=d["n"], density=float(d["lambda"]),
                        alpha=float(d["alpha"]), beta=float(d["beta"]),
                        r_T=float(d["r_T"]), eta=float(d.get("eta", 0.0)))
         except KeyError as exc:

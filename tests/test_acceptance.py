@@ -213,7 +213,7 @@ def test_criterion_9_limit_identity_suite():
                   for d in (1 / 3, 0.5, 2 / 3)
                   for u in (0.1, 1.0, 5.0, 9.0))
 
-    # alternating binomial form vs. direct Poisson expectation of
+    # window sum under the tilted law vs. direct Poisson expectation of
     # (a^M)^k (1-a^M)^l, truncated far beyond the mean
     fd_gap = 0.0
     for nu, a in ((0.5, 0.3), (4.0, 0.6), (12.0, 0.9)):

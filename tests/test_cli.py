@@ -425,6 +425,32 @@ class TestInputFiles:
         assert f"cannot load {what} {str(path)!r}" in capsys.readouterr().err
 
 
+class TestBadNumbers:
+    SCENARIO = '{"n": 2, "lambda": 2e-4, "alpha": 3, "beta": 5, "r_T": 10}'
+
+    @pytest.mark.parametrize("args, option, content", [
+        (["multiobs", "--scenario", "fig5"], "--aloha", '{"p": 0.5, "N": 2.7}'),
+        (["multiobs", "--scenario", "fig5"], "--aloha", '{"p": 0.5, "N": true}'),
+        (["correlation"], "--scenario", SCENARIO.replace('"n": 2', '"n": 2.9')),
+        (["risk", "--grid", "10,20"], "--scenario",
+         SCENARIO.replace('"beta": 5', '"beta": Infinity')),
+        (["correlation"], "--scenario",
+         SCENARIO.replace('"lambda": 2e-4', '"lambda": Infinity'))])
+    def test_exits_2(self, capsys, tmp_path, args, option, content):
+        # counts must be integers and the real parameters finite
+        path = tmp_path / "params.json"
+        path.write_text(content)
+        assert main(args + [option, str(path)]) == 2
+        assert "cannot load" in capsys.readouterr().err
+
+    def test_integral_float_count(self, capsys, tmp_path):
+        path = tmp_path / "aloha.json"
+        path.write_text('{"p": 0.5, "N": 2.0}')
+        code, out = run_cli(["multiobs", "--scenario", "fig5", "--aloha",
+                             str(path)], capsys)
+        assert code == 0 and "# best 010101 " in out
+
+
 class TestResolutionGuard:
     def test_validate_exits_3(self, capsys):
         # fig4's no-fading region is R = 560, where (0.1 / R)**2 < 2**-24

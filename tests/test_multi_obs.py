@@ -33,20 +33,27 @@ def f_d_oracle(nu, a, k, l, m_max=None):
     return total
 
 
+def exact_exponents(p, r_O):
+    """B, C and T at the working mpmath precision, from their
+    hypergeometric forms."""
+    d = derive(p)
+    delta = mpmath.mpf(p.n) / p.alpha
+    chi = mpmath.mpf(r_O) ** p.alpha / d.sigma
+    a = p.density * d.c_n * mpmath.mpf(d.sigma) ** delta
+    B = a * chi**delta
+    C = a * delta / (delta + 1) * chi ** (delta + 1) * mpmath.hyp2f1(
+        1, delta + 1, delta + 2, -chi)
+    T = a * delta / (1 - delta) * chi ** (delta - 1) * mpmath.hyp2f1(
+        1, 1 - delta, 2 - delta, -1 / chi)
+    return B, C, T
+
+
 def busy_zone_oracle(p, pc, r_O, K, n_max):
     """{N: P(H=1 | K, busy guard zone)} for N = K .. n_max, as a 30-digit
     Poisson sum over the count m >= 1 of potential transmitters in the
     zone, with B, C and T from their hypergeometric forms."""
-    d = derive(p)
     with mpmath.workdps(30):
-        delta = mpmath.mpf(p.n) / p.alpha
-        chi = mpmath.mpf(r_O) ** p.alpha / d.sigma
-        a = p.density * d.c_n * mpmath.mpf(d.sigma) ** delta
-        B = a * chi**delta
-        C = a * delta / (delta + 1) * chi ** (delta + 1) * mpmath.hyp2f1(
-            1, delta + 1, delta + 2, -chi)
-        T = a * delta / (1 - delta) * chi ** (delta - 1) * mpmath.hyp2f1(
-            1, 1 - delta, 2 - delta, -1 / chi)
+        B, C, T = exact_exponents(p, r_O)
         pc = mpmath.mpf(pc)
         pb = 1 - pc
         log1p_xi = mpmath.log1p(pc / pb * C / B)
@@ -69,6 +76,58 @@ def busy_zone_oracle(p, pc, r_O, K, n_max):
                 for N in range(K, n_max + 1)}
 
 
+def rising_precision(f):
+    """f(), a list of mpf, at 30, 60, 120, ... digits until two successive
+    lists agree to 25 digits: f may cancel any number of digits."""
+    dps, prev = 30, None
+    while True:
+        with mpmath.workdps(dps):
+            val = f()
+        if prev is not None and all(abs(v - w) <= 1e-25 * abs(v)
+                                    for v, w in zip(val, prev)):
+            return val
+        prev, dps = val, 2 * dps
+
+
+def f_d_exact(nu, a, k, l):
+    """E[(a^M)^k (1 - a^M)^l], M ~ Poisson(nu), by the binomial expansion
+    of (1 - a^M)^l into the Poisson generating function E[x^M] =
+    exp(-nu (1 - x)), summed exactly."""
+    return rising_precision(lambda: [mpmath.fsum(
+        (-1) ** j * math.comb(l, j)
+        * mpmath.exp(-nu * (1 - mpmath.mpf(a) ** (k + j)))
+        for j in range(l + 1))])[0]
+
+
+def cells_exact(p, pc, r_O, N):
+    """P(K, d, h) as nested lists [K][d][h]: the Poisson expectations over
+    the count M of potential transmitters in the guard zone of the history
+    law C(N,K) pb^(MK) (1 - pb^M)^(N-K) times P(d, h | M), each expanded
+    into generating functions E[x^M] = exp(-B (1 - x)) and summed exactly.
+    A node in the zone is silent, or transmits and is survived: u = pb +
+    p C/B, and P(h=1 | M) = e^{-pT} u^M."""
+    def cells():
+        B, C, T = exact_exponents(p, r_O)
+        pb = 1 - mpmath.mpf(pc)
+        u = pb + pc * C / B
+        hit = mpmath.exp(-pc * T)
+        out = []
+        for K in range(N + 1):
+            c = [mpmath.mpf(0)] * 4  # (d, h) = (0, 0), (0, 1), (1, 0), (1, 1)
+            for j in range(N - K + 1):
+                w = (-1) ** j * math.comb(N, K) * math.comb(N - K, j)
+                clear = mpmath.exp(-B * (1 - pb ** (K + j + 1)))
+                busy = mpmath.exp(-B * (1 - pb ** (K + j))) - clear
+                spared = hit * (mpmath.exp(-B * (1 - pb ** (K + j) * u)) - clear)
+                c = [c[0] + w * (busy - spared), c[1] + w * spared,
+                     c[2] + w * (1 - hit) * clear, c[3] + w * hit * clear]
+            out += c
+        return out
+    flat = rising_precision(cells)
+    return [[flat[4 * K:4 * K + 2], flat[4 * K + 2:4 * K + 4]]
+            for K in range(N + 1)]
+
+
 class TestAlohaParams:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -86,8 +145,9 @@ class TestFd:
     @given(st.floats(0.05, 30.0), st.floats(0.05, 0.95),
            st.integers(0, 5), st.integers(0, 5))
     @settings(max_examples=300, deadline=None)
-    def test_alternating_equals_expectation(self, nu, a, k, l):
-        # the two algebraic forms agree to 1e-10 for k + l <= 10
+    def test_window_sum_equals_expectation(self, nu, a, k, l):
+        # the tilted window sum agrees with a sum from m = 0 to 1e-10 for
+        # k + l <= 10
         assert mo.f_d(nu, a, k, l) == pytest.approx(
             f_d_oracle(nu, a, k, l), abs=1e-10)
 
@@ -96,6 +156,19 @@ class TestFd:
         val = mo.f_d(20.0, 0.9, 2, 60)
         assert val == pytest.approx(f_d_oracle(20.0, 0.9, 2, 60), rel=1e-8)
         assert 0.0 <= val <= 1.0
+
+    @pytest.mark.parametrize("nu, a, k, l", [
+        (1e-4, 0.5, 0, 3), (1e-4, 0.9, 2, 3), (1e-20, 0.5, 1, 3),
+        (0.25, 0.5, 3, 2), (20.0, 0.9, 2, 60), (1e3, 0.5, 0, 5),
+        (1e4, 0.99, 3, 2), (1e6, 0.5, 1, 1), (1.0, 0.5, 2000, 0)])
+    def test_against_exact_sums(self, nu, a, k, l):
+        # at small nu the alternating binomial sum is of order nu**l and
+        # cancels in floats; the window sum has only positive terms. At
+        # k = 2000 the tilted mean nu a^k underflows to 0.
+        want = f_d_exact(nu, a, k, l)
+        if want > 1e-290:
+            assert mo.f_d(nu, a, k, l) == pytest.approx(float(want), rel=1e-12,
+                                                        abs=0.0)
 
     def test_probability_normalization(self):
         # sum_K C(N,K) f_d(nu, a; K, N-K) = 1 for any N
@@ -150,10 +223,12 @@ def p_d_given_K_oracle(p, aloha, r_O, K):
 
 class TestConditionalLaws:
     @pytest.mark.parametrize("N, r_O, K", [(1, 2000.0, 0), (1, 1000.0, 1),
-                                           (2, 100.0, 2), (3, 20.0, 1)])
+                                           (2, 100.0, 2), (3, 20.0, 1),
+                                           (3, 1.47e-4, 0)])
     def test_p_h_given_K_against_poisson_sum(self, N, r_O, K):
         # at large radii exp(p*(mu_h - A)) overflows and the f_d ratio
-        # underflows, though the product lies in [e^-pA, 1]
+        # underflows, though the product lies in [e^-pA, 1]; at 1.47e-4 an
+        # alternating binomial sum for f_d cancels to 1.8e-5
         aloha = mo.AlohaParams(p=0.5, N=N)
         assert mo.p_h_given_K(FIG5, aloha, r_O, K) == pytest.approx(
             p_h_given_K_oracle(FIG5, aloha, r_O, K), rel=1e-12)
@@ -169,6 +244,29 @@ class TestConditionalLaws:
         aloha = mo.AlohaParams(p=0.5, N=N)
         assert mo.p_d_given_K(p, aloha, r_O, K) == pytest.approx(
             p_d_given_K_oracle(p, aloha, r_O, K), rel=1e-12, abs=5e-324)
+
+    @pytest.mark.parametrize("p", [FIG5, ModelParams(3, 1e-5, 4.5, 3, 6)])
+    @pytest.mark.parametrize("pc", [0.05, 0.5, 0.9])
+    def test_every_quantity_against_exact_sums(self, p, pc):
+        # r_O from 1e-6 to 1e3 r_T, where B runs from 1e-23 to 9e6; abs=0,
+        # as approx's default absolute tolerance would pass any tiny value
+        def close(got, want, where):
+            if want > 1e-290:
+                assert got == pytest.approx(float(want), rel=1e-12, abs=0.0), where
+
+        for r_O in [1e-6] + [p.r_T * 10.0**e for e in range(-4, 4)]:
+            for N in range(4):
+                aloha = mo.AlohaParams(pc, N)
+                for K, ((c00, c01), (c10, c11)) in enumerate(
+                        cells_exact(p, pc, r_O, N)):
+                    pK, where = c00 + c01 + c10 + c11, (r_O, N, K)
+                    close(mo.p_K(p, aloha, r_O, K), pK, where)
+                    close(mo.p_d_given_K(p, aloha, r_O, K), (c10 + c11) / pK, where)
+                    close(mo.p_h_given_K(p, aloha, r_O, K), (c01 + c11) / pK, where)
+                    close(mo.posterior_given_K_d(p, aloha, r_O, K, 0),
+                          c01 / (c00 + c01), where)
+                    close(mo.posterior_given_K_d(p, aloha, r_O, K, 1),
+                          c11 / (c10 + c11), where)
 
     def test_p_K_normalizes(self):
         for aloha in (ALOHA1, ALOHA2, mo.AlohaParams(p=0.3, N=5)):
@@ -283,6 +381,13 @@ class TestDecisionRules:
         assert rule(0, 0) == 0 and rule(0, 1) == 1
         assert rule(1, 0) == 1 and rule(1, 1) == 0
 
+    def test_rejects_inputs_outside_the_table(self):
+        # a negative index would wrap to another input's character
+        rule = mo.DecisionRuleTable(N=1, bits="0110")
+        for K, d_obs in [(-1, 0), (0, 2), (-2, 1), (2, 0), (0, -1)]:
+            with pytest.raises(ValueError):
+                rule(K, d_obs)
+
     def test_named_constructors(self):
         assert mo.DecisionRuleTable.follow_observation(2).bits == "010101"
         assert mo.DecisionRuleTable.contradict_observation(1).bits == "1010"
@@ -314,6 +419,23 @@ class TestDecisionRules:
                                    mo.DecisionRuleTable.constant(1, 0))
         assert p_i == pytest.approx(0.0, abs=1e-12)
         assert p_ii == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("r_O", [1e-3, 20.0, 300.0])
+    def test_single_cell_rules_against_exact_sums(self, r_O):
+        # a rule that predicts success on one (K, d) only errs of type I on
+        # that cell's failures, and of type II on every other cell's successes
+        cells = cells_exact(FIG5, ALOHA2.p, r_O, ALOHA2.N)
+        p_H = [sum(cells[K][d][h] for K in range(3) for d in range(2))
+               for h in range(2)]
+        for K in range(3):
+            for d_obs in range(2):
+                bits = ["0"] * 6
+                bits[2 * K + d_obs] = "1"
+                p_i, p_ii = mo.rule_errors(FIG5, ALOHA2, r_O, mo.DecisionRuleTable(
+                    N=2, bits="".join(bits)))
+                c0, c1 = cells[K][d_obs]
+                assert p_i == pytest.approx(float(c0 / p_H[0]), rel=1e-12, abs=0.0)
+                assert 1.0 - p_ii == pytest.approx(float(c1 / p_H[1]), abs=1e-12)
 
     def test_rule_scenario_mismatch(self):
         with pytest.raises(ValueError):

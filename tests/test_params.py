@@ -27,6 +27,14 @@ class TestValidation:
         dict(beta=0.0),
         dict(r_T=-3.0),
         dict(eta=-0.1),
+        dict(n=True),         # a bool is not a count
+        dict(n=2.5),
+        dict(density=math.inf),
+        dict(density=math.nan),
+        dict(alpha=math.inf),
+        dict(beta=math.inf),
+        dict(r_T=math.inf),
+        dict(eta=math.inf),
     ])
     def test_rejects_bad_parameters(self, kwargs):
         base = dict(n=2, density=2e-4, alpha=3, beta=5, r_T=10)
@@ -55,6 +63,20 @@ class TestSerialization:
         d = FIG1.to_dict()
         del d["eta"]
         assert ModelParams.from_dict(d).eta == 0.0
+
+    def test_integral_float_dimension(self):
+        d = FIG1.to_dict()
+        d["n"] = 2.0
+        assert ModelParams.from_dict(d) == FIG1
+        assert type(ModelParams.from_dict(d).n) is int
+
+    @pytest.mark.parametrize("n", [2.9, True])
+    def test_rejects_non_integral_dimension(self, n):
+        # int() would truncate 2.9 to 2 and read true as 1
+        d = FIG1.to_dict()
+        d["n"] = n
+        with pytest.raises(ValueError, match="integer"):
+            ModelParams.from_dict(d)
 
     def test_load_scenario(self, tmp_path):
         path = tmp_path / "s.json"
