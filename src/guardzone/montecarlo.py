@@ -21,13 +21,13 @@ fading:
   ``1/(1 + s)`` and the far-field PGFL with the formulas it checks, but
   nothing else: no special function and no closed form.
 
-  So only the near field is simulated: by default the region is
-  ``_NEAR_FIELD`` times the largest guard-zone radius, and never larger
-  than the no-fading region. Every guard-zone indicator depends only on
-  points inside that ball, and Poisson points on disjoint sets are
-  independent, so replacing the product over the points beyond it by its
-  expectation is a Rao-Blackwellisation: no bias, and no more variance
-  than sampling them.
+  So only the near field is simulated: by default a ball whose shell
+  beyond the largest guard zone holds ``_SHELL_COUNT`` interferers, kept
+  within ``_SHELL_CLAMP`` times that zone's radius and the no-fading
+  region. Every guard-zone indicator depends only on points inside it,
+  and Poisson points on disjoint sets are independent, so replacing the
+  product over the points beyond it by its expectation is a
+  Rao-Blackwellisation: no bias, and no more variance than sampling them.
 
 Radial positions are drawn through the volume substitution
 ``u = (r / R)**n ~ U(0, 1)``: pathloss is ``R**-alpha * u**(-alpha/n)``
@@ -79,10 +79,12 @@ _LOW_CONFIDENCE_COUNT = 100
 # Spacing of the volume coordinate u = k * 2**-24: a guard zone with
 # (r_O / R)**n at most this holds no point.
 _U_RESOLUTION = 2.0 ** -24
-# Default Rayleigh region radius, in units of the largest guard-zone
-# radius. The margin keeps sampled spread in every estimate: with a ball of
-# exactly that radius the clear-zone posterior there would be a constant.
-_NEAR_FIELD = 10.0
+# Default Rayleigh region: the ball whose shell beyond the largest guard
+# zone holds _SHELL_COUNT interferers on average, clamped to _SHELL_CLAMP
+# times that zone's radius. The shell keeps sampled spread in every
+# estimate: at the zone's radius the clear-zone posterior is a constant.
+_SHELL_COUNT = 10.0
+_SHELL_CLAMP = (1.5, 10.0)
 # Far-field quadrature: points of each Gauss-Legendre panel, and where
 # the integrand is cut, in e-folds below its value at the knee
 _FAR_POINTS = 32
@@ -95,7 +97,7 @@ class SimConfig:
     seed: int = 0
     fading: str = "rayleigh"
     # None: auto-sized from bias_tol with no fading; under Rayleigh fading
-    # the smaller of that and _NEAR_FIELD times the largest guard zone
+    # the smaller of that and the shell-sized ball of _region_radius
     region_radius: float | None = None
     bias_tol: float = 1e-3
 
@@ -193,7 +195,7 @@ def auto_region_radius(p: ModelParams, interferer_density: float,
     it is the relative perturbation of the SINR margin. Only the
     no-fading estimates carry that bias and use this radius as their
     default region; under Rayleigh fading it only caps the default
-    near-field region of :func:`_region_radius`.
+    shell-sized region of :func:`_region_radius`.
     """
     d = derive(p)
     coeff = d.sigma * interferer_density * d.c_n * p.n / (p.alpha - p.n)
@@ -207,13 +209,17 @@ def _region_radius(p: ModelParams, interferer_density: float, r_max: float,
     An explicit ``cfg.region_radius`` is used as given. With no fading the
     default is :func:`auto_region_radius`; under Rayleigh fading, where
     the points beyond R enter exactly through :func:`_far_field_log`, it
-    is the smaller of that and ``_NEAR_FIELD * r_max``.
+    is the smaller of that and the radius whose shell beyond ``r_max``
+    holds ``_SHELL_COUNT`` interferers on average, clamped to
+    ``_SHELL_CLAMP`` times ``r_max``.
     """
     if cfg.region_radius is not None:
         return cfg.region_radius
     R = auto_region_radius(p, interferer_density, cfg.bias_tol)
     if cfg.fading == "rayleigh":
-        R = min(_NEAR_FIELD * r_max, R)
+        shell = _SHELL_COUNT / (interferer_density * derive(p).c_n)
+        R = min(max((r_max**p.n + shell) ** (1.0 / p.n),
+                    _SHELL_CLAMP[0] * r_max), _SHELL_CLAMP[1] * r_max, R)
     return R
 
 

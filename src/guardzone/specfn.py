@@ -44,7 +44,7 @@ Each takes a float or a numpy array ``u`` and returns the same. A float
 takes Python floats only, with no array overhead. An array takes the
 same operations elementwise, in one pass whichever side of the split
 its elements lie on, so the two differ only where numpy's ``pow`` and
-the C library's round differently, by an ulp. The float/array choice of
+the C library's round apart, by 2 ulp at most. The float/array choice of
 the other closed forms lives here as well: :func:`_ops` gives them
 ``math`` for a float and numpy for an array. The root solver follows
 the same convention: it solves one equation in Python floats, or many
@@ -196,14 +196,16 @@ def _table(delta: float) -> _Table:
 def _ratio(pieces: tuple, w: float, e: float) -> float:
     """``w**e/(1+w) * F(x)`` at ``x = w/(1+w)`` in [0, 3/4], with F the
     series of ``pieces``. The polynomial is summed by Estrin's scheme: in
-    pairs, the pairs in pairs in h**2, and those two in h**4."""
+    pairs, the pairs in pairs in h**2, and those two in h**4. ``w**e``,
+    whose ``pow`` may differ from numpy's by an ulp, is the last factor:
+    one rounding after it keeps the float and array paths 2 ulp apart."""
     s = 1.0 + w
     x = w / s
     odd, c0, c4, c2, c6, c1, c5, c3, c7 = pieces[int(64.0 * x)]
     h = 128.0 * x - odd
     h2 = h * h
-    return w**e * (((c0 * h + c1) * h2 + (c2 * h + c3)) * (h2 * h2)
-                   + ((c4 * h + c5) * h2 + (c6 * h + c7))) / s
+    return (((c0 * h + c1) * h2 + (c2 * h + c3)) * (h2 * h2)
+            + ((c4 * h + c5) * h2 + (c6 * h + c7))) / s * w**e
 
 
 def _ratio_array(rows: tuple, u: np.ndarray, hi, e_lo: float,
@@ -231,7 +233,7 @@ def _ratio_array(rows: tuple, u: np.ndarray, hi, e_lo: float,
     h2 = h * h
     f = c[1:5] * h + c[5:]  # c0 h + c1, c4 h + c5, c2 h + c3, c6 h + c7
     f = f[:2] * h2 + f[2:]
-    return w**e * (f[0] * (h2 * h2) + f[1]) / s
+    return (f[0] * (h2 * h2) + f[1]) / s * w**e
 
 
 def _sides(u, above) -> tuple:
@@ -309,7 +311,9 @@ def int_I(u, delta: float):
     t = _table(delta)
     if isinstance(u, float):
         if u > _INT_SERIES_MAX:
-            return u**delta - t.kappa + _ratio(t.tail, 1.0 / u, 1.0 - delta)
+            # numpy's pow, as in the array path: libm's ulp could sum to 3
+            return ((np.array([u]) ** delta).item() - t.kappa
+                    + _ratio(t.tail, 1.0 / u, 1.0 - delta))
         if u >= 0.0:
             return _ratio(t.int, u, 1.0 + delta)
         return _nan_or_raise(u)

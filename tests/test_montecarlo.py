@@ -53,30 +53,64 @@ class TestRegion:
         return dataclasses.replace(a, config_hash="") == dataclasses.replace(
             b, config_hash="")
 
+    @staticmethod
+    def shell_radius(p, density, r_max):
+        """R with R**n = r_max**n + 10 / (density * c_n): the shell beyond
+        r_max holds 10 interferers on average."""
+        return (r_max**p.n + 10.0 / (density * derive(p).c_n)) ** (1.0 / p.n)
+
     @pytest.mark.parametrize("p, grid, want", [
-        (FIG1, [20.0, 50.0], 500.0),
-        # 10 r_O = 1000 lies beyond the no-fading region, 560.5
-        (FIG4, [20.0, 100.0], mc.auto_region_radius(FIG4, FIG4.density, 1e-3)),
-    ], ids=["near-field", "capped"])
+        # the shell radius 64.0 lies below the floor 1.5 * 50
+        (FIG4, [20.0, 50.0], 75.0),
+        # between the clamps 75 and 500
+        (FIG1, [20.0, 50.0], (2500.0 + 10.0 / (2e-4 * math.pi)) ** 0.5),
+        # the shell radius 126.4 lies beyond the ceiling 10 * 8
+        (FIG1, [2.0, 8.0], 80.0),
+        # the floor 1.5 * 400 lies beyond the no-fading region, 560.5
+        (FIG4, [20.0, 400.0], mc.auto_region_radius(FIG4, FIG4.density, 1e-3)),
+    ], ids=["floor", "near-field", "ceiling", "capped"])
     def test_rayleigh_default_is_near_field(self, p, grid, want):
         cfg = mc.SimConfig(trials=10_000, seed=5)
-        assert mc._region_radius(p, p.density, max(grid), cfg) == want
-        explicit = dataclasses.replace(cfg, region_radius=want)
+        R = mc._region_radius(p, p.density, max(grid), cfg)
+        assert R == pytest.approx(want, rel=1e-15)
+        explicit = dataclasses.replace(cfg, region_radius=R)
         assert self.same_draws(mc.estimate_single(p, grid, cfg),
                                mc.estimate_single(p, grid, explicit))
+
+    @pytest.mark.parametrize("p", [FIG1, FIG4, NOISY], ids=["fig1", "fig4",
+                                                            "noisy"])
+    def test_default_never_exceeds_near_field(self, p):
+        # never beyond 10 r_max, as before the shell rule, so no default
+        # grid meets a new resolution or region error; and at least
+        # 1.5 r_max (or the no-fading region), so the shell is never empty
+        cfg = mc.SimConfig(trials=10_000)
+        for density in (p.density, 1e-3 * p.density):
+            auto = mc.auto_region_radius(p, density, cfg.bias_tol)
+            for r_max in np.geomspace(1e-3, 0.99 * auto, 61):
+                R = mc._region_radius(p, density, r_max, cfg)
+                assert min(1.5 * r_max, auto) <= R <= min(10.0 * r_max, auto)
+                if R < min(10.0 * r_max, auto):
+                    assert R == pytest.approx(max(
+                        self.shell_radius(p, density, r_max), 1.5 * r_max),
+                        rel=1e-15)
 
     def test_multiobs_default_at_active_density(self):
         aloha = AlohaParams(p=0.5, N=1)
         cfg = mc.SimConfig(trials=10_000, seed=5)
         active = aloha.p * FIG4.density
-        assert mc._region_radius(FIG4, active, 20.0, cfg) == 200.0
-        # 10 r_O = 500 lies beyond the active-density region, 396.3
-        auto = mc.auto_region_radius(FIG4, active, cfg.bias_tol)
-        assert mc._region_radius(FIG4, active, 50.0, cfg) == auto
-        explicit = dataclasses.replace(cfg, region_radius=auto)
+        # the shell holds 10 active interferers: 59.9, not the 44.6 of the
+        # full density
+        R = mc._region_radius(FIG4, active, 20.0, cfg)
+        assert R == pytest.approx(self.shell_radius(FIG4, active, 20.0),
+                                  rel=1e-15)
+        assert R == pytest.approx(59.86, abs=0.01)
+        explicit = dataclasses.replace(cfg, region_radius=R)
         assert self.same_draws(
-            mc.estimate_multiobs(FIG4, aloha, 50.0, cfg),
-            mc.estimate_multiobs(FIG4, aloha, 50.0, explicit))
+            mc.estimate_multiobs(FIG4, aloha, 20.0, cfg),
+            mc.estimate_multiobs(FIG4, aloha, 20.0, explicit))
+        # the floor 1.5 * 300 lies beyond the active-density region, 396.3
+        auto = mc.auto_region_radius(FIG4, active, cfg.bias_tol)
+        assert mc._region_radius(FIG4, active, 300.0, cfg) == auto
 
     def test_no_fading_default_unchanged(self):
         cfg = mc.SimConfig(trials=10_000, seed=5, fading="none")
@@ -340,15 +374,20 @@ class TestPinnedEstimates:
     @pytest.mark.parametrize("run, digest", [
         (lambda: mc.estimate_single(FIG1, [10.0, 30.0, 50.0],
                                     mc.SimConfig(trials=10_240, seed=1)),
-         "a6f8a6ae8211933c0538f6b8d53abb5c5373716ab185f1a6e3c6a554dd6574b4"),
+         "d1e0327d633304234a1a251848c2b896c0abc925cd69950cc7059b6adb96f329"),
         (lambda: mc.estimate_single(FIG4, [10.0, 25.0],
                                     mc.SimConfig(trials=10_240, seed=2,
                                                  fading="none")),
          "29d8c786e7df991034a0caa31c28fd9bec8fc9934cf8a2062d9ad0bf310236ae"),
         (lambda: mc.estimate_multiobs(FIG4, AlohaParams(0.5, 2), 10.0,
                                       mc.SimConfig(trials=10_240, seed=3)),
-         "cbe03ae2aaf36d2b85ea86bbee34c116baa2f48f842616add3116e668c3b1d4b"),
-    ], ids=["fig1-rayleigh", "fig4-nofading", "fig4-aloha"])
+         "64addcd8381de850f8cdd2d429460feb5d01f912d81f8235bfcbedcfd98e64bf"),
+        # a default region at the ceiling 10 r_max = 20: the same
+        # estimates, bit for bit, as under the former fixed 10 r_max
+        (lambda: mc.estimate_single(FIG1, [0.5, 2.0],
+                                    mc.SimConfig(trials=10_240, seed=4)),
+         "f2b2d09f6713f7fe22aed859cc90d2961f80d06f72e2db7428d8eb26a6074715"),
+    ], ids=["fig1-rayleigh", "fig4-nofading", "fig4-aloha", "fig1-ceiling"])
     def test_digest(self, run, digest):
         assert hashlib.sha256(repr(run()).encode()).hexdigest() == digest
 
@@ -533,7 +572,6 @@ class TestCalibration:
     """The reported standard errors match the spread over replicated seeds."""
 
     SEEDS = range(150)
-    GRID = [20.0, 50.0]
 
     @staticmethod
     def named(est):
@@ -550,20 +588,26 @@ class TestCalibration:
                         for r, e in zip(est.r_O_grid, getattr(est, q))})
         return out
 
-    @pytest.mark.parametrize("kind, region", [
-        ("rayleigh", 200.0), ("none", 200.0), ("aloha", 200.0),
-        # the default near-field region, 10 r_O = 500
-        ("rayleigh", None), ("aloha", None)],
-        ids=["rayleigh", "none", "aloha", "rayleigh-default", "aloha-default"])
-    def test_sd_over_se(self, kind, region):
+    @pytest.mark.parametrize("kind, p, grid, region", [
+        ("rayleigh", FIG1, [20.0, 50.0], 200.0),
+        ("none", FIG1, [20.0, 50.0], 200.0),
+        ("aloha", FIG1, 50.0, 200.0),
+        # default regions: the shell rule between its clamps (135.7 on
+        # fig1, 185.3 at the Aloha density, 42.6 on fig4), and at its
+        # ceiling 10 r_max = 30 on fig4, where every zone is small
+        ("rayleigh", FIG1, [20.0, 50.0], None),
+        ("aloha", FIG1, 50.0, None),
+        ("rayleigh", FIG4, [10.0, 15.0], None),
+        ("rayleigh", FIG4, [1.5, 3.0], None)],
+        ids=["rayleigh", "none", "aloha", "rayleigh-default", "aloha-default",
+             "rayleigh-default-shell", "rayleigh-default-small"])
+    def test_sd_over_se(self, kind, p, grid, region):
         runs = []
         for seed in self.SEEDS:
             cfg = mc.SimConfig(trials=10_000, seed=seed, region_radius=region,
                                fading="none" if kind == "none" else "rayleigh")
-            est = (mc.estimate_multiobs(FIG1, AlohaParams(p=0.5, N=1), 50.0,
-                                        cfg)
-                   if kind == "aloha" else
-                   mc.estimate_single(FIG1, self.GRID, cfg))
+            est = (mc.estimate_multiobs(p, AlohaParams(p=0.5, N=1), grid, cfg)
+                   if kind == "aloha" else mc.estimate_single(p, grid, cfg))
             runs.append(self.named(est))
         ratios = {}
         for name in runs[0]:

@@ -343,7 +343,7 @@ class TestPosteriorGivenKd:
         # where a completeness subtraction, 1 - P(clear), cancels
         want = busy_zone_oracle(p, pc, r_O, K, N)[N]
         got = mo.posterior_given_K_d(p, mo.AlohaParams(pc, N), r_O, K, 0)
-        assert got == pytest.approx(float(want), rel=1e-12)
+        assert got == pytest.approx(float(want), rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("p,pc", [
         (FIG5, 0.5), (FIG5, 0.05), (ModelParams(1, 5e-3, 2.5, 2, 4), 0.9)])
@@ -354,8 +354,8 @@ class TestPosteriorGivenKd:
                     if want > 1e-290:
                         got = mo.posterior_given_K_d(
                             p, mo.AlohaParams(pc, N), r_O, K, 0)
-                        assert got == pytest.approx(float(want), rel=1e-12), \
-                            (r_O, N, K)
+                        assert got == pytest.approx(float(want), rel=1e-12,
+                                                    abs=0.0), (r_O, N, K)
 
     def test_busy_zone_without_history(self):
         thin = FIG5.thinned(0.5)
