@@ -38,18 +38,19 @@ words by :func:`_volume_draw`: the same values as 1 minus a float32
 uniform, in 4 bytes a point and with no float32 array. So a guard zone
 with ``(r_O / R)**n`` at most 2**-24 would never be busy; both estimators
 raise ``RuntimeError`` for one. The guard-zone tests compare ``k`` with
-the thresholds times 2**24, which is exact. When ``2*alpha/n`` is a small
-integer (every shipped scenario), ``k**(alpha/n)`` is formed by a square
-root or a product, then multiplications, rather than ``pow``.
+the thresholds times 2**24, which is exact; a single-slot trial's least
+``k`` decides them all. When ``2*alpha/n`` is a small integer (every
+shipped scenario), ``k**(alpha/n)`` is formed by a square root or a
+product, then multiplications, rather than ``pow``.
 
 Trials are processed in fixed-size chunks, each with its own PCG64
 stream keyed by ``SeedSequence([seed, chunk_index])``. Chunks run
-concurrently on a thread pool (numpy's generators and ufuncs release the
-interpreter lock). Each returns float64 sums of h, h**2, the guard-zone
-indicator D, and of h and h**2 on each side (D = 1 and D = 0). The sums
-are added in chunk order, so results are reproducible for a given seed
-and independent of how many chunks run at once. Standard errors come from
-these second moments.
+concurrently on a thread pool kept for the life of the process (numpy's
+generators and ufuncs release the interpreter lock). Each returns float64
+sums of h, h**2, the guard-zone indicator D, and of h and h**2 on each
+side (D = 1 and D = 0). The sums are added in chunk order, so results are
+reproducible for a given seed and independent of how many chunks run at
+once. Standard errors come from these second moments.
 """
 
 from __future__ import annotations
@@ -310,25 +311,35 @@ def _volume_draw(rng: np.random.Generator, n: int) -> np.ndarray:
     return w.view("<i4")
 
 
+@functools.cache
+def _pool(workers: int):
+    """A pool of ``workers`` threads, kept for the life of the process.
+    ``concurrent.futures`` loads here, so a command that simulates nothing
+    does not import it."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(max_workers=workers)
+
+
+# A forked child holds the pools but none of their threads: it makes its own
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_pool.cache_clear)
+
+
 def _sum_over_chunks(kernel, cfg: SimConfig) -> np.ndarray:
     """Sum the float64 sums ``kernel(rng, size)`` over every chunk.
 
-    Up to ``_WORKERS`` chunks run at once. Each draws only from its own
-    stream, and ``pool.map`` yields the results in chunk order, so they
-    are added in the same order, and the result is the same bits, at any
-    worker count. ``concurrent.futures`` loads on first use only, so the
-    commands that simulate nothing do not import it.
+    Up to ``_WORKERS`` chunks run at once, on the pool of :func:`_pool`,
+    whose threads start with the first simulation and serve every later
+    one. Each chunk draws only from its own stream, and ``pool.map``
+    yields the results in chunk order, so they are added in the same
+    order, and the result is the same bits, at any worker count.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
-    jobs = list(enumerate(_chunk_sizes(cfg.trials)))
-
     def run(job):
         chunk_idx, size = job
         return kernel(_chunk_rng(cfg.seed, chunk_idx), size)
 
-    with ThreadPoolExecutor(max_workers=min(_WORKERS, len(jobs))) as pool:
-        return sum(pool.map(run, jobs))
+    return sum(_pool(_WORKERS).map(run, enumerate(_chunk_sizes(cfg.trials))))
 
 
 def _half_power(x: np.ndarray, m: int, tmp: np.ndarray) -> np.ndarray:
@@ -442,9 +453,8 @@ def estimate_single(p: ModelParams, r_O_grid, cfg: SimConfig) -> SingleObsEstima
         raise ValueError("guard-zone radii must be smaller than the region radius")
     _check_resolution(float(grid.min()), R, p.n)
     mean_pts = p.density * d.c_n * R**p.n
-    thresholds = (grid / R) ** p.n
     # u < thr exactly when k < thr * 2**24, a product that is exact
-    near_cut = math.ceil(thresholds.max() / _U_RESOLUTION)
+    cuts = (grid / R) ** p.n / _U_RESOLUTION
     far_log = (_far_field_log(p, p.density, R) if cfg.fading == "rayleigh"
                else None)
     k = len(grid)
@@ -455,15 +465,15 @@ def estimate_single(p: ModelParams, r_O_grid, cfg: SimConfig) -> SingleObsEstima
         draws = _volume_draw(rng, int(ends[-1]))
         h = _success(draws, ends, p, R, far_log)
         hh = h * h
-        # Guard-zone tests run only on points inside the largest ball
-        near = np.flatnonzero(draws < near_cut)
-        u_near = draws[near] * _U_RESOLUTION
-        trial_near = np.searchsorted(ends, near, side="right")
+        # A zone is clear when the trial's nearest point lies outside it.
+        # An empty trial's 2**24 is above every cut, so its zones are clear.
+        kmin = np.full(size, 1 << 24, dtype=draws.dtype)
+        seen = np.flatnonzero(counts)
+        kmin[seen] = np.minimum.reduceat(draws, ends[seen] - counts[seen])
         sums = np.empty(2 + 5 * k)
         sums[0], sums[1] = h.sum(), hh.sum()
-        for i, thr in enumerate(thresholds):
-            D = np.ones(size, dtype=bool)
-            D[trial_near[u_near < thr]] = False
+        for i, cut in enumerate(cuts):
+            D = kmin >= cut
             sums[2 + i] = D.sum()
             # Each side is summed, not taken as total minus the other: a
             # side whose h is tiny next to the total would keep no digits.

@@ -10,6 +10,7 @@ tolerances widened accordingly.
 import dataclasses
 import hashlib
 import math
+import multiprocessing
 import warnings
 
 import mpmath
@@ -260,6 +261,31 @@ class TestChunkKernel:
             assert round(est.prior.value * T) == sum_h
             assert round(est.posterior_d1[0].value * n_D) == sum_hd
 
+    @pytest.mark.parametrize("fading", ["rayleigh", "none"])
+    # R = 60 gives ~2.3 points per trial, so ~10% of trials hold none
+    @pytest.mark.parametrize("region", [60.0, 600.0])
+    def test_matches_former_masks(self, monkeypatch, fading, region):
+        # unsorted, with a repeated radius; 10_500 trials end on a
+        # partial chunk of 260
+        grid = [50.0, 10.0, 50.0, 30.0]
+        cfg = mc.SimConfig(trials=10_500, seed=6, fading=fading,
+                           region_radius=region)
+        sums, some_empty = former_mask_sums(FIG1, grid, cfg)
+        assert some_empty == (region == 60.0)
+        with monkeypatch.context() as m:
+            m.setattr(mc, "_sum_over_chunks", lambda kernel, cfg: sums)
+            former = mc.estimate_single(FIG1, grid, cfg)
+        assert mc.estimate_single(FIG1, grid, cfg) == former
+
+    def test_degenerate_sides_stay_exact(self):
+        # on fig4 at r_O = 50 every zone is busy: the busy side is every
+        # trial, summed in the same order as the whole
+        T = 10_240
+        est = mc.estimate_single(FIG4, [50.0], mc.SimConfig(trials=T, seed=0))
+        assert est.evidence[0] == mc.Estimate(0.0, 0.0, T)
+        assert (est.p_II[0].value, est.p_II[0].stderr) == (1.0, 0.0)
+        assert est.posterior_d0[0] == est.prior
+
     def test_busy_side_keeps_its_digits(self):
         # on fig4 at r_O = 0.3 a busy zone holds an interferer within 0.3,
         # so its h is below 2e-7: taken as the total minus the clear side,
@@ -365,6 +391,36 @@ class TestChunkKernel:
         assert other.config_hash != est.config_hash
 
 
+def rerun_in_child(conn):
+    conn.send(repr(mc.estimate_single(FIG1, [20.0, 50.0], FAST)))
+    conn.close()
+
+
+class TestThreadPool:
+    def test_one_pool_per_worker_count(self):
+        assert mc._pool(2) is mc._pool(2)
+        assert mc._pool(1) is not mc._pool(2)
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="no fork on this platform")
+    def test_forked_child_simulates(self, monkeypatch):
+        # the child holds the parent's pool but none of its threads: had
+        # it kept that pool, its chunks would never run
+        monkeypatch.setattr(mc, "_WORKERS", 2)
+        want = repr(mc.estimate_single(FIG1, [20.0, 50.0], FAST))
+        ctx = multiprocessing.get_context("fork")
+        recv, send = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=rerun_in_child, args=(send,))
+        child.start()
+        send.close()
+        try:
+            assert recv.poll(60), "the forked child did not finish its run"
+            assert recv.recv() == want
+        finally:
+            child.kill()
+            child.join()
+
+
 class TestPinnedEstimates:
     """sha256 of ``repr`` of whole estimates at fixed seeds, one per
     chunk kernel: Rayleigh and no-fading single-slot, and Aloha. A change
@@ -430,6 +486,40 @@ class TestFarField:
             want = -p.density * d.c_n * n * mpmath.mpf(R) ** n * integral
         assert mc._far_field_log(p, p.density, R) == pytest.approx(
             float(want), rel=1e-13)
+
+
+def former_mask_sums(p, grid, cfg):
+    """The chunk sums of :func:`mc.estimate_single` as a literal loop over
+    the radii builds them: for each radius a mask set to 1, then cleared
+    at the trial of every point with u < thr, and four masked sums. Also
+    returns whether some trial has no points."""
+    d = derive(p)
+    R = mc._region_radius(p, p.density, max(grid), cfg)
+    far_log = (mc._far_field_log(p, p.density, R)
+               if cfg.fading == "rayleigh" else None)
+    thresholds = (np.asarray(grid) / R) ** p.n
+    total, some_empty = 0, False
+    for chunk_idx, size in enumerate(mc._chunk_sizes(cfg.trials)):
+        rng = mc._chunk_rng(cfg.seed, chunk_idx)
+        counts = rng.poisson(p.density * d.c_n * R**p.n, size=size)
+        ends = np.cumsum(counts)
+        k = mc._volume_draw(rng, int(ends[-1]))
+        h = mc._success(k, ends, p, R, far_log)
+        hh = h * h
+        some_empty |= bool(np.any(counts == 0))
+        trial = np.repeat(np.arange(size), counts)
+        clear, h_d, hh_d, h_b, hh_b = [], [], [], [], []
+        for thr in thresholds:
+            D = np.ones(size, dtype=bool)
+            D[trial[k * 2.0**-24 < thr]] = False
+            clear.append(D.sum())
+            h_d.append(h[D].sum())
+            hh_d.append(hh[D].sum())
+            h_b.append(h[~D].sum())
+            hh_b.append(hh[~D].sum())
+        total = total + np.array([h.sum(), hh.sum(), *clear, *h_d, *hh_d,
+                                  *h_b, *hh_b])
+    return total, some_empty
 
 
 def per_trial(p, r_O, cfg):
