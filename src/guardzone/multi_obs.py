@@ -122,18 +122,25 @@ def _cells(p: ModelParams, aloha: AlohaParams, r_O: float):
     hit, miss = math.exp(-pc * T), -math.expm1(-pc * T)
     nu = B * aloha.p_bar ** np.arange(N + 2)
     m, w = _weights(nu * math.exp(log_u), nu)
-    busy = -np.expm1(m * log_pb)  # P(d=0 | m)
+    em = np.expm1(m * log_pb)  # -P(d=0 | m)
+    # P(d=0 | m) times 2**-e, which brings its largest (at the last count of
+    # row 0) into [1/2, 1] if it is below: then its powers up to N do not
+    # underflow for a tiny p. p_K takes the 2**(e (N - K)) back.
+    e = min(math.frexp(em[0, -1])[1], 0)
+    busy = em * -math.ldexp(1.0, -e)
     K = np.arange(N + 1)
     m0, l = m[:-1], (N - K)[:, None]
     # the history law of row K over its d = 0 and its d = 1 window
     w0, w1 = w[:-1] * busy[:-1] ** l, w[1:] * busy[1:] ** l
-    h0 = miss * busy[:-1] - hit * np.expm1(m0 * log_u)
+    h0 = -miss * em[:-1] - hit * np.expm1(m0 * log_u)
     h1 = hit * np.exp(m0 * log_u) * -np.expm1(
         -m0 * math.log1p(pc * C / (aloha.p_bar * B)))
     mass0, mass1, s0, s1, c0, c1 = np.add.reduce(
         np.array([w[:-1], w[1:], w0, w1, w0 * h0, w0 * h1]), axis=2)
     p_K = (np.array([math.comb(N, k) for k in K])
            * np.exp(B * np.expm1(K * log_pb)) * s0 / mass0)
+    if e:
+        p_K *= 2.0 ** (e * (N - K))
     p_d1 = np.exp(-pc * nu[:-1]) * (s1 / mass1) / (s0 / mass0)
     p_h = np.empty((N + 1, 2, 2))
     p_h[:, 0] = np.array([c0, c1]).T / (c0 + c1)[:, None]

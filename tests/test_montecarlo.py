@@ -8,6 +8,7 @@ tolerances widened accordingly.
 """
 
 import dataclasses
+import functools
 import hashlib
 import math
 import multiprocessing
@@ -19,6 +20,7 @@ import pytest
 
 from guardzone import montecarlo as mc, specfn
 from guardzone.multi_obs import AlohaParams, p_K, posterior_given_K_d
+from guardzone.nofading import levy_prior, posterior_nofade
 from guardzone.params import ModelParams, derive
 from guardzone.single_obs import evidence_success, posterior, prior_success
 
@@ -286,6 +288,80 @@ class TestChunkKernel:
         assert (est.p_II[0].value, est.p_II[0].stderr) == (1.0, 0.0)
         assert est.posterior_d0[0] == est.prior
 
+    def test_degenerate_sides_stay_exact_without_fading(self):
+        # the same run with no fading, where the near points decide three
+        # trials in four: still every zone busy, and the busy side the whole
+        T = 10_240
+        est = mc.estimate_single(FIG4, [50.0], mc.SimConfig(
+            trials=T, seed=0, fading="none"))
+        assert est.evidence[0] == mc.Estimate(0.0, 0.0, T)
+        assert (est.p_II[0].value, est.p_II[0].stderr) == (1.0, 0.0)
+        assert est.posterior_d0[0] == est.prior
+
+    @pytest.mark.parametrize("p", [FIG1, FIG4, NOISY],
+                             ids=["fig1", "fig4", "noisy"])
+    def test_kill_index_is_the_lone_point_boundary(self, p):
+        # at the default no-fading region: a trial whose only point lies at
+        # k_kill - 1 fails the SINR test, one whose only point lies at
+        # k_kill passes, and a near point fails its trial whatever else it
+        # holds
+        R = mc.auto_region_radius(p, p.density, 1e-3)
+        k_kill = mc._kill_index(p, R)
+        assert 1 < k_kill < 2**24
+
+        def success(*k):
+            return mc._success(np.array(k, dtype=np.int32), np.array([len(k)]),
+                               p, R, None)[0]
+
+        assert (success(k_kill - 1), success(k_kill)) == (0.0, 1.0)
+        assert success(*[2**24] * 999, k_kill - 1) == 0.0
+        # the same boundary for the pathloss R**-alpha u**(-alpha/n) by pow
+        d = derive(p)
+        x = R ** -p.alpha * (np.array([k_kill - 1, k_kill]) * 2.0**-24) \
+            ** (-p.alpha / p.n)
+        assert x[0] > 1.0 / d.sigma - p.eta >= x[1]
+
+    def test_kill_index_beyond_the_lattice(self):
+        # in a ball of radius 3 a lone point anywhere fails fig4's test
+        assert mc._kill_index(FIG4, 3.0) == 2**24 + 1
+
+    @pytest.mark.parametrize("p, region", [
+        (FIG4, None), (NOISY, None),
+        # eta >= 1/sigma: no lone point passes, so k_kill is 1 and the split
+        # empty; at eta = 1/sigma only a trial with no point succeeds
+        (dataclasses.replace(NOISY, eta=1.0 / derive(NOISY).sigma), 15.0),
+        (dataclasses.replace(NOISY, eta=2.0 / derive(NOISY).sigma), 15.0),
+        # every lone point fails and a trial holds 31 on average: the near
+        # field is the whole ball, and no trial of a chunk draws the rest
+        (dataclasses.replace(FIG4, density=0.1), 10.0)],
+        ids=["fig4", "noisy", "eta-at-margin", "eta-beyond", "all-near"])
+    def test_split_matches_former_masks(self, monkeypatch, p, region):
+        grid = [region / 6.0, region / 1.5] if region else [10.0, 20.0]
+        cfg = mc.SimConfig(trials=10_500, seed=8, fading="none",
+                           region_radius=region)
+        sums, _ = former_mask_sums(p, grid, cfg)
+        with monkeypatch.context() as m:
+            m.setattr(mc, "_sum_over_chunks", lambda kernel, cfg: sums)
+            former = mc.estimate_single(p, grid, cfg)
+        est = mc.estimate_single(p, grid, cfg)
+        # repr: a prior of 0 makes p_II nan
+        assert repr(est) == repr(former)
+        if p.eta >= 1.0 / derive(p).sigma:
+            # the literal test: an empty sum is 0, so at the margin exactly
+            # the trials with no point succeed, and beyond it none
+            h, _, _ = per_trial(p, grid[0], cfg)
+            assert est.prior.value * cfg.trials == h.sum()
+            assert (h.sum() > 0) == (p.eta == 1.0 / derive(p).sigma)
+
+    @pytest.mark.parametrize("p", [FIG4, NOISY], ids=["fig4", "noisy"])
+    def test_split_independent_of_workers(self, monkeypatch, p):
+        cfg = mc.SimConfig(trials=10_500, seed=9, fading="none")
+        runs = []
+        for workers in (1, 2):
+            monkeypatch.setattr(mc, "_WORKERS", workers)
+            runs.append(mc.estimate_single(p, [10.0, 20.0], cfg))
+        assert runs[0] == runs[1]
+
     def test_busy_side_keeps_its_digits(self):
         # on fig4 at r_O = 0.3 a busy zone holds an interferer within 0.3,
         # so its h is below 2e-7: taken as the total minus the clear side,
@@ -434,7 +510,9 @@ class TestPinnedEstimates:
         (lambda: mc.estimate_single(FIG4, [10.0, 25.0],
                                     mc.SimConfig(trials=10_240, seed=2,
                                                  fading="none")),
-         "29d8c786e7df991034a0caa31c28fd9bec8fc9934cf8a2062d9ad0bf310236ae"),
+         # re-pinned when the no-fading chunk came to draw its near points
+         # first, and the rest of the ball only for trials with none
+         "28de2037978a3b74a4a5323045ccbd589beaad15c76fe0f4c0232ebdda60c637"),
         (lambda: mc.estimate_multiobs(FIG4, AlohaParams(0.5, 2), 10.0,
                                       mc.SimConfig(trials=10_240, seed=3)),
          "64addcd8381de850f8cdd2d429460feb5d01f912d81f8235bfcbedcfd98e64bf"),
@@ -488,6 +566,34 @@ class TestFarField:
             float(want), rel=1e-13)
 
 
+def nofading_points(rng, p, R, size):
+    """One no-fading chunk's points, drawn from ``rng`` in the estimator's
+    order: for every trial a Poisson(mu q) count of near points, k uniform
+    on [1, k_kill); then for each trial with none, a Poisson(mu (1 - q))
+    count of volume draws, where each batch of those below k_kill is drawn
+    again. Returns the volume indices k of every trial's points, in trial
+    order, and the per-trial counts."""
+    d = derive(p)
+    k_kill = mc._kill_index(p, R) if 1.0 / d.sigma > p.eta else 1
+    q = (k_kill - 1) * 2.0**-24
+    mu = p.density * d.c_n * R**p.n
+    inner = rng.poisson(mu * q, size=size)
+    near = rng.integers(1, k_kill, size=inner.sum(), dtype=np.int32)
+    open_ = np.flatnonzero(inner == 0)
+    outer = rng.poisson(mu * (1.0 - q), size=len(open_))
+    far = mc._volume_draw(rng, int(outer.sum()))
+    low = np.flatnonzero(far < k_kill)
+    while len(low):
+        far[low] = mc._volume_draw(rng, len(low))
+        low = low[far[low] < k_kill]
+    counts = inner.copy()
+    counts[open_] = outer
+    trial = np.concatenate([np.repeat(np.arange(size), inner),
+                            np.repeat(open_, outer)])
+    k = np.concatenate([near, far])
+    return k[np.argsort(trial, kind="stable")], counts
+
+
 def former_mask_sums(p, grid, cfg):
     """The chunk sums of :func:`mc.estimate_single` as a literal loop over
     the radii builds them: for each radius a mask set to 1, then cleared
@@ -501,9 +607,13 @@ def former_mask_sums(p, grid, cfg):
     total, some_empty = 0, False
     for chunk_idx, size in enumerate(mc._chunk_sizes(cfg.trials)):
         rng = mc._chunk_rng(cfg.seed, chunk_idx)
-        counts = rng.poisson(p.density * d.c_n * R**p.n, size=size)
+        if cfg.fading == "rayleigh":
+            counts = rng.poisson(p.density * d.c_n * R**p.n, size=size)
+            k = mc._volume_draw(rng, int(counts.sum()))
+        else:
+            k, counts = nofading_points(rng, p, R, size)
         ends = np.cumsum(counts)
-        k = mc._volume_draw(rng, int(ends[-1]))
+        # with no fading, a trial's near points make its h 0 here too
         h = mc._success(k, ends, p, R, far_log)
         hh = h * h
         some_empty |= bool(np.any(counts == 0))
@@ -535,8 +645,12 @@ def per_trial(p, r_O, cfg):
     for chunk_idx, start in enumerate(range(0, cfg.trials, mc._CHUNK)):
         size = min(mc._CHUNK, cfg.trials - start)
         rng = mc._chunk_rng(cfg.seed, chunk_idx)
-        counts = rng.poisson(p.density * d.c_n * R**p.n, size=size)
-        u = 1.0 - rng.random(counts.sum(), dtype=np.float32)
+        if cfg.fading == "rayleigh":
+            counts = rng.poisson(p.density * d.c_n * R**p.n, size=size)
+            u = 1.0 - rng.random(counts.sum(), dtype=np.float32)
+        else:
+            k, counts = nofading_points(rng, p, R, size)
+            u = (k * 2.0**-24).astype(np.float32)
         last_trial_empty |= counts[-1] == 0
         lo = 0
         for t in range(size):
@@ -664,6 +778,20 @@ class TestCalibration:
     SEEDS = range(150)
 
     @staticmethod
+    @functools.cache
+    def replicated(kind, p, grid, region):
+        """:meth:`named` estimates of one case at every seed, made once per
+        test run: the tests of one case share its runs."""
+        runs = []
+        for seed in TestCalibration.SEEDS:
+            cfg = mc.SimConfig(trials=10_000, seed=seed, region_radius=region,
+                               fading="none" if kind == "none" else "rayleigh")
+            est = (mc.estimate_multiobs(p, AlohaParams(p=0.5, N=1), grid, cfg)
+                   if kind == "aloha" else mc.estimate_single(p, grid, cfg))
+            runs.append(TestCalibration.named(est))
+        return runs
+
+    @staticmethod
     def named(est):
         if isinstance(est, mc.MultiObsEstimates):
             out = {f"{q}[{k}]": e for q in ("p_K", "p_h_given_K", "p_d_given_K")
@@ -678,27 +806,26 @@ class TestCalibration:
                         for r, e in zip(est.r_O_grid, getattr(est, q))})
         return out
 
+    # grids are tuples, so that the cache of replicated() can key on them
     @pytest.mark.parametrize("kind, p, grid, region", [
-        ("rayleigh", FIG1, [20.0, 50.0], 200.0),
-        ("none", FIG1, [20.0, 50.0], 200.0),
+        ("rayleigh", FIG1, (20.0, 50.0), 200.0),
+        ("none", FIG1, (20.0, 50.0), 200.0),
         ("aloha", FIG1, 50.0, 200.0),
         # default regions: the shell rule between its clamps (135.7 on
         # fig1, 185.3 at the Aloha density, 42.6 on fig4), and at its
         # ceiling 10 r_max = 30 on fig4, where every zone is small
-        ("rayleigh", FIG1, [20.0, 50.0], None),
+        ("rayleigh", FIG1, (20.0, 50.0), None),
         ("aloha", FIG1, 50.0, None),
-        ("rayleigh", FIG4, [10.0, 15.0], None),
-        ("rayleigh", FIG4, [1.5, 3.0], None)],
+        ("rayleigh", FIG4, (10.0, 15.0), None),
+        ("rayleigh", FIG4, (1.5, 3.0), None),
+        # the no-fading region 560.5 of fig4, where the near points decide
+        # three trials in four
+        ("none", FIG4, (10.0, 15.0), None)],
         ids=["rayleigh", "none", "aloha", "rayleigh-default", "aloha-default",
-             "rayleigh-default-shell", "rayleigh-default-small"])
+             "rayleigh-default-shell", "rayleigh-default-small",
+             "none-default"])
     def test_sd_over_se(self, kind, p, grid, region):
-        runs = []
-        for seed in self.SEEDS:
-            cfg = mc.SimConfig(trials=10_000, seed=seed, region_radius=region,
-                               fading="none" if kind == "none" else "rayleigh")
-            est = (mc.estimate_multiobs(p, AlohaParams(p=0.5, N=1), grid, cfg)
-                   if kind == "aloha" else mc.estimate_single(p, grid, cfg))
-            runs.append(self.named(est))
+        runs = self.replicated(kind, p, grid, region)
         ratios = {}
         for name in runs[0]:
             values = np.array([r[name].value for r in runs])
@@ -713,10 +840,25 @@ class TestCalibration:
                if not 0.8 <= v <= 1.25}
         assert not off, ratios
 
+    def test_nofading_pooled_bias(self):
+        # the mean over the seeds of the none-default case, whose SE is
+        # about 1/12 of one run's, against the closed forms
+        grid = (10.0, 15.0)
+        runs = self.replicated("none", FIG4, grid, None)
+        want = {"prior": levy_prior(FIG4)}
+        want.update({f"posterior_d1[{r:g}]": posterior_nofade(FIG4, r).value
+                     for r in grid})
+        z = {}
+        for name, value in want.items():
+            values = np.array([r[name].value for r in runs])
+            se = np.array([r[name].stderr for r in runs])
+            z[name] = (values.mean() - value) / math.sqrt(
+                np.mean(se**2) / len(runs))
+        assert all(abs(v) <= 3.0 for v in z.values()), z
+
 
 class TestNoFading:
     def test_levy_prior_loose(self):
-        from guardzone.nofading import levy_prior
         p4 = ModelParams(n=2, density=2e-3, alpha=4, beta=5, r_T=10)
         cfg = mc.SimConfig(trials=10_000, seed=3, fading="none")
         est = mc.estimate_single(p4, [10.0], cfg)

@@ -309,6 +309,27 @@ class TestConditionalLaws:
             evidence_success(thin, 50.0), rel=1e-12)
         assert mo.p_K(FIG5, a0, 50.0, 0) == 1.0
 
+    def test_history_below_the_float_range(self):
+        # fig1, r_O = 20, p = 1e-40, N = 8: the history law of K = 0,
+        # (1 - pb^m)^8 about (m p)^8, lies near 1e-310 over the whole window,
+        # and P(K = 0) = 3.15e-319 is subnormal. Every value is finite,
+        # with no RuntimeWarning, and within 1e-12 of the exact sums; the
+        # subnormal one within one unit of its spacing.
+        pc, N, r_O = 1e-40, 8, 20.0
+        aloha = mo.AlohaParams(pc, N)
+        exact = cells_exact(FIG5, pc, r_O, N)
+        for K in (0, 1, N):
+            (c00, c01), (c10, c11) = exact[K]
+            pK = c00 + c01 + c10 + c11
+            assert abs(mo.p_K(FIG5, aloha, r_O, K) - float(pK)) \
+                <= max(1e-12 * pK, 5e-324)
+            for got, want in [
+                    (mo.p_d_given_K(FIG5, aloha, r_O, K), (c10 + c11) / pK),
+                    (mo.p_h_given_K(FIG5, aloha, r_O, K), (c01 + c11) / pK),
+                    (mo.posterior_given_K_d(FIG5, aloha, r_O, K, 0),
+                     c01 / (c00 + c01))]:
+                assert got == pytest.approx(float(want), rel=1e-12, abs=0.0)
+
     def test_rejects_noise(self):
         noisy = ModelParams(n=2, density=2e-4, alpha=3, beta=5, r_T=10,
                             eta=1e-6)
