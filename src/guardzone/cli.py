@@ -385,10 +385,10 @@ def cmd_validate(args) -> int:
         nf = montecarlo.estimate_single(p, grid, nf_cfg)
         estimates.append(nf.config_hash)
         checks.append(_check("prior_nofading", nofading.levy_prior(p), nf.prior))
+        post_nf = nofading._invert(p, grid, strict=True).value
         for i, r in enumerate(nf.r_O_grid):
-            checks.append(_check(
-                f"posterior_nofading[r_O={r:g}]",
-                nofading.posterior_nofade(p, r).value, nf.posterior_d1[i]))
+            checks.append(_check(f"posterior_nofading[r_O={r:g}]",
+                                 float(post_nf[i]), nf.posterior_d1[i]))
 
     aloha = None
     if args.aloha is not None:
@@ -396,15 +396,15 @@ def cmd_validate(args) -> int:
         r_O = float(grid[0])
         mo = montecarlo.estimate_multiobs(p, aloha, r_O, cfg)
         estimates.append(mo.config_hash)
+        laws = multi_obs._by_K(p, aloha, r_O)
         for k in range(aloha.N + 1):
             for name in ("p_K", "p_h_given_K", "p_d_given_K"):
-                checks.append(_check(
-                    f"{name}[K={k}]", getattr(multi_obs, name)(p, aloha, r_O, k),
-                    getattr(mo, name)[k]))
+                checks.append(_check(f"{name}[K={k}]", float(laws[name][k]),
+                                     getattr(mo, name)[k]))
             for d_obs in (0, 1):
                 checks.append(_check(
                     f"posterior[K={k},d={d_obs}]",
-                    multi_obs.posterior_given_K_d(p, aloha, r_O, k, d_obs),
+                    float(laws["posterior"][k, d_obs]),
                     mo.posterior[(k, d_obs)]))
 
     _holm(checks)

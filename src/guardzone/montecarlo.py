@@ -287,6 +287,26 @@ def _far_field_log(p: ModelParams, interferer_density: float,
     return -interferer_density * d.c_n * p.n * R**p.n * integral
 
 
+def _ball(p: ModelParams, interferer_density: float, r_min: float,
+          r_max: float, cfg: SimConfig) -> tuple:
+    """The simulated ball for guard zones from ``r_min`` to ``r_max``: its
+    radius R (:func:`_region_radius`), the mean count of points in it,
+    and, under Rayleigh fading, the log success factor of the interferers
+    beyond it (:func:`_far_field_log`), else None.
+
+    Raises ``ValueError`` for a zone as large as the ball, and
+    ``RuntimeError`` for one below its resolution.
+    """
+    R = _region_radius(p, interferer_density, r_max, cfg)
+    if r_max >= R:
+        raise ValueError("guard-zone radii must be smaller than the region "
+                         "radius")
+    _check_resolution(r_min, R, p.n)
+    far_log = (_far_field_log(p, interferer_density, R)
+               if cfg.fading == "rayleigh" else None)
+    return R, p.density * derive(p).c_n * R**p.n, far_log
+
+
 def _chunk_rng(seed: int, chunk_idx: int) -> np.random.Generator:
     return np.random.Generator(
         _BIT_GENERATOR(np.random.SeedSequence([seed, chunk_idx])))
@@ -467,15 +487,10 @@ def estimate_single(p: ModelParams, r_O_grid, cfg: SimConfig) -> SingleObsEstima
     if grid.ndim != 1 or len(grid) == 0 or not np.all(grid > 0):
         raise ValueError("r_O grid must be a nonempty 1-d array of positive radii")
     d = derive(p)
-    R = _region_radius(p, p.density, float(grid.max()), cfg)
-    if np.any(grid >= R):
-        raise ValueError("guard-zone radii must be smaller than the region radius")
-    _check_resolution(float(grid.min()), R, p.n)
-    mean_pts = p.density * d.c_n * R**p.n
+    R, mean_pts, far_log = _ball(p, p.density, float(grid.min()),
+                                 float(grid.max()), cfg)
     # u < thr exactly when k < thr * 2**24, a product that is exact
     cuts = (grid / R) ** p.n / _U_RESOLUTION
-    far_log = (_far_field_log(p, p.density, R) if cfg.fading == "rayleigh"
-               else None)
     # q: the share of the ball where one point fails the SINR test alone
     k_kill = (_kill_index(p, R) if far_log is None and 1.0 / d.sigma > p.eta
               else 1)
@@ -577,18 +592,11 @@ def estimate_multiobs(p: ModelParams, aloha: AlohaParams, r_O: float,
         raise ValueError("multi-observation simulation requires Rayleigh fading")
     if not r_O > 0:
         raise ValueError(f"r_O must be positive, got {r_O}")
-    d = derive(p)
-    active_density = aloha.p * p.density
-    R = _region_radius(p, active_density, r_O, cfg)
-    if r_O >= R:
-        raise ValueError("guard-zone radius must be smaller than the region radius")
-    _check_resolution(r_O, R, p.n)
-    mean_pts = p.density * d.c_n * R**p.n
+    R, mean_pts, far_log = _ball(p, aloha.p * p.density, r_O, r_O, cfg)
     # The inside-ball test is u < float32(thr): that rounding keeps every
     # seed's histories as they were. As k < float32(thr) * 2**24 it is exact.
     inside_cut = math.ceil(float(np.float32((r_O / R) ** p.n))
                            / _U_RESOLUTION)
-    far_log = _far_field_log(p, active_density, R)
     N = aloha.N
 
     def chunk(rng, size):

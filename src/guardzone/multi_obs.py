@@ -162,12 +162,21 @@ def p_h_given_m(p: ModelParams, aloha: AlohaParams, r_O: float, m: int) -> float
     return math.exp(-aloha.p * T + m * math.log1p(-aloha.p * gap / B))
 
 
+def _by_K(p: ModelParams, aloha: AlohaParams, r_O: float) -> dict:
+    """Every K's value of :func:`p_K`, :func:`p_h_given_K`,
+    :func:`p_d_given_K` and, indexed [K, d], :func:`posterior_given_K_d`,
+    from one :func:`_cells` call."""
+    p_K, p_d, p_h = _cells(p, aloha, r_O)
+    return {"p_K": p_K, "p_h_given_K": np.array(
+                [p_d[K] @ p_h[K, :, 1] for K in range(aloha.N + 1)]),
+            "p_d_given_K": p_d[:, 1], "posterior": p_h[:, :, 1]}
+
+
 def p_h_given_K(p: ModelParams, aloha: AlohaParams, r_O: float, K: int) -> float:
     """Physical success probability in slot N+1 given K of N past protocol
     successes: the sum over d of P(d | K) P(h=1 | K, d)."""
     _check_K(aloha, K)
-    _, p_d, p_h = _cells(p, aloha, r_O)
-    return float(p_d[K] @ p_h[K, :, 1])
+    return float(_by_K(p, aloha, r_O)["p_h_given_K"][K])
 
 
 def p_d_given_K(p: ModelParams, aloha: AlohaParams, r_O: float, K: int) -> float:
@@ -175,13 +184,13 @@ def p_d_given_K(p: ModelParams, aloha: AlohaParams, r_O: float, K: int) -> float
     ``e^{-p nu_K}``, ``nu_K = B pb^K``, times a ratio of window sums that
     tends to 1 as the radius grows."""
     _check_K(aloha, K)
-    return float(_cells(p, aloha, r_O)[1][K, 1])
+    return float(_by_K(p, aloha, r_O)["p_d_given_K"][K])
 
 
 def p_K(p: ModelParams, aloha: AlohaParams, r_O: float, K: int) -> float:
     """Marginal probability of K protocol successes in the N observed slots."""
     _check_K(aloha, K)
-    return float(_cells(p, aloha, r_O)[0][K])
+    return float(_by_K(p, aloha, r_O)["p_K"][K])
 
 
 def _check_K(aloha: AlohaParams, K: int) -> None:
@@ -200,7 +209,7 @@ def posterior_given_K_d(p: ModelParams, aloha: AlohaParams, r_O: float,
     _check_K(aloha, K)
     if d_obs not in (0, 1):
         raise ValueError(f"d must be 0 or 1, got {d_obs}")
-    return float(_cells(p, aloha, r_O)[2][K, d_obs, 1])
+    return float(_by_K(p, aloha, r_O)["posterior"][K, d_obs])
 
 
 @dataclass(frozen=True)
@@ -246,12 +255,8 @@ def rule_errors(p: ModelParams, aloha: AlohaParams, r_O: float,
     ``sum_{g(K,d)=1} P(K, d, h=0) / P(h=0)`` and
     ``sum_{g(K,d)=0} P(K, d, h=1) / P(h=1)``, with P(h) the sum of the
     cells of that h, which is the thinned single-slot prior."""
-    _check_noiseless(p)
     if rule.N != aloha.N:
         raise ValueError(f"rule is for N={rule.N}, scenario has N={aloha.N}")
-    if len(set(rule.bits)) == 1:  # a constant rule ignores the observations
-        h = rule(0, 0)
-        return float(h), float(1 - h)
     p_K, p_d, p_h = _cells(p, aloha, r_O)
     g = np.frombuffer(rule.bits.encode(), np.uint8) == ord("1")
     # rows: the cells the rule calls a success, then a failure; columns: h

@@ -189,10 +189,12 @@ def _euler_weights(terms: int) -> np.ndarray:
     return weights
 
 
-def _invert(p: ModelParams, r_O: np.ndarray) -> IltResult:
+def _invert(p: ModelParams, r_O: np.ndarray, strict: bool = False) -> IltResult:
     """:func:`posterior_nofade` at each radius of a 1-d array, from one
-    transform evaluation, as arrays; a radius that misses the target gets
-    value nan, ``terms_used`` 0 and the error of the last doubling."""
+    transform evaluation, as arrays. A radius that misses the target gets
+    value nan, ``terms_used`` 0 and the error of the last doubling; or,
+    if ``strict``, the first such radius raises
+    :class:`IltConvergenceError`."""
     d = derive(p)
     t = 1.0 / d.sigma - p.eta
     if not t > 0:
@@ -221,6 +223,9 @@ def _invert(p: ModelParams, r_O: np.ndarray) -> IltResult:
         if terms_used.all():
             break
         prev = cur
+    if strict and not terms_used.all():
+        raise IltConvergenceError(achieved=float(error[terms_used.argmin()]),
+                                  target=_TARGET)
     return IltResult(value, error, terms_used)
 
 
@@ -230,11 +235,9 @@ def posterior_nofade(p: ModelParams, r_O: float) -> IltResult:
     to [0, 1], with the difference of the last two term counts, doubled
     until it is within the precision target, as its error estimate.
     Raises :class:`IltConvergenceError` when the target is not met."""
-    res = _invert(p, np.array([r_O], dtype=float))
-    error, terms = float(res.error_estimate[0]), int(res.terms_used[0])
-    if not terms:
-        raise IltConvergenceError(achieved=error, target=_TARGET)
-    return IltResult(float(res.value[0]), error, terms)
+    res = _invert(p, np.array([r_O], dtype=float), strict=True)
+    return IltResult(float(res.value[0]), float(res.error_estimate[0]),
+                     int(res.terms_used[0]))
 
 
 def rho_nofade(p: ModelParams, r_O: float) -> float:

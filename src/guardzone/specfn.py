@@ -46,9 +46,11 @@ same operations elementwise, in one pass whichever side of the split
 its elements lie on, so the two differ only where numpy's ``pow`` and
 the C library's round apart, by 2 ulp at most. The float/array choice of
 the other closed forms lives here as well: :func:`_ops` gives them
-``math`` for a float and numpy for an array. The root solver follows
-the same convention: it solves one equation in Python floats, or many
-at once, elementwise, in arrays.
+``math`` for a float and numpy for an array, and :func:`_where`,
+:func:`_all` and :func:`_any` a Python ``if`` for a float. The root
+solver is one iteration written with these: it solves one equation in
+Python floats, or many at once, elementwise, in arrays, and both give
+the same root to the bit where ``f`` does.
 """
 
 from __future__ import annotations
@@ -56,20 +58,24 @@ from __future__ import annotations
 import functools
 import math
 import sys
+from itertools import repeat
 from types import SimpleNamespace
 
 import numpy as np
 
 _FLOAT_OPS = SimpleNamespace(exp=math.exp, expm1=math.expm1, log=math.log,
-                             log1p=math.log1p, sqrt=math.sqrt)
+                             log1p=math.log1p, sqrt=math.sqrt, minimum=min,
+                             maximum=max)
 _ARRAY_OPS = SimpleNamespace(exp=np.exp, expm1=np.expm1, log=np.log,
-                             log1p=np.log1p, sqrt=np.sqrt)
+                             log1p=np.log1p, sqrt=np.sqrt, minimum=np.minimum,
+                             maximum=np.maximum)
 
 
 def _ops(x) -> SimpleNamespace:
-    """The exp, expm1, log, log1p and sqrt that apply to ``x``: numpy's
-    for an array, ``math``'s for anything else, a float (numpy's float64
-    is one), with none of a ufunc's per-call cost."""
+    """The exp, expm1, log, log1p, sqrt, minimum and maximum that apply to
+    ``x``: numpy's for an array, those of ``math`` and the builtins for
+    anything else, a float (numpy's float64 is one), with none of a
+    ufunc's per-call cost."""
     return _ARRAY_OPS if isinstance(x, np.ndarray) else _FLOAT_OPS
 
 
@@ -86,8 +92,12 @@ def _any(cond) -> bool:
 
 def _where(cond, x, y):
     """``x`` where ``cond`` holds, else ``y``: by a Python ``if`` for a
-    bool, elementwise for a boolean array."""
+    bool, elementwise for a boolean array. ``x`` and ``y`` may be tuples
+    of as many values, picked alike: one call for a bool, one
+    ``np.where`` per value for an array."""
     if isinstance(cond, np.ndarray):
+        if isinstance(x, tuple):
+            return tuple(map(np.where, repeat(cond), x, y))
         return np.where(cond, x, y)
     return x if cond else y
 
@@ -371,101 +381,60 @@ def _find_root(f, lo, hi, xtol: float, rtol: float):
     bracket that spans decades is halved in decades. It stops, like
     scipy's ``brentq``, once the bracket is narrower than
     ``xtol + rtol * |x|``, with ``rtol`` at least ``_MIN_RTOL``, and
-    returns the end with the smaller ``|f|``.
+    returns the end with the smaller ``|f|``; in an array, an element
+    stays where it converged.
 
-    The iteration is written twice, once in Python floats and once in
-    arrays, so that a float pays no array overhead and an array no
-    Python loop per element.
+    One iteration serves both: :func:`_where`, :func:`_all`,
+    :func:`_any` and :func:`_ops` take a float through Python floats,
+    with no array overhead, and an array elementwise, with no Python loop
+    per element.
 
     Raises :class:`BracketError` without a sign change, and
     ``RuntimeError`` after ``_MAX_ITER`` steps.
     """
     rtol = max(rtol, _MIN_RTOL)
-    if isinstance(lo, np.ndarray) or isinstance(hi, np.ndarray):
-        lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float),
-                                     np.asarray(hi, dtype=float))
-        # a converged element divides by its zero-width bracket; its step
-        # is discarded
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return _root_array(f, lo, hi, xtol, rtol)
-    return _root_float(f, lo, hi, xtol, rtol)
-
-
-def _unbracketed(fa, fb) -> bool:
-    """Whether ``f`` has the same nonzero sign at both ends, anywhere."""
-    return _any(((fa < 0) == (fb < 0)) & (fa != 0) & (fb != 0))
-
-
-def _interpolates(a, fa, b, fb, c, fc):
-    """Chandrupatla's test: whether the inverse quadratic through the
-    newest point ``a``, the other end ``b`` of the bracket and the point
-    ``c`` that ``a`` replaced is monotone on the bracket."""
-    xi = (a - b) / (c - b)
-    phi = (fa - fb) / (fc - fb)
-    return (phi * phi < xi) & ((1.0 - phi) * (1.0 - phi) < 1.0 - xi)
-
-
-def _interpolated(a, fa, b, fb, c, fc):
-    """The root of that inverse quadratic, as a fraction of b - a from a."""
-    return (fa / (fb - fa) * fc / (fb - fc)
-            + (c - a) / (b - a) * fa / (fc - fa) * fb / (fc - fb))
-
-
-def _root_float(f, a: float, b: float, xtol: float, rtol: float) -> float:
-    """:func:`_find_root` in Python floats."""
-    fa, fb = f(a), f(b)
-    if _unbracketed(fa, fb):
-        raise BracketError(f"no sign change between {a} and {b}")
-    c = fc = None
-    for _ in range(_MAX_ITER):
-        x, fx = (a, fa) if abs(fa) <= abs(fb) else (b, fb)
-        tol = xtol + rtol * abs(x)
-        if fx == 0 or abs(b - a) < tol:
-            return x
-        if c is None:
-            t = fa / (fa - fb)  # the secant
-        elif _interpolates(a, fa, b, fb, c, fc):
-            t = _interpolated(a, fa, b, fb, c, fc)
-        else:  # the geometric mean
-            t = (math.sqrt(a) * math.sqrt(b) - a) / (b - a)
-        # at least tol / 2 inside the bracket
-        lim = 0.5 * tol / abs(b - a)
-        x = a + min(max(t, lim), 1.0 - lim) * (b - a)
-        fx = f(x)
-        if (fx < 0) == (fa < 0):
-            c, fc = a, fa
-        else:
-            c, fc, b, fb = b, fb, a, fa
-        a, fa = x, fx
-    raise RuntimeError(f"root solver did not converge in {_MAX_ITER} steps")
-
-
-def _root_array(f, a: np.ndarray, b: np.ndarray, xtol: float,
-                rtol: float) -> np.ndarray:
-    """:func:`_find_root` in arrays; an element stays where it converged."""
-    fa, fb = f(a), f(b)
-    if _unbracketed(fa, fb):
-        raise BracketError(f"no sign change between {a} and {b}")
-    c = fc = None
-    for _ in range(_MAX_ITER):
-        first = np.abs(fa) <= np.abs(fb)
-        x, fx = np.where(first, a, b), np.where(first, fa, fb)
-        tol = xtol + rtol * np.abs(x)
-        done = (fx == 0) | (np.abs(b - a) < tol)
-        if done.all():
-            return x
-        if c is None:
-            t = fa / (fa - fb)
-        else:
-            t = np.where(_interpolates(a, fa, b, fb, c, fc),
-                         _interpolated(a, fa, b, fb, c, fc),
-                         (np.sqrt(a) * np.sqrt(b) - a) / (b - a))
-        lim = 0.5 * tol / np.abs(b - a)
-        x = np.where(done, a,
-                     a + np.minimum(np.maximum(t, lim), 1.0 - lim) * (b - a))
-        fx = f(x)
-        same = (fx < 0) == (fa < 0)
-        c, fc = np.where(same, a, b), np.where(same, fa, fb)
-        b, fb = np.where(same, b, a), np.where(same, fb, fa)
-        a, fa = x, fx
+    a, b = lo, hi
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        a, b = np.broadcast_arrays(np.asarray(a, dtype=float),
+                                   np.asarray(b, dtype=float))
+    xp = _ops(a)
+    # a converged element divides by its zero-width bracket, and one that
+    # fails Chandrupatla's test may divide by zero forming the root of
+    # the inverse quadratic; both values are discarded
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fa, fb = f(a), f(b)
+        if _any(((fa < 0) == (fb < 0)) & (fa != 0) & (fb != 0)):
+            raise BracketError(f"no sign change between {a} and {b}")
+        c = fc = None
+        for _ in range(_MAX_ITER):
+            x, fx = _where(abs(fa) <= abs(fb), (a, fa), (b, fb))
+            tol = xtol + rtol * abs(x)
+            span = b - a
+            width = abs(span)
+            done = (fx == 0) | (width < tol)
+            if _all(done):
+                return x
+            if c is None:
+                t = fa / (fa - fb)  # the secant
+            else:
+                # the geometric mean, or, where Chandrupatla's test finds
+                # the inverse quadratic through the newest point a, the
+                # other end b and the point c that a replaced monotone on
+                # the bracket, its root
+                t = (xp.sqrt(a) * xp.sqrt(b) - a) / span
+                xi, phi = (a - b) / (c - b), (fa - fb) / (fc - fb)
+                iqi = (phi * phi < xi) & ((1.0 - phi) * (1.0 - phi) < 1.0 - xi)
+                # a Python float, whose failed test is False, skips that
+                # root: it would raise where fc - fa is 0
+                if iqi is not False:
+                    t = _where(iqi, fa / (fb - fa) * fc / (fb - fc) + (c - a)
+                               / span * fa / (fc - fa) * fb / (fc - fb), t)
+            # at least tol / 2 inside the bracket
+            lim = 0.5 * tol / width
+            x = _where(done, a,
+                       a + xp.minimum(xp.maximum(t, lim), 1.0 - lim) * span)
+            fx = f(x)
+            c, fc, b, fb = _where((fx < 0) == (fa < 0), (a, fa, b, fb),
+                                  (b, fb, a, fa))
+            a, fa = x, fx
     raise RuntimeError(f"root solver did not converge in {_MAX_ITER} steps")

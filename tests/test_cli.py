@@ -237,6 +237,56 @@ class TestValidate:
         _, by_path = run_cli(args + [str(copy)], capsys)
         assert by_name == by_path
 
+    ALOHA_ARGS = ["validate", "--scenario", "fig4", "--aloha", "aloha_n2",
+                  "--grid", "10,15,20,25", "--trials", "20480", "--format",
+                  "json"]
+
+    def test_one_kernel_call_and_one_inversion(self, capsys, monkeypatch):
+        # the Aloha rows of every K read one joint law, and the no-fading
+        # rows of every radius one inversion
+        from guardzone import multi_obs, nofading
+        calls = []
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return call
+
+        for mod, name in ((multi_obs, "_cells"), (nofading, "_invert")):
+            monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+        code, _ = run_cli(self.ALOHA_ARGS, capsys)
+        assert code == 0
+        assert sorted(calls) == ["_cells", "_invert"]
+
+    def test_aloha_rows_are_the_accessors(self, capsys):
+        from guardzone import multi_obs
+        code, out = run_cli(self.ALOHA_ARGS, capsys)
+        assert code == 0
+        rows = {r["quantity"]: r["analytic"] for r in json.loads(out)["rows"]}
+        p = cli._load_input("scenario", "fig4")
+        aloha = cli._load_input("aloha", "aloha_n2")
+        for k in range(aloha.N + 1):
+            for name in ("p_K", "p_h_given_K", "p_d_given_K"):
+                assert rows[f"{name}[K={k}]"] == getattr(multi_obs, name)(
+                    p, aloha, 10.0, k)
+            for d_obs in (0, 1):
+                assert rows[f"posterior[K={k},d={d_obs}]"] == (
+                    multi_obs.posterior_given_K_d(p, aloha, 10.0, k, d_obs))
+
+    def test_unconverged_nofading_row_exits_3(self, capsys, monkeypatch):
+        # the settings of TestFadingCompare.test_unconverged_row, where
+        # r_O = 150 misses the target
+        from guardzone import nofading
+        monkeypatch.setattr(nofading, "_DOUBLINGS", 1)
+        monkeypatch.setattr(nofading, "_TARGET", 1e-14)
+        code = main(["validate", "--scenario", "fig4", "--grid", "5,150",
+                     "--trials", "10240"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ILT error estimate ")
+        assert err.endswith(" above target 1.000e-14\n")
+
     def test_nan_analytic_fails(self, capsys, monkeypatch):
         from guardzone import cli
         monkeypatch.setattr(cli, "prior_success", lambda p: float("nan"))

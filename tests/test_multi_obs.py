@@ -1,6 +1,7 @@
 """Aloha history: f_d identities, conditional laws, rules, and enumeration."""
 
 import math
+from itertools import product
 
 import mpmath
 import numpy as np
@@ -432,14 +433,14 @@ class TestDecisionRules:
         assert p_ii == pytest.approx(q_ii, rel=1e-9)
 
     def test_constant_rules(self):
-        r_O = 35.0
-        p_i, p_ii = mo.rule_errors(FIG5, ALOHA1, r_O,
-                                   mo.DecisionRuleTable.constant(1, 1))
-        assert (p_i, p_ii) == (1.0, 0.0)
-        p_i, p_ii = mo.rule_errors(FIG5, ALOHA1, r_O,
-                                   mo.DecisionRuleTable.constant(1, 0))
-        assert p_i == pytest.approx(0.0, abs=1e-12)
-        assert p_ii == pytest.approx(1.0, abs=1e-12)
+        # the cell sum of a constant rule has one row of zeros, so its
+        # errors are exactly 0 and 1
+        for N, r_O in product(range(4), (1e-3, 0.5, 35.0, 1e3)):
+            aloha = mo.AlohaParams(p=0.5, N=N)
+            assert mo.rule_errors(FIG5, aloha, r_O, mo.DecisionRuleTable
+                                  .constant(N, 1)) == (1.0, 0.0)
+            assert mo.rule_errors(FIG5, aloha, r_O, mo.DecisionRuleTable
+                                  .constant(N, 0)) == (0.0, 1.0)
 
     @pytest.mark.parametrize("r_O", [1e-3, 20.0, 300.0])
     def test_single_cell_rules_against_exact_sums(self, r_O):

@@ -268,6 +268,18 @@ class TestFindRoot:
             [specfn._find_root(lambda x: x**3 - k, 1e-3, 1e4, 1e-14, 1e-15)
              for k in c], rel=1e-15)
 
+    def test_array_equals_float(self):
+        # one iteration serves both, so an equation of + - * / only, whose
+        # values round alike either way, has the same root to the bit;
+        # the brackets span 4 to 10 decades
+        c = np.array([0.5, 2.0, 7.0, 1e3, 3e5])
+        lo = np.array([1e-3, 1e-6, 1e-3, 1e-2, 1e-4])
+        hi = np.array([1e4, 1e4, 1e7, 1e2, 1e3])
+        roots = specfn._find_root(lambda x: x * x * x - c, lo, hi, 1e-14, 1e-15)
+        assert roots.tolist() == [
+            specfn._find_root(lambda x: x * x * x - k, a, b, 1e-14, 1e-15)
+            for k, a, b in zip(c.tolist(), lo.tolist(), hi.tolist())]
+
     def test_tolerance_is_kept(self):
         # rtol below 4 eps is raised to it, so the bracket can still close
         for xtol in (1e-3, 0.0):
