@@ -148,20 +148,6 @@ def _cells(p: ModelParams, aloha: AlohaParams, r_O: float):
     return p_K, np.array([(c0 + c1) / s0, p_d1]).T, p_h
 
 
-def p_h_given_m(p: ModelParams, aloha: AlohaParams, r_O: float, m: int) -> float:
-    """Physical success probability given m potential TX in the guard zone.
-
-    Product of an outside-ball factor (thinned void-conditioned LT) and a
-    per-inside-node factor ``u = 1 - p (B - C)/B``, geometric in m.
-    """
-    _check_noiseless(p)
-    if m < 0:
-        raise ValueError(f"m must be nonnegative, got {m}")
-    _, B, _, T = _exponents(p, r_O)
-    gap = _BmC(*_coordinates(p, r_O))
-    return math.exp(-aloha.p * T + m * math.log1p(-aloha.p * gap / B))
-
-
 def _by_K(p: ModelParams, aloha: AlohaParams, r_O: float) -> dict:
     """Every K's value of :func:`p_K`, :func:`p_h_given_K`,
     :func:`p_d_given_K` and, indexed [K, d], :func:`posterior_given_K_d`,

@@ -207,8 +207,11 @@ def _invert(p: ModelParams, r_O: np.ndarray, strict: bool = False) -> IltResult:
     scale = math.exp(_DECAY / 2.0) / t
 
     def estimate(terms):
-        # binomially weighted mean of the partial sums terms .. 2*terms
-        return scale * (partial[:, terms:2 * terms + 1] @ _euler_weights(terms))
+        # binomially weighted mean of the partial sums terms .. 2*terms, a
+        # sum along each row alone: a matrix product's summation order
+        # depends on the number of rows
+        return scale * (partial[:, terms:2 * terms + 1]
+                        * _euler_weights(terms)).sum(axis=1)
 
     value, error = np.full(len(r_O), math.nan), np.empty(len(r_O))
     terms_used = np.zeros(len(r_O), dtype=int)

@@ -29,7 +29,7 @@ match; :func:`guardzone.specfn._ops` picks ``math`` or numpy for them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import specfn
 from .params import DerivedParams, ModelParams, chi_of_radius, derive
@@ -144,22 +144,3 @@ def posterior(p: ModelParams, r_O) -> PosteriorTable:
     p10 = math.exp(-A) * xp.expm1(-C) / xp.expm1(-B)
     return PosteriorTable(p_h1_d1=xp.exp(-T), p_h1_d0=p10,
                           p_h0_d1=-xp.expm1(-T), p_h0_d0=1.0 - p10)
-
-
-def lt_interference_given_void(p: ModelParams, r_O: float, s: float) -> float:
-    """Laplace transform E[exp(-s * I)] of the sum interference seen at the
-    receiver, conditioned on an interferer-free ball of radius ``r_O``.
-
-    ``log LT = density*c_n*(r_O**n - kappa*s**delta - s**delta*I(r_O**alpha/s))``.
-    At ``s = sigma``, multiplied by ``exp(-sigma*eta)``, this is the
-    posterior P(success | clear).
-    """
-    if s < 0:
-        raise ValueError(f"s must be nonnegative, got {s}")
-    if r_O < 0:
-        raise ValueError(f"r_O must be nonnegative, got {r_O}")
-    if s == 0.0:
-        return 1.0
-    # the posterior's exponents with sigma replaced by s, and no noise
-    d = replace(derive(p), sigma=s)
-    return math.exp(-_tail(_scale(p, d), d.delta, chi_of_radius(d, r_O)))

@@ -42,9 +42,10 @@ delta from 0.01 to 0.99.
 
 Each takes a float or a numpy array ``u`` and returns the same. A float
 takes Python floats only, with no array overhead. An array takes the
-same operations elementwise, in one pass whichever side of the split
-its elements lie on, so the two differ only where numpy's ``pow`` and
-the C library's round apart, by 2 ulp at most. The float/array choice of
+same operations elementwise, each side of the split on its own
+subarray, so an element's value does not depend on the rest of its
+array, and the float and array paths differ only where numpy's ``pow``
+and the C library's round apart, by 2 ulp at most. The float/array choice of
 the other closed forms lives here as well: :func:`_ops` gives them
 ``math`` for a float and numpy for an array, and :func:`_where`,
 :func:`_all` and :func:`_any` a Python ``if`` for a float. The root
@@ -170,11 +171,11 @@ class _Table:
     then its coefficients c0..c7 (c0 that of h**7) in the order c0, c4,
     c2, c6, c1, c5, c3, c7 of Estrin's pairs. For a float, ``gap``,
     ``tail`` and ``int`` hold one tuple a piece, the last twice, for x up
-    to 3/4 inclusive. For an array, ``gap_rows`` and ``int_rows`` hold
-    the same, one column a piece: of the lower series, of tail, and of
-    both, tail's _PIECES columns last."""
+    to 3/4 inclusive. For an array, ``gap_rows``, ``tail_rows`` and
+    ``int_rows`` hold the same, one column a piece."""
 
-    __slots__ = ("kappa", "gap", "tail", "int", "gap_rows", "int_rows")
+    __slots__ = ("kappa", "gap", "tail", "int", "gap_rows", "tail_rows",
+                 "int_rows")
 
 
 # The order of the coefficients in a piece
@@ -198,8 +199,7 @@ def _table(delta: float) -> _Table:
     t.gap, t.tail, t.int = (
         tuple(map(tuple, rows.T.tolist() + [rows[:, -1].tolist()]))
         for rows in (gap, tail, int_))
-    t.gap_rows = gap, tail, np.hstack([gap, tail])
-    t.int_rows = int_, tail, np.hstack([int_, tail])
+    t.gap_rows, t.tail_rows, t.int_rows = gap, tail, int_
     return t
 
 
@@ -218,27 +218,12 @@ def _ratio(pieces: tuple, w: float, e: float) -> float:
             + ((c4 * h + c5) * h2 + (c6 * h + c7))) / s * w**e
 
 
-def _ratio_array(rows: tuple, u: np.ndarray, hi, e_lo: float,
-                 e_hi: float) -> np.ndarray:
-    """:func:`_ratio` elementwise, by the same operations: of the lower
-    series of ``rows`` at u, with exponent ``e_lo``, and of tail at 1/u,
-    with ``e_hi``, where ``hi``, a mask from :func:`_sides`, or True or
-    False for every element."""
-    lower, upper, both = rows
-    if hi is True:
-        w, e, coeffs = 1.0 / u, e_hi, upper
-    elif hi is False:
-        w, e, coeffs = u, e_lo, lower
-    else:
-        w = u.copy()
-        np.divide(1.0, u, out=w, where=hi)
-        e, coeffs = np.where(hi, e_hi, e_lo), both
+def _ratio_array(rows: np.ndarray, w: np.ndarray, e: float) -> np.ndarray:
+    """:func:`_ratio` elementwise, by the same operations, with ``rows``
+    one of the array series of a :class:`_Table`."""
     s = 1.0 + w
     x = w / s
-    i = np.searchsorted(_EDGES, x, side="right")
-    if coeffs is both:
-        np.add(i, _PIECES, out=i, where=hi)
-    c = coeffs.take(i, axis=1)
+    c = rows.take(np.searchsorted(_EDGES, x, side="right"), axis=1)
     h = 128.0 * x - c[0]
     h2 = h * h
     f = c[1:5] * h + c[5:]  # c0 h + c1, c4 h + c5, c2 h + c3, c6 h + c7
@@ -246,23 +231,30 @@ def _ratio_array(rows: tuple, u: np.ndarray, hi, e_lo: float,
     return (f[0] * (h2 * h2) + f[1]) / s * w**e
 
 
-def _sides(u, above) -> tuple:
-    """``u`` as a float array, checked to be nonnegative, and where
-    ``above(u)`` holds: True or False if for every element, else a mask.
+def _split(u, above, lower, upper) -> np.ndarray:
+    """``upper`` of the elements of ``u`` where ``above`` holds and
+    ``lower`` of the rest, with ``u`` taken as a float array and checked
+    to be nonnegative; ``above`` is a test that holds from some positive
+    u on.
 
-    ``above`` is a test that holds from some u on, so the smallest and the
-    largest element tell whether it holds for all or none, and then no
-    mask is formed.
+    Each side is evaluated on its own subarray, by the same operations
+    whatever else the array holds, so an element's value does not depend
+    on the other elements; an array all on one side is passed whole.
     """
     u = np.asarray(u, dtype=float)
-    lo = u.min() if u.size else math.inf
-    if above(lo):
-        return u, True
-    if lo < 0.0:
-        raise ValueError(f"u must be nonnegative, got {lo}")
-    if lo == lo and not above(u.max()):  # lo is nan if any element is
-        return u, False
-    return u, above(u)
+    hi = above(u)
+    if hi.all():  # and so none is negative
+        return upper(u)
+    neg = u < 0.0
+    if neg.any():
+        raise ValueError(f"u must be nonnegative, got {u[neg].min()}")
+    if not hi.any():
+        return lower(u)
+    out = np.empty_like(u)
+    out[hi] = upper(u[hi])
+    lo = ~hi
+    out[lo] = lower(u[lo])
+    return out
 
 
 def _nan_or_raise(u: float) -> float:
@@ -285,11 +277,10 @@ def power_gap(u, delta: float):
         if u >= 0.0:
             return _ratio(t.gap, u, delta)
         return _nan_or_raise(u)
-    u, hi = _sides(u, lambda v: v > 1.0)
-    s = _ratio_array(t.gap_rows, u, hi, delta, 1.0 - delta)
-    if hi is False:
-        return s
-    return _where(hi, t.kappa - s, s)
+    return _split(u, lambda v: v > 1.0,
+                  lambda v: _ratio_array(t.gap_rows, v, delta),
+                  lambda v: t.kappa - _ratio_array(t.tail_rows, 1.0 / v,
+                                                   1.0 - delta))
 
 
 def power_tail(u, delta: float):
@@ -305,11 +296,9 @@ def power_tail(u, delta: float):
         if u >= 0.0:
             return t.kappa - _ratio(t.gap, u, delta)
         return _nan_or_raise(u)
-    u, hi = _sides(u, lambda v: v >= 1.0)
-    s = _ratio_array(t.gap_rows, u, hi, delta, 1.0 - delta)
-    if hi is True:
-        return s
-    return _where(hi, s, t.kappa - s)
+    return _split(u, lambda v: v >= 1.0,
+                  lambda v: t.kappa - _ratio_array(t.gap_rows, v, delta),
+                  lambda v: _ratio_array(t.tail_rows, 1.0 / v, 1.0 - delta))
 
 
 def int_I(u, delta: float):
@@ -327,11 +316,10 @@ def int_I(u, delta: float):
         if u >= 0.0:
             return _ratio(t.int, u, 1.0 + delta)
         return _nan_or_raise(u)
-    u, hi = _sides(u, lambda v: v > _INT_SERIES_MAX)
-    s = _ratio_array(t.int_rows, u, hi, 1.0 + delta, 1.0 - delta)
-    if hi is False:
-        return s
-    return _where(hi, u**delta - t.kappa + s, s)
+    return _split(u, lambda v: v > _INT_SERIES_MAX,
+                  lambda v: _ratio_array(t.int_rows, v, 1.0 + delta),
+                  lambda v: v**delta - t.kappa
+                  + _ratio_array(t.tail_rows, 1.0 / v, 1.0 - delta))
 
 
 def gauss_Q(z: float) -> float:

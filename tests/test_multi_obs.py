@@ -294,13 +294,6 @@ class TestConditionalLaws:
         vals = [mo.p_d_given_K(FIG5, ALOHA2, 50.0, k) for k in range(3)]
         assert vals[0] < vals[1] < vals[2]
 
-    def test_geometric_form_in_m(self):
-        # P(success | m in-zone nodes) decays geometrically
-        v0 = mo.p_h_given_m(FIG5, ALOHA1, 50.0, 0)
-        v1 = mo.p_h_given_m(FIG5, ALOHA1, 50.0, 1)
-        v2 = mo.p_h_given_m(FIG5, ALOHA1, 50.0, 2)
-        assert v2 / v1 == pytest.approx(v1 / v0, rel=1e-12)
-
     def test_n_zero_degenerates(self):
         a0 = mo.AlohaParams(p=0.5, N=0)
         thin = FIG5.thinned(0.5)

@@ -205,12 +205,13 @@ class TestInversion:
 
     def test_grid_matches_single_radius(self):
         # one evaluation over the default fading-compare grid gives each
-        # radius's own inversion
+        # radius's own inversion, bit for bit
         grid = np.geomspace(1.0, 300.0, 80)
         res = nofading._invert(FIG4, grid)
         for i, r in enumerate(grid):
             one = posterior_nofade(FIG4, float(r))
-            assert abs(res.value[i] - one.value) <= 1e-15
+            assert res.value[i] == one.value
+            assert res.error_estimate[i] == one.error_estimate
             assert res.terms_used[i] == one.terms_used
 
 

@@ -1,12 +1,15 @@
 """Bayes risk, the optimal radius, sensitivities, errors, and the ROC."""
 
 import math
+from dataclasses import astuple
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from guardzone.params import ModelParams, derive
+from guardzone.correlation import rho
+from guardzone.params import ModelParams, derive, radius_of_chi
 from guardzone.risk import (ALL_SINGLE_OBS_RULES, CostMatrix, SingleObsRule,
                             _f_right, bayes_risk, bayes_risk_derivative,
                             operating_points,
@@ -15,6 +18,7 @@ from guardzone.risk import (ALL_SINGLE_OBS_RULES, CostMatrix, SingleObsRule,
 from guardzone.single_obs import evidence_success, posterior, prior_success
 from test_single_obs import (AS_ARRAY, FIG4, NOISY, SMALL_TO_LARGE,
                              joint_exponents, outside_exponent)
+from test_specfn import assert_each_alone, straddling_grids
 
 FIG2 = ModelParams(n=2, density=2e-4, alpha=3, beta=5, r_T=10)
 UNIFORM = CostMatrix.uniform()
@@ -214,6 +218,21 @@ class TestTypeErrors:
             for r in (1.0, 20.0, 300.0):
                 p_i, p_ii = type_errors(FIG2, r, rule)
                 assert 0.0 <= p_i <= 1.0 and 0.0 <= p_ii <= 1.0
+
+
+class TestGridIndependence:
+    @pytest.mark.parametrize("p", [FIG2, FIG4])
+    @given(straddling_grids())
+    @settings(max_examples=50, deadline=None)
+    def test_each_radius_alone(self, p, chi):
+        # every closed form over a grid of chi = r_O**alpha/sigma that
+        # straddles both splits of specfn, at delta = 2/3 (fig1) and 1/2
+        r_O = radius_of_chi(derive(p), chi)
+        rule = SingleObsRule.identity()
+        assert_each_alone(lambda r: astuple(posterior(p, r)), r_O)
+        assert_each_alone(lambda r: evidence_success(p, r), r_O)
+        assert_each_alone(lambda r: type_errors(p, r, rule), r_O)
+        assert_each_alone(lambda c: rho(p, c), chi)
 
 
 class TestOperatingPoints:

@@ -2,6 +2,7 @@
 
 import functools
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -10,8 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from guardzone.params import ModelParams, derive
-from guardzone.single_obs import (abc_terms, evidence_success,
-                                  lt_interference_given_void, posterior,
+from guardzone.single_obs import (abc_terms, evidence_success, posterior,
                                   prior_success)
 
 FIG1 = ModelParams(n=2, density=2e-4, alpha=3, beta=5, r_T=10)
@@ -191,23 +191,17 @@ class TestAbcTerms:
 
 
 class TestConditionalLT:
-    def test_unit_at_zero(self):
-        assert lt_interference_given_void(FIG1, 20.0, 0.0) == 1.0
-
-    def test_posterior_via_lt(self):
-        d = derive(FIG1)
-        lt = lt_interference_given_void(FIG1, 30.0, d.sigma)
-        assert lt == pytest.approx(posterior(FIG1, 30.0).p_h1_d1, rel=1e-12)
-
     def test_against_quadrature(self):
-        # independent check: exponent = density*c_n*n *
+        # with no noise the posterior given a clear zone is the interference
+        # LT at s = sigma; independent check: exponent = density*c_n*n *
         #   int_{r_O}^inf (1 - 1/(1+s r^-alpha)) r^(n-1) dr
-        p, r_O, s = FIG1, 25.0, 3000.0
+        r_O, s = 25.0, 3000.0
+        p = replace(FIG1, beta=s / FIG1.r_T**FIG1.alpha)
         d = derive(p)
+        assert d.sigma == s
         with mpmath.workdps(30):
             expo = p.density * d.c_n * p.n * mpmath.quad(
                 lambda r: (1 - 1 / (1 + s * r ** -p.alpha)) * r ** (p.n - 1),
                 [r_O, 100 * r_O, 1e4 * r_O, mpmath.inf])
             oracle = float(mpmath.exp(-expo))
-        assert lt_interference_given_void(p, r_O, s) == pytest.approx(
-            oracle, rel=1e-10)
+        assert posterior(p, r_O).p_h1_d1 == pytest.approx(oracle, rel=1e-10)

@@ -197,6 +197,33 @@ class TestFloatArrayAgree:
             assert np.all(np.abs(arr - one) <= 2.0 * np.spacing(scale)), fn
 
 
+def straddling_grids():
+    """Grids of u over eight decades, each with 1/2, 2 and 5 added so that
+    it straddles both splits, u = 1 and u = 3."""
+    return st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=40).map(
+        lambda xs: np.array([10.0**x for x in xs] + [0.5, 2.0, 5.0]))
+
+
+def assert_each_alone(f, grid):
+    """``f(grid)[..., i] == f(grid[i:i+1])[..., 0]`` bit for bit at every i:
+    a value does not depend on the rest of its array. ``f`` returns an
+    array or a tuple of arrays, each over the grid."""
+    whole = np.asarray(f(grid))
+    alone = np.stack([np.asarray(f(grid[i:i + 1]))[..., 0]
+                      for i in range(len(grid))], axis=-1)
+    differ = (whole != alone).reshape(-1, len(grid)).any(axis=0)
+    assert not differ.any(), grid[differ]
+
+
+class TestGridIndependence:
+    @given(straddling_grids(), st.floats(0.01, 0.99))
+    @settings(max_examples=100, deadline=None)
+    def test_each_element_alone(self, us, drawn):
+        for delta in (0.5, 2.0 / 3.0, drawn):
+            for fn in (specfn.power_gap, specfn.power_tail, specfn.int_I):
+                assert_each_alone(lambda u: fn(u, delta), us)
+
+
 class TestEdges:
     def test_infinity(self):
         delta = 0.4
