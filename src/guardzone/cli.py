@@ -32,8 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, correlation, montecarlo, multi_obs, nofading, risk
-from .params import (ModelParams, _digest, chi_of_radius, derive,
-                     radius_of_chi)
+from .params import ModelParams, _digest, chi_of_radius, radius_of_chi
 from .risk import CostMatrix, SingleObsRule
 from .single_obs import evidence_success, posterior, prior_success
 from .specfn import gauss_Q
@@ -170,7 +169,7 @@ def cmd_correlation(args) -> int:
     rows = _rows({"chi": chi, "rho": correlation.rho(p, chi),
                   "f1": correlation.f1(p, chi), "f2": correlation.f2(p, chi),
                   "is_chi_star": [0] * len(grid) + [1]})
-    comments = [f"chi_star {cs:.6g} r_O_star {radius_of_chi(derive(p), cs):.6g}"]
+    comments = [f"chi_star {cs:.6g} r_O_star {radius_of_chi(p, cs):.6g}"]
     _emit(args, ("chi", "rho", "f1", "f2", "is_chi_star"), rows, comments,
           {"command": "correlation", "scenario": p.to_dict(),
            "grid": [float(c) for c in grid]})
@@ -215,14 +214,13 @@ def cmd_roc(args) -> int:
     else:
         comments.append("r_DI omitted: noise alone exceeds the SINR margin "
                         "(1/sigma <= eta)")
-    d = derive(p)
-    named.append(("r_corr", radius_of_chi(d, correlation.chi_star(p))))
+    named.append(("r_corr", radius_of_chi(p, correlation.chi_star(p))))
     opt = risk.optimal_radius(p, CostMatrix.uniform())
     if opt.exists:
         named.append(("r_risk", opt.r_O))
     labels, radii = zip(*named)
     r = np.append(grid, radii)
-    chi = chi_of_radius(d, r)
+    chi = chi_of_radius(p, r)
     p_i, p_ii = risk.type_errors(p, r, SingleObsRule.identity())
     pH = prior_success(p)
     rows = _rows({"r_O": r, "chi": chi, "p_I": p_i, "p_II": p_ii,
@@ -239,7 +237,7 @@ def cmd_roc(args) -> int:
 def cmd_fading_compare(args) -> int:
     p = _load_input("scenario", args.scenario)
     grid = parse_grid(args.grid, np.geomspace(0.1 * p.r_T, 30.0 * p.r_T, 80))
-    chi = chi_of_radius(derive(p), grid)
+    chi = chi_of_radius(p, grid)
     ilt = nofading._invert(p, grid)
     rows = _rows({"r_O": grid, "chi": chi,
                   "posterior_fading": posterior(p, grid).p_h1_d1,
@@ -371,7 +369,7 @@ def cmd_validate(args) -> int:
     # the analytic column of each estimate field, in report order
     analytic = {"evidence": evidence_success(p, grid),
                 "posterior_d1": post.p_h1_d1, "posterior_d0": post.p_h1_d0,
-                "rho": correlation.rho(p, chi_of_radius(derive(p), grid)),
+                "rho": correlation.rho(p, chi_of_radius(p, grid)),
                 "p_I": p_i, "p_II": p_ii}
     checks.append(_check("prior", prior_success(p), sim.prior))
     for i, r in enumerate(sim.r_O_grid):

@@ -31,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfn
-from .params import ModelParams, derive
-from .single_obs import _B, _BmC, _C, _scale, prior_exponent
+from .params import ModelParams
+from .single_obs import _B, _BmC, _C
 from .specfn import BracketError
 
 
@@ -58,11 +58,9 @@ def rho(p: ModelParams, chi):
     a float or an array."""
     if not specfn._all(chi > 0):
         raise ValueError(f"chi must be positive, got {chi}")
-    d = derive(p)
-    A = prior_exponent(p, d)
-    if A <= 0:
+    if p.A <= 0:
         raise ValueError("degenerate scenario: prior exponent is zero")
-    return _scaled_rho(_scale(p, d), d.delta, chi) / math.sqrt(math.expm1(A))
+    return _scaled_rho(p.a, p.delta, chi) / math.sqrt(math.expm1(p.A))
 
 
 def rho_curve(p: ModelParams, chi_grid) -> CorrelationCurve:
@@ -88,15 +86,13 @@ def _times_exp(c, x):
 def f1(p: ModelParams, chi):
     """(1 - chi) * exp(B(chi)); intersects f2 at the maximizing chi.
     -inf for chi > 1 once exp(B) overflows, and 0 at chi = 1."""
-    d = derive(p)
-    return _times_exp(1.0 - chi, _B(_scale(p, d), d.delta, chi))
+    return _times_exp(1.0 - chi, _B(p.a, p.delta, chi))
 
 
 def f2(p: ModelParams, chi):
     """2 - (1 + chi) * exp(C(chi)), concave decreasing; -inf once exp(C)
     overflows."""
-    d = derive(p)
-    return 2.0 - _times_exp(1.0 + chi, _C(_scale(p, d), d.delta, chi))
+    return 2.0 - _times_exp(1.0 + chi, _C(p.a, p.delta, chi))
 
 
 def _stationarity(a: float, delta: float, chi):
@@ -191,8 +187,7 @@ def chi_star_from_coeff(a, delta: float):
 
 def chi_star(p: ModelParams) -> float:
     """Dimensionless radius maximizing the indicator correlation."""
-    d = derive(p)
-    return chi_star_from_coeff(_scale(p, d), d.delta)
+    return chi_star_from_coeff(p.a, p.delta)
 
 
 def chi_star_low_density_limit(delta: float) -> float:

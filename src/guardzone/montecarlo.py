@@ -68,7 +68,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .multi_obs import AlohaParams
-from .params import ModelParams, _digest, derive
+from .params import ModelParams, _digest
 
 _CHUNK = 1024
 # Points per pathloss slice: bounds a chunk's float64 working memory.
@@ -203,8 +203,7 @@ def auto_region_radius(p: ModelParams, interferer_density: float,
     default region; under Rayleigh fading it only caps the default
     shell-sized region of :func:`_region_radius`.
     """
-    d = derive(p)
-    coeff = d.sigma * interferer_density * d.c_n * p.n / (p.alpha - p.n)
+    coeff = p.sigma * interferer_density * p.c_n * p.n / (p.alpha - p.n)
     return (coeff / bias_tol) ** (1.0 / (p.alpha - p.n))
 
 
@@ -223,7 +222,7 @@ def _region_radius(p: ModelParams, interferer_density: float, r_max: float,
         return cfg.region_radius
     R = auto_region_radius(p, interferer_density, cfg.bias_tol)
     if cfg.fading == "rayleigh":
-        shell = _SHELL_COUNT / (interferer_density * derive(p).c_n)
+        shell = _SHELL_COUNT / (interferer_density * p.c_n)
         R = min(max((r_max**p.n + shell) ** (1.0 / p.n),
                     _SHELL_CLAMP[0] * r_max), _SHELL_CLAMP[1] * r_max, R)
     return R
@@ -267,8 +266,7 @@ def _far_field_log(p: ModelParams, interferer_density: float,
     integral, for a region far inside the knee (small guard zones) as well
     as far beyond.
     """
-    d = derive(p)
-    log_k = p.alpha * math.log(R) - math.log(d.sigma)
+    log_k = p.alpha * math.log(R) - math.log(p.sigma)
     knee = max(-log_k / p.alpha, 0.0)
     width = 6.0 / p.alpha
     edges = [np.linspace(a, b, math.ceil((b - a) / width) + 1)
@@ -284,7 +282,7 @@ def _far_field_log(p: ModelParams, interferer_density: float,
     s = np.maximum(x, 0.0)
     f = np.exp(p.n * t - s) / (np.exp(-s) + np.exp(x - s))
     integral = float((f * (half[:, None] * weights)).sum())
-    return -interferer_density * d.c_n * p.n * R**p.n * integral
+    return -interferer_density * p.c_n * p.n * R**p.n * integral
 
 
 def _ball(p: ModelParams, interferer_density: float, r_min: float,
@@ -304,7 +302,7 @@ def _ball(p: ModelParams, interferer_density: float, r_min: float,
     _check_resolution(r_min, R, p.n)
     far_log = (_far_field_log(p, interferer_density, R)
                if cfg.fading == "rayleigh" else None)
-    return R, p.density * derive(p).c_n * R**p.n, far_log
+    return R, p.density * p.c_n * R**p.n, far_log
 
 
 def _chunk_rng(seed: int, chunk_idx: int) -> np.random.Generator:
@@ -439,16 +437,15 @@ def _success(k: np.ndarray, ends: np.ndarray, p: ModelParams, R: float,
     """Per-trial physical success at the volume draws ``k``: the
     probability h under Rayleigh fading (``far_log`` given), else the 0/1
     outcome of the SINR test."""
-    d = derive(p)
     # alpha / n, unlike 1 / delta, is exact for integer alpha and n
     exponent = p.alpha / p.n
     if far_log is None:
         interference = _interference(k, ends, R ** (-p.alpha), exponent,
                                      False)
-        return (interference <= 1.0 / d.sigma - p.eta).astype(float)
-    log_fade = _interference(k, ends, d.sigma * R ** (-p.alpha), exponent,
+        return (interference <= 1.0 / p.sigma - p.eta).astype(float)
+    log_fade = _interference(k, ends, p.sigma * R ** (-p.alpha), exponent,
                              True)
-    return np.exp(far_log - d.sigma * p.eta - log_fade)
+    return np.exp(far_log - p.sigma * p.eta - log_fade)
 
 
 def _kill_index(p: ModelParams, R: float) -> int:
@@ -486,13 +483,12 @@ def estimate_single(p: ModelParams, r_O_grid, cfg: SimConfig) -> SingleObsEstima
     grid = np.asarray(r_O_grid, dtype=float)
     if grid.ndim != 1 or len(grid) == 0 or not np.all(grid > 0):
         raise ValueError("r_O grid must be a nonempty 1-d array of positive radii")
-    d = derive(p)
     R, mean_pts, far_log = _ball(p, p.density, float(grid.min()),
                                  float(grid.max()), cfg)
     # u < thr exactly when k < thr * 2**24, a product that is exact
     cuts = (grid / R) ** p.n / _U_RESOLUTION
     # q: the share of the ball where one point fails the SINR test alone
-    k_kill = (_kill_index(p, R) if far_log is None and 1.0 / d.sigma > p.eta
+    k_kill = (_kill_index(p, R) if far_log is None and 1.0 / p.sigma > p.eta
               else 1)
     q = (k_kill - 1) * _U_RESOLUTION
     k = len(grid)
@@ -593,10 +589,8 @@ def estimate_multiobs(p: ModelParams, aloha: AlohaParams, r_O: float,
     if not r_O > 0:
         raise ValueError(f"r_O must be positive, got {r_O}")
     R, mean_pts, far_log = _ball(p, aloha.p * p.density, r_O, r_O, cfg)
-    # The inside-ball test is u < float32(thr): that rounding keeps every
-    # seed's histories as they were. As k < float32(thr) * 2**24 it is exact.
-    inside_cut = math.ceil(float(np.float32((r_O / R) ** p.n))
-                           / _U_RESOLUTION)
+    # u < thr exactly when k < thr * 2**24, that is k < inside_cut
+    inside_cut = math.ceil((r_O / R) ** p.n / _U_RESOLUTION)
     N = aloha.N
 
     def chunk(rng, size):

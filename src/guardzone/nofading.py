@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfn
-from .params import ModelParams, derive
+from .params import ModelParams
 from .single_obs import evidence_success
 
 
@@ -88,13 +88,12 @@ def levy_prior(p: ModelParams) -> float:
     threshold to be reachable without interference (``1/sigma > eta``).
     """
     _require_half(p)
-    d = derive(p)
-    margin = 1.0 / d.sigma - p.eta
+    margin = 1.0 / p.sigma - p.eta
     if not margin > 0:
         raise ValueError(
             "SINR threshold unreachable even without interference "
-            f"(1/sigma = {1.0 / d.sigma:g} <= eta = {p.eta:g})")
-    arg = d.c_n * p.density * math.sqrt((math.pi / 2.0) / margin)
+            f"(1/sigma = {1.0 / p.sigma:g} <= eta = {p.eta:g})")
+    arg = p.c_n * p.density * math.sqrt((math.pi / 2.0) / margin)
     return math.erfc(arg / math.sqrt(2.0))
 
 
@@ -175,8 +174,7 @@ def lt_nofade_given_void(p: ModelParams, r_O, s):
     r_O = np.asarray(r_O, dtype=float)
     if not np.all(r_O > 0):
         raise ValueError(f"r_O must be positive, got {r_O}")
-    d = derive(p)
-    return np.exp(-p.density * d.c_n * J(s, r_O ** (-p.alpha)))
+    return np.exp(-p.density * p.c_n * J(s, r_O ** (-p.alpha)))
 
 
 @functools.cache
@@ -195,8 +193,7 @@ def _invert(p: ModelParams, r_O: np.ndarray, strict: bool = False) -> IltResult:
     value nan, ``terms_used`` 0 and the error of the last doubling; or,
     if ``strict``, the first such radius raises
     :class:`IltConvergenceError`."""
-    d = derive(p)
-    t = 1.0 / d.sigma - p.eta
+    t = 1.0 / p.sigma - p.eta
     if not t > 0:
         raise ValueError("SINR threshold unreachable even without interference")
     k = np.arange(2 * (_TERMS << _DOUBLINGS) + 1)

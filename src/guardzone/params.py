@@ -46,6 +46,14 @@ class ModelParams:
     beta : SINR threshold (linear scale)
     r_T : TX-RX separation distance
     eta : background noise power (>= 0)
+
+    Derived constants are read-only attributes, not fields, each computed
+    at its first use and kept: delta = n/alpha in (0,1); c_n the unit-ball
+    volume; sigma = beta * r_T**alpha; kappa_delta = kappa(delta);
+    a = density * c_n * sigma**delta, the scale of every exponent; and
+    A = a * kappa_delta + sigma * eta, with P(physical success) = exp(-A).
+    ``==``, ``hash``, ``repr`` and ``replace`` see the fields alone, and an
+    overflowing sigma raises ``OverflowError`` where it is first used.
     """
 
     n: int
@@ -75,6 +83,30 @@ class ModelParams:
         if self.eta < 0:
             raise ValueError(f"eta must be nonnegative, got {self.eta}")
 
+    @functools.cached_property
+    def delta(self) -> float:
+        return self.n / self.alpha
+
+    @functools.cached_property
+    def c_n(self) -> float:
+        return _UNIT_BALL_VOLUME[self.n]
+
+    @functools.cached_property
+    def sigma(self) -> float:
+        return self.beta * self.r_T**self.alpha
+
+    @functools.cached_property
+    def kappa_delta(self) -> float:
+        return specfn.kappa(self.delta)
+
+    @functools.cached_property
+    def a(self) -> float:
+        return self.density * self.c_n * self.sigma**self.delta
+
+    @functools.cached_property
+    def A(self) -> float:
+        return self.a * self.kappa_delta + self.sigma * self.eta
+
     @classmethod
     def from_dict(cls, d: dict) -> "ModelParams":
         """Build from the JSON scenario schema
@@ -103,49 +135,21 @@ def load_scenario(path: str | Path) -> ModelParams:
         return ModelParams.from_dict(json.load(fh))
 
 
-@dataclass(frozen=True)
-class DerivedParams:
-    """Constants computed once from a :class:`ModelParams`.
-
-    delta = n/alpha in (0,1); c_n the unit-ball volume;
-    sigma = beta * r_T**alpha; kappa_delta = pi*delta/sin(pi*delta).
-    """
-
-    delta: float
-    c_n: float
-    sigma: float
-    kappa_delta: float
-    alpha: float
+def derive(params: ModelParams) -> ModelParams:
+    """``params`` itself, whose derived constants are its attributes."""
+    return params
 
 
-def derive(params: ModelParams) -> DerivedParams:
-    """Populate every derived constant for ``params``, once per scenario:
-    :class:`ModelParams` is frozen, so equal parameters share the result."""
-    return _derive(params)
-
-
-@functools.lru_cache(maxsize=64)
-def _derive(params: ModelParams) -> DerivedParams:
-    delta = params.n / params.alpha
-    return DerivedParams(
-        delta=delta,
-        c_n=_UNIT_BALL_VOLUME[params.n],
-        sigma=params.beta * params.r_T**params.alpha,
-        kappa_delta=specfn.kappa(delta),
-        alpha=params.alpha,
-    )
-
-
-def chi_of_radius(d: DerivedParams, r_O):
+def chi_of_radius(p: ModelParams, r_O):
     """Map a guard-zone radius, a float or an array, to the dimensionless
     ``chi = r_O**alpha/sigma``."""
     if specfn._any(r_O < 0):
         raise ValueError(f"r_O must be nonnegative, got {r_O}")
-    return r_O**d.alpha / d.sigma
+    return r_O**p.alpha / p.sigma
 
 
-def radius_of_chi(d: DerivedParams, chi):
+def radius_of_chi(p: ModelParams, chi):
     """Inverse of :func:`chi_of_radius`."""
     if specfn._any(chi < 0):
         raise ValueError(f"chi must be nonnegative, got {chi}")
-    return (chi * d.sigma) ** (1.0 / d.alpha)
+    return (chi * p.sigma) ** (1.0 / p.alpha)

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfn
-from .params import ModelParams, chi_of_radius, derive
-from .single_obs import _exponents, abc_terms, prior_exponent, prior_success
+from .params import ModelParams, chi_of_radius
+from .single_obs import _exponents, abc_terms, prior_success
 
 
 @dataclass(frozen=True)
@@ -124,7 +124,7 @@ def bayes_risk_derivative(p: ModelParams, cost: CostMatrix, r_O):
     """d/dr_O of :func:`bayes_risk`, in closed form: B grows like r_O**n,
     so ``dB/dr_O = n B / r_O``, and ``dC/dr_O = chi/(1+chi) dB/dr_O``."""
     A, B, C, _ = _exponents(p, r_O)
-    chi = chi_of_radius(derive(p), r_O)
+    chi = chi_of_radius(p, r_O)
     xp = specfn._ops(B)
     return -p.n * B / r_O * (
         (cost.c10 - cost.c00) * xp.exp(-B)
@@ -134,8 +134,7 @@ def bayes_risk_derivative(p: ModelParams, cost: CostMatrix, r_O):
 
 def _f_left(p: ModelParams, cost: CostMatrix, r_O):
     """log(1 + 1/chi) - log(1 + nu/gamma); decreasing from +inf."""
-    d = derive(p)
-    chi = chi_of_radius(d, r_O)
+    chi = chi_of_radius(p, r_O)
     return specfn._ops(chi).log1p(1.0 / chi) - math.log1p(cost.nu / cost.gamma)
 
 
@@ -153,8 +152,7 @@ def optimal_radius(p: ModelParams, cost: CostMatrix) -> OptimalRadius:
     asymmetry) is returned as a tagged boundary outcome, not raised.
     """
     cost.require_regular()
-    d = derive(p)
-    if not math.log1p(cost.nu / cost.gamma) > d.sigma * p.eta:
+    if not math.log1p(cost.nu / cost.gamma) > p.sigma * p.eta:
         boundary = cost.c00 + (cost.c01 - cost.c00) * prior_success(p)
         return OptimalRadius(exists=False, r_O=math.inf, risk=boundary)
 
@@ -162,7 +160,7 @@ def optimal_radius(p: ModelParams, cost: CostMatrix) -> OptimalRadius:
         return _f_left(p, cost, r) - _f_right(p, r)
 
     r_star = _solve_up(h, p, "the optimal radius")
-    chi = chi_of_radius(d, r_star)
+    chi = chi_of_radius(p, r_star)
     t = abc_terms(p, r_star)
     risk_min = (cost.c00 + (cost.c01 - cost.c00) * math.exp(-t.A)
                 - (cost.c10 - cost.c00) / chi * math.exp(-t.B))
@@ -189,14 +187,13 @@ def sensitivities(p: ModelParams, cost: CostMatrix) -> tuple[float, float]:
     opt = optimal_radius(p, cost)
     if not opt.exists:
         raise ValueError("no interior optimum; sensitivities undefined")
-    d = derive(p)
     r = opt.r_O
-    chi = chi_of_radius(d, r)
+    chi = chi_of_radius(p, r)
     A, B, C, T = _exponents(p, r)
-    denom = p.alpha * (1.0 + d.delta * B)
+    denom = p.alpha * (1.0 + p.delta * B)
     d_dlam = r * (1.0 + chi) * T / (p.density * denom)
-    bracket = 1.0 + d.delta * ((1.0 + chi) * (A + C) - chi * B)
-    d_dsig = r * bracket / (d.sigma * denom)
+    bracket = 1.0 + p.delta * ((1.0 + chi) * (A + C) - chi * B)
+    d_dsig = r * bracket / (p.sigma * denom)
     return d_dlam, d_dsig
 
 
@@ -244,11 +241,10 @@ class OperatingPoints:
 
 
 def operating_points(p: ModelParams) -> OperatingPoints:
-    d = derive(p)
-    inv = 1.0 / d.sigma - p.eta
+    inv = 1.0 / p.sigma - p.eta
     r_di = inv ** (-1.0 / p.alpha) if inv > 0 else None
     # B(r_MM) = A
-    r_mm = (prior_exponent(p, d) / (p.density * d.c_n)) ** (1.0 / p.n)
+    r_mm = (p.A / (p.density * p.c_n)) ** (1.0 / p.n)
 
     rule = SingleObsRule.identity()
 

@@ -16,10 +16,12 @@ With the scale ``a = density * c_n * sigma**delta`` and ``chi = r_O**alpha/sigma
     C = a * int_I(chi, delta),            B - C = a * power_gap(chi, delta),
     T = a * power_tail(chi, delta) + sigma * eta.
 
-Each is defined once, below, and every other module builds on these
-definitions. All probabilities are assembled in log-space and
-exponentiated once: ``B`` alone overflows ``exp`` for large radii while
-``B - C`` stays bounded by ``a * kappa``, and ``T`` is small next to ``A``.
+The scale and A are attributes of the scenario, ``p.a`` and ``p.A``
+(:class:`guardzone.params.ModelParams`); B, C and T are each defined
+once, below. Every other module builds on these definitions. All
+probabilities are assembled in log-space and exponentiated once: ``B``
+alone overflows ``exp`` for large radii while ``B - C`` stays bounded by
+``a * kappa``, and ``T`` is small next to ``A``.
 
 The exponents, :func:`evidence_success` and :func:`posterior` take a
 float radius or a numpy array of radii, and return floats or arrays to
@@ -32,7 +34,7 @@ import math
 from dataclasses import dataclass
 
 from . import specfn
-from .params import DerivedParams, ModelParams, chi_of_radius, derive
+from .params import ModelParams, chi_of_radius
 
 
 @dataclass(frozen=True)
@@ -58,15 +60,9 @@ class PosteriorTable:
     p_h0_d0: float
 
 
-def _scale(p: ModelParams, d: DerivedParams) -> float:
-    """a = density * c_n * sigma**delta, the scale of every exponent."""
-    return p.density * d.c_n * d.sigma**d.delta
-
-
 def _coordinates(p: ModelParams, r_O) -> tuple:
     """(a, delta, chi) at guard-zone radius r_O: the arguments of B, C, B - C."""
-    d = derive(p)
-    return _scale(p, d), d.delta, chi_of_radius(d, r_O)
+    return p.a, p.delta, chi_of_radius(p, r_O)
 
 
 def _B(a: float, delta: float, chi):
@@ -91,27 +87,20 @@ def _tail(a: float, delta: float, chi):
     return a * specfn.power_tail(chi, delta)
 
 
-def prior_exponent(p: ModelParams, d: DerivedParams | None = None) -> float:
-    """Exponent A with ``P(physical success) = exp(-A)``."""
-    d = d or derive(p)
-    return _scale(p, d) * d.kappa_delta + d.sigma * p.eta
-
-
 def _exponents(p: ModelParams, r_O):
     """(A, B, C, T) at a positive guard-zone radius r_O, T = A - (B - C).
 
     A is a float; B, C and T are floats or arrays, as r_O is."""
     if not specfn._all(r_O > 0):
         raise ValueError(f"r_O must be positive, got {r_O}")
-    d = derive(p)
-    args = _scale(p, d), d.delta, chi_of_radius(d, r_O)
-    T = _tail(*args) + d.sigma * p.eta
-    return prior_exponent(p, d), _B(*args), _C(*args), T
+    args = _coordinates(p, r_O)
+    T = _tail(*args) + p.sigma * p.eta
+    return p.A, _B(*args), _C(*args), T
 
 
 def prior_success(p: ModelParams) -> float:
     """Unconditional probability the reference SINR clears the threshold."""
-    return math.exp(-prior_exponent(p))
+    return math.exp(-p.A)
 
 
 def evidence_success(p: ModelParams, r_O):

@@ -32,11 +32,11 @@ u, where int_I is of order ``u**(1+delta)``.
 
 ``F_c`` is evaluated by one polynomial of degree 7 on each of 48 pieces of
 width 1/64 of x, summed by Estrin's scheme. The coefficients depend only
-on delta. They are computed once per delta and cached, as
-:func:`guardzone.params.derive` is. Each polynomial is the Taylor series
-of ``F_c`` about its piece's midpoint, whose coefficients are sums of
-positive terms, economized by Chebyshev polynomials (see
-:func:`_taylor_map`). All three functions are accurate to a few units in
+on delta. They are computed once per delta and cached, as a scenario's
+derived constants are (:class:`guardzone.params.ModelParams`). Each
+polynomial is the Taylor series of ``F_c`` about its piece's midpoint,
+whose coefficients are sums of positive terms, economized by Chebyshev
+polynomials (see :func:`_taylor_map`). All three functions are accurate to a few units in
 1e-14, relative, for u from 1e-12 (``power_tail`` from 1e-30) to 1e12 and
 delta from 0.01 to 0.99.
 

@@ -7,8 +7,7 @@ import pytest
 
 from guardzone import correlation, specfn
 from guardzone.params import ModelParams, derive
-from guardzone.single_obs import (_scale, evidence_success, posterior,
-                                  prior_success)
+from guardzone.single_obs import evidence_success, posterior, prior_success
 
 FIG1 = ModelParams(n=2, density=2e-4, alpha=3, beta=5, r_T=10)
 CHIS = [1e-3, 0.3, 1.0, 2.08, 15.0, 1e3]
@@ -150,7 +149,7 @@ class TestArrayChiStar:
         ps = [ModelParams(n=2, density=2e-4 * s, alpha=3, beta=5, r_T=10)
               for s in (1.0, 0.25, 4.0)]
         roots = correlation.chi_star_from_coeff(
-            [_scale(p, derive(p)) for p in ps], derive(FIG1).delta)
+            [p.a for p in ps], derive(FIG1).delta)
         assert roots == pytest.approx([correlation.chi_star(p) for p in ps],
                                       rel=1e-13)
 

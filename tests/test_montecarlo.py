@@ -428,8 +428,8 @@ class TestChunkKernel:
 
     def test_guard_zone_boundary(self, monkeypatch):
         # every point of a run put just inside, or on, the guard zone:
-        # u < thr is decided exactly, in float64 for the single-slot
-        # thresholds, at thr rounded to float32 for the Aloha one
+        # u < thr is decided exactly, for the single-slot thresholds and
+        # the Aloha one alike
         real = mc._volume_draw
 
         def all_at(k):
@@ -445,11 +445,12 @@ class TestChunkKernel:
                 all_at(k)
                 est = mc.estimate_single(FIG1, [r_O], cfg)
                 assert (est.evidence[0].value == 1.0) == clear
-        # thr = 0.25 + 2**-30 rounds to float32 0.25 = 2**22 * 2**-24
+        # thr = 0.25 + 2**-30, just above 2**22 * 2**-24: k = 2**22 is
+        # inside, though thr rounds to float32 0.25
         r_O = 100.0 * math.sqrt(0.25 + 2.0**-30)
         thr = (r_O / 100.0) ** 2
         assert thr > 0.25 and np.float32(thr) == 0.25
-        for k, clear in ((2**22 - 1, False), (2**22, True)):
+        for k, clear in ((2**22, False), (2**22 + 1, True)):
             all_at(k)
             est = mc.estimate_multiobs(FIG1, AlohaParams(0.5, 1), r_O, cfg)
             busy = sum(est.posterior[(K, 0)].count for K in range(2))

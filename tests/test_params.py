@@ -1,5 +1,6 @@
 """Construction, validation, and the chi <-> radius change of variable."""
 
+import dataclasses
 import json
 import math
 
@@ -7,10 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from guardzone import specfn
+from guardzone.cli import main
 from guardzone.params import (ModelParams, chi_of_radius, derive,
                               load_scenario, radius_of_chi)
+from guardzone.single_obs import prior_success
 
 FIG1 = ModelParams(n=2, density=2e-4, alpha=3, beta=5, r_T=10)
+SCENARIOS = [FIG1, ModelParams(n=2, density=1e-3, alpha=4, beta=2, r_T=5),
+             ModelParams(n=2, density=2e-4, alpha=3, beta=5, r_T=10, eta=1e-4),
+             ModelParams(n=1, density=5e-3, alpha=2.5, beta=3, r_T=5),
+             ModelParams(n=3, density=1e-5, alpha=4.5, beta=3, r_T=6)]
+# r_T**alpha = 1e400 overflows a float
+HUGE = dict(n=2, density=2e-4, alpha=4, beta=5, r_T=1e100)
 
 
 class TestValidation:
@@ -45,6 +55,21 @@ class TestValidation:
     def test_frozen(self):
         with pytest.raises(Exception):
             FIG1.beta = 7.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            FIG1.a = 1.0
+
+    def test_overflowing_sigma_raises_at_first_use(self):
+        p = ModelParams(**HUGE)
+        with pytest.raises(OverflowError):
+            p.sigma
+        with pytest.raises(OverflowError):
+            prior_success(p)
+
+    def test_overflowing_sigma_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(ModelParams(**HUGE).to_dict()))
+        assert main(["correlation", "--scenario", str(path)]) == 3
+        assert capsys.readouterr().err.startswith("numerical failure: ")
 
 
 class TestSerialization:
@@ -103,6 +128,46 @@ class TestDerived:
         assert half.beta == FIG1.beta
         with pytest.raises(ValueError):
             FIG1.thinned(0.0)
+
+    def test_derive_is_identity(self):
+        assert derive(FIG1) is FIG1
+
+    @pytest.mark.parametrize("p", SCENARIOS)
+    def test_scale_and_prior_exponent_bits(self, p):
+        # the expressions each module once wrote out, bit for bit
+        delta = p.n / p.alpha
+        c_n = {1: 2.0, 2: math.pi, 3: 4.0 * math.pi / 3.0}[p.n]
+        sigma = p.beta * p.r_T**p.alpha
+        a = p.density * c_n * sigma**delta
+        assert (p.delta, p.c_n, p.sigma) == (delta, c_n, sigma)
+        assert p.kappa_delta == specfn.kappa(delta)
+        assert p.a == a
+        assert p.A == a * specfn.kappa(delta) + sigma * p.eta
+        assert prior_success(p) == math.exp(-p.A)
+
+    def test_new_scenarios_recompute(self):
+        FIG1.A  # cached on FIG1 before either copy is made
+        half = FIG1.thinned(0.5)
+        assert half.a == ModelParams(2, 1e-4, 3, 5, 10).a == FIG1.a / 2
+        assert half.A == FIG1.A / 2
+        stricter = dataclasses.replace(FIG1, beta=10)
+        assert stricter.sigma == 10_000.0
+        assert stricter.a == ModelParams(2, 2e-4, 3, 10, 10).a != FIG1.a
+
+    def test_dataclass_surface(self):
+        p = ModelParams(n=2, density=2e-4, alpha=3, beta=5, r_T=10)
+        p.A  # every derived constant is cached on p
+        assert repr(p) == repr(FIG1) == (
+            "ModelParams(n=2, density=0.0002, alpha=3, beta=5, r_T=10, eta=0.0)")
+        assert [f.name for f in dataclasses.fields(p)] == [
+            "n", "density", "alpha", "beta", "r_T", "eta"]
+        fresh = ModelParams(n=2, density=2e-4, alpha=3, beta=5, r_T=10)
+        assert p == fresh and hash(p) == hash(fresh)
+        assert p != dataclasses.replace(p, eta=1e-4)
+        assert dataclasses.asdict(p) == {"n": 2, "density": 2e-4, "alpha": 3,
+                                         "beta": 5, "r_T": 10, "eta": 0.0}
+        assert p.to_dict() == {"n": 2, "lambda": 2e-4, "alpha": 3, "beta": 5,
+                               "r_T": 10, "eta": 0.0}
 
 
 class TestChangeOfVariable:
