@@ -7,6 +7,7 @@ here the runs are kept small (reduced regions, minimum trials) and the
 tolerances widened accordingly.
 """
 
+import copy
 import dataclasses
 import functools
 import hashlib
@@ -310,8 +311,8 @@ class TestChunkKernel:
         assert 1 < k_kill < 2**24
 
         def success(*k):
-            return mc._success(np.array(k, dtype=np.int32), np.array([len(k)]),
-                               p, R, None)[0]
+            return mc._success(np.array(k, dtype=np.int32), np.zeros(1, int),
+                               np.array([len(k)]), p, R, None)[0]
 
         assert (success(k_kill - 1), success(k_kill)) == (0.0, 1.0)
         assert success(*[2**24] * 999, k_kill - 1) == 0.0
@@ -349,7 +350,7 @@ class TestChunkKernel:
         if p.eta >= 1.0 / derive(p).sigma:
             # the literal test: an empty sum is 0, so at the margin exactly
             # the trials with no point succeed, and beyond it none
-            h, _, _ = per_trial(p, grid[0], cfg)
+            h, _, _ = per_trial(p, grid[0], cfg, grid)
             assert est.prior.value * cfg.trials == h.sum()
             assert (h.sum() > 0) == (p.eta == 1.0 / derive(p).sigma)
 
@@ -383,15 +384,37 @@ class TestChunkKernel:
         # u = k * 2**-24 = [0.5, 0.25, 1.0, 0.5]
         k = np.array([2**23, 2**22, 2**24, 2**23], dtype=np.int32)
         # trials 0, 2, 4 and 5 are empty, including the last
-        ends = np.array([0, 2, 2, 3, 4, 4])
-        got = mc._interference(k, ends, 2.0, 1.0, False)
+        starts = np.array([0, 0, 2, 2, 3, 4])
+        counts = np.array([0, 2, 0, 1, 1, 0])
+        got = mc._interference(k, starts, counts, 2.0, 1.0, False)
         assert got.tolist() == [0.0, 2 * (2.0 + 4.0), 0.0, 2.0, 4.0, 0.0]
-        got = mc._interference(k, ends, 2.0, 1.0, True)
+        got = mc._interference(k, starts, counts, 2.0, 1.0, True)
         assert got == pytest.approx(
             [0.0, math.log(5 * 9), 0.0, math.log(3), math.log(5), 0.0],
             rel=1e-15)
-        assert mc._interference(k[:0], np.zeros(3, dtype=np.int64),
-                                2.0, 1.0, False).tolist() == [0.0] * 3
+        zero = np.zeros(3, dtype=np.int64)
+        assert mc._interference(k[:0], zero, zero, 2.0, 1.0,
+                                False).tolist() == [0.0] * 3
+
+    @pytest.mark.parametrize("log1p", [False, True], ids=["sum", "log1p"])
+    def test_interference_slices_whole_trials(self, monkeypatch, log1p):
+        # slices of 5 points: the same bits as one slice, with empty trials
+        # at the start, inside, at a slice's edge and at the end, and
+        # trials larger than a slice
+        rng = np.random.default_rng(3)
+        counts = rng.integers(0, 9, 60)
+        counts[[0, 1, 30, -2, -1]] = 0
+        counts[[10, 40]] = 13
+        k = rng.integers(1, 2**24 + 1, counts.sum(), dtype=np.int32)
+        starts = np.cumsum(counts) - counts
+        whole = mc._interference(k, starts, counts, 0.37, 2.0, log1p)
+        monkeypatch.setattr(mc, "_SLICE", 5)
+        sliced = mc._interference(k, starts, counts, 0.37, 2.0, log1p)
+        assert sliced.tobytes() == whole.tobytes()
+        x = 0.37 * np.power(k * 2.0**-24, -2.0)
+        want = [(np.log1p(x) if log1p else x)[a:a + c].sum()
+                for a, c in zip(starts, counts)]
+        np.testing.assert_allclose(sliced, want, rtol=1e-15, atol=0.0)
 
 
     @pytest.mark.parametrize("log1p", [False, True], ids=["sum", "log1p"])
@@ -405,12 +428,14 @@ class TestChunkKernel:
         k = np.array(values * 3 + values[::-1], dtype=np.int32)
         # trials 0, 3 and 6 are empty, including the last
         ends = np.array([0, 1, 4, 4, 9, 16, 16])
+        counts = np.diff(ends, prepend=0)
         scale = 0.37
         x = scale * np.power(k * 2.0**-24, -exponent)
         if log1p:
             x = np.log1p(x)
         want = [x[a:b].sum() for a, b in zip(np.r_[0, ends[:-1]], ends)]
-        got = mc._interference(k, ends, scale, exponent, log1p)
+        got = mc._interference(k, ends - counts, counts, scale, exponent,
+                               log1p)
         np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 1023, 100001])
@@ -512,8 +537,9 @@ class TestPinnedEstimates:
                                     mc.SimConfig(trials=10_240, seed=2,
                                                  fading="none")),
          # re-pinned when the no-fading chunk came to draw its near points
-         # first, and the rest of the ball only for trials with none
-         "28de2037978a3b74a4a5323045ccbd589beaad15c76fe0f4c0232ebdda60c637"),
+         # first, and again when the trials with none came to draw ring
+         # counts, and positions only in the rings their bounds need
+         "158acaeda7f3ff0f48af42350b1a73b42238e211fdf251945463f6aea97fc572"),
         (lambda: mc.estimate_multiobs(FIG4, AlohaParams(0.5, 2), 10.0,
                                       mc.SimConfig(trials=10_240, seed=3)),
          "64addcd8381de850f8cdd2d429460feb5d01f912d81f8235bfcbedcfd98e64bf"),
@@ -525,6 +551,105 @@ class TestPinnedEstimates:
     ], ids=["fig1-rayleigh", "fig4-nofading", "fig4-aloha", "fig1-ceiling"])
     def test_digest(self, run, digest):
         assert hashlib.sha256(repr(run()).encode()).hexdigest() == digest
+
+
+class TestSettle:
+    """With no fading, a trial that the bounds of its ring counts settle
+    has the outcome that the float sum over all of its points gives."""
+
+    @staticmethod
+    def settle(p, grid, region, seed, size=2048):
+        """``size`` open trials of the estimator's rings for ``grid``: their
+        counts, outcomes and nearest ring edges from :func:`mc._settle`, and
+        every trial's points, those of the rings it drew replayed from the
+        same stream and the rest from an independent one."""
+        cfg = mc.SimConfig(trials=10_000, fading="none", region_radius=region)
+        R = mc._region_radius(p, p.density, max(grid), cfg)
+        cuts = (np.asarray(grid) / R) ** p.n / mc._U_RESOLUTION
+        k_kill = mc._kill_index(p, R) if 1.0 / p.sigma > p.eta else 1
+        edges, bounds = mc._rings(k_kill, cuts, p, R)
+        rng = np.random.default_rng(seed)
+        counts = rng.poisson(p.density * p.c_n * R**p.n * 2.0**-24
+                             * np.diff(edges)[:, None], size=(len(bounds[0]),
+                                                             size))
+        replay, drawn = copy.deepcopy(rng), []
+        h, nearest = mc._settle(rng, counts, edges, bounds, p, R, drawn)
+        rings = [{} for _ in range(size)]
+        for j, trials in enumerate(drawn):
+            c = counts[j, trials]
+            if c.sum():
+                pts = replay.integers(edges[j], edges[j + 1], c.sum(),
+                                      dtype=np.int32)
+                for t, part in zip(trials, np.split(pts, np.cumsum(c)[:-1])):
+                    rings[t][j] = part
+        # the replay accounts for every draw of the kernel
+        assert replay.bit_generator.state == rng.bit_generator.state
+        fill = np.random.default_rng([seed, 1])
+        undrawn = np.zeros(size, dtype=bool)
+        for t in range(size):
+            for j in np.flatnonzero(counts[:, t]):
+                if j not in rings[t]:
+                    undrawn[t] = True
+                    rings[t][j] = fill.integers(edges[j], edges[j + 1],
+                                                counts[j, t], dtype=np.int32)
+        k = [np.concatenate([r[j] for j in sorted(r)] or [np.zeros(0, int)])
+             for r in rings]
+        return R, cuts, h, nearest, k, undrawn
+
+    @pytest.mark.parametrize("p, grid, region", [
+        (FIG4, (10.0, 15.0, 20.0, 25.0), None),
+        (NOISY, (10.0, 20.0, 30.0), None),
+        # in a ball of radius 3 a lone point anywhere fails fig4's test:
+        # k_kill lies beyond the lattice, and there is no ring
+        (FIG4, (1.0, 2.0), 3.0),
+        # eta >= 1/sigma: k_kill is 1, the rings cover the whole ball, and a
+        # trial succeeds only if it holds no point and eta = 1/sigma
+        (dataclasses.replace(NOISY, eta=1.0 / NOISY.sigma), (2.5, 10.0), 15.0),
+        (dataclasses.replace(NOISY, eta=2.0 / NOISY.sigma), (2.5, 10.0), 15.0)],
+        ids=["fig4", "noisy", "beyond-lattice", "eta-at-margin",
+             "eta-beyond"])
+    def test_bounds_agree_with_full_sum(self, p, grid, region):
+        R, cuts, h, nearest, k, undrawn = self.settle(p, grid, region, 24)
+        counts = np.array([len(x) for x in k])
+        full = mc._success(np.concatenate(k).astype(np.int32),
+                           np.cumsum(counts) - counts, counts, p, R, None)
+        assert np.array_equal(h, full)
+        # each zone's indicator: no point below its cut
+        for cut in cuts:
+            clear = [not np.any(x < cut) for x in k]
+            assert np.array_equal(nearest >= cut, clear)
+        if region is None:
+            # most trials are settled with points left undrawn
+            assert undrawn.mean() > 0.9, undrawn.mean()
+            assert 0.05 < h.mean() < 0.95
+        if region == 3.0:
+            assert len(k[0]) == 0 and h.all()
+
+    # One index a ring, so the bounds are the trial's exact sum S, with the
+    # margin 1/sigma - eta set to S (1 + offset): within 1e-13 of it the
+    # trial is drawn, and beyond 1e-11 settled by its counts.
+    @pytest.mark.parametrize("offset", [5e-14, -5e-14, 1e-11, -1e-11])
+    def test_near_margin_is_drawn(self, offset):
+        R = 100.0
+        edges = np.array([750_000, 750_001, 1_700_000, 1_700_001])
+        counts = np.array([[2], [0], [3]])
+        bounds = mc._pathloss(np.stack([edges[1:] - 1, edges[:-1]]),
+                              R**-4, 2.0)
+        assert np.array_equal(bounds[0, [0, 2]], bounds[1, [0, 2]])
+        S = 2 * bounds[0, 0] + 3 * bounds[0, 2]
+        base = ModelParams(n=2, density=1e-3, alpha=4, beta=3, r_T=10)
+        p = dataclasses.replace(base, eta=1.0 / base.sigma - S * (1 + offset))
+        margin = 1.0 / p.sigma - p.eta
+        assert abs(margin / S - 1 - offset) < 1e-14
+        drawn = []
+        h, _ = mc._settle(np.random.default_rng(0), counts, edges, bounds, p,
+                          R, drawn)
+        # drawn at every ring, or at none
+        assert [list(t) for t in drawn] == ([] if abs(offset) > 1e-12
+                                            else [[0]] * 3)
+        k = np.repeat(edges[[0, 2]], [2, 3]).astype(np.int32)
+        full = mc._success(k, np.zeros(1, int), np.array([5]), p, R, None)
+        assert h[0] == full[0] == float(offset > 0)
 
 
 class TestFarField:
@@ -567,55 +692,110 @@ class TestFarField:
             float(want), rel=1e-13)
 
 
-def nofading_points(rng, p, R, size):
-    """One no-fading chunk's points, drawn from ``rng`` in the estimator's
-    order: for every trial a Poisson(mu q) count of near points, k uniform
-    on [1, k_kill); then for each trial with none, a Poisson(mu (1 - q))
-    count of volume draws, where each batch of those below k_kill is drawn
-    again. Returns the volume indices k of every trial's points, in trial
-    order, and the per-trial counts."""
-    d = derive(p)
-    k_kill = mc._kill_index(p, R) if 1.0 / d.sigma > p.eta else 1
+def ring_edges(k_kill, cuts):
+    """The estimator's rings, e_j <= k < e_{j+1} from e_0 = k_kill to
+    2**24 + 1: mc._RINGS log-spaced in k, and a ring edge at every cut
+    above k_kill."""
+    top = 2**24 + 1
+    edges = {round(e) for e in np.geomspace(k_kill, top, mc._RINGS + 1)}
+    return sorted(edges | {math.ceil(c) for c in cuts if c > k_kill})
+
+
+def nofading_points(rng, p, R, size, cuts, fill):
+    """One no-fading chunk's networks, drawn from ``rng`` in the
+    estimator's order by a literal loop over the trials.
+
+    Every trial draws a Poisson(mu q) count of near points, k uniform on
+    [1, k_kill); a trial with none is open. Each open trial draws a
+    Poisson count for each ring of :func:`ring_edges`. Then pass j: every
+    open trial that the bounds of its rings leave undecided (as
+    :func:`mc._settle` states them, by a relative margin of 1e-12) draws
+    ring j's positions, all such trials at once. A ring that a trial never
+    draws takes its positions from ``fill``. Returns the volume indices k
+    of every trial's points, in trial order (a closed trial holds only its
+    near points, which fail it and decide its zones), and the per-trial
+    counts."""
+    margin = 1.0 / p.sigma - p.eta
+    k_kill = mc._kill_index(p, R) if margin > 0 else 1
     q = (k_kill - 1) * 2.0**-24
-    mu = p.density * d.c_n * R**p.n
-    inner = rng.poisson(mu * q, size=size)
-    near = rng.integers(1, k_kill, size=inner.sum(), dtype=np.int32)
+    mu = p.density * p.c_n * R**p.n
+    points = [[] for _ in range(size)]
+    inner = np.zeros(size, dtype=int)
+    if k_kill > 1:
+        inner = rng.poisson(mu * q, size=size)
+        near = rng.integers(1, k_kill, size=inner.sum(), dtype=np.int32)
+        for t, pts in zip(np.flatnonzero(inner), np.split(
+                near, np.cumsum(inner[inner > 0])[:-1])):
+            points[t] = list(pts)
     open_ = np.flatnonzero(inner == 0)
-    outer = rng.poisson(mu * (1.0 - q), size=len(open_))
-    far = mc._volume_draw(rng, int(outer.sum()))
-    low = np.flatnonzero(far < k_kill)
-    while len(low):
-        far[low] = mc._volume_draw(rng, len(low))
-        low = low[far[low] < k_kill]
-    counts = inner.copy()
-    counts[open_] = outer
-    trial = np.concatenate([np.repeat(np.arange(size), inner),
-                            np.repeat(open_, outer)])
-    k = np.concatenate([near, far])
-    return k[np.argsort(trial, kind="stable")], counts
+    edges = ring_edges(k_kill, cuts)
+    J = len(edges) - 1
+    counts = rng.poisson(mu * 2.0**-24 * np.diff(edges)[:, None],
+                         size=(J, len(open_)))
+
+    def x(k):
+        return R ** -p.alpha * (k * 2.0**-24) ** (-p.alpha / p.n)
+
+    low = [counts[j] * x(edges[j + 1] - 1) for j in range(J)]
+    high = [counts[j] * x(edges[j]) for j in range(J)]
+    exact = np.zeros(len(open_))
+    rings = [{} for _ in open_]
+    alive = range(len(open_))
+    for j in range(J):
+        still = []
+        for t in alive:
+            lo = exact[t] + sum(low[i][t] for i in range(j, J))
+            hi = exact[t] + sum(high[i][t] for i in range(j, J))
+            if (lo <= margin + 1e-12 * abs(margin)
+                    and hi > margin - 1e-12 * abs(margin)):
+                still.append(t)
+        alive = still
+        total = sum(counts[j][t] for t in alive)
+        if total:
+            pts = rng.integers(edges[j], edges[j + 1], total, dtype=np.int32)
+            for t in alive:
+                rings[t][j], pts = pts[:counts[j][t]], pts[counts[j][t]:]
+                exact[t] += x(rings[t][j]).sum()
+    for t, trial in enumerate(open_):
+        for j in range(J):
+            if j not in rings[t]:
+                rings[t][j] = fill.integers(edges[j], edges[j + 1],
+                                            counts[j][t], dtype=np.int32)
+            points[trial] += list(rings[t][j])
+    return (np.array([k for pts in points for k in pts], dtype=np.int32),
+            np.array([len(pts) for pts in points]))
+
+
+def chunk_points(p, R, cuts, cfg, chunk_idx, size):
+    """The points of one chunk of :func:`mc.estimate_single`, drawn from
+    its stream; with no fading, in full (:func:`nofading_points`), the
+    rings the estimator leaves undrawn from a stream of their own."""
+    rng = mc._chunk_rng(cfg.seed, chunk_idx)
+    if cfg.fading == "rayleigh":
+        counts = rng.poisson(p.density * p.c_n * R**p.n, size=size)
+        return mc._volume_draw(rng, int(counts.sum())), counts
+    fill = np.random.default_rng(np.random.SeedSequence(
+        [cfg.seed, chunk_idx, 2]))
+    return nofading_points(rng, p, R, size, cuts, fill)
 
 
 def former_mask_sums(p, grid, cfg):
     """The chunk sums of :func:`mc.estimate_single` as a literal loop over
-    the radii builds them: for each radius a mask set to 1, then cleared
-    at the trial of every point with u < thr, and four masked sums. Also
-    returns whether some trial has no points."""
-    d = derive(p)
+    the radii builds them: h by :func:`mc._success` over all of each
+    trial's points; for each radius a mask set to 1, then cleared at the
+    trial of every point with u < thr, and four masked sums. Also returns
+    whether some trial has no points."""
     R = mc._region_radius(p, p.density, max(grid), cfg)
     far_log = (mc._far_field_log(p, p.density, R)
                if cfg.fading == "rayleigh" else None)
     thresholds = (np.asarray(grid) / R) ** p.n
     total, some_empty = 0, False
     for chunk_idx, size in enumerate(mc._chunk_sizes(cfg.trials)):
-        rng = mc._chunk_rng(cfg.seed, chunk_idx)
-        if cfg.fading == "rayleigh":
-            counts = rng.poisson(p.density * d.c_n * R**p.n, size=size)
-            k = mc._volume_draw(rng, int(counts.sum()))
-        else:
-            k, counts = nofading_points(rng, p, R, size)
-        ends = np.cumsum(counts)
+        k, counts = chunk_points(p, R, thresholds * 2.0**24, cfg, chunk_idx,
+                                 size)
+        starts = np.cumsum(counts) - counts
         # with no fading, a trial's near points make its h 0 here too
-        h = mc._success(k, ends, p, R, far_log)
+        h = mc._success(k, starts, counts, p, R, far_log)
         hh = h * h
         some_empty |= bool(np.any(counts == 0))
         trial = np.repeat(np.arange(size), counts)
@@ -633,37 +813,34 @@ def former_mask_sums(p, grid, cfg):
     return total, some_empty
 
 
-def per_trial(p, r_O, cfg):
-    """Per-trial h and guard-zone indicator D by a literal loop over the
-    estimator's chunk streams and region. h is the success probability
-    under Rayleigh fading, else the 0/1 outcome of the SINR test. Also
-    returns whether some chunk's last trial has no points."""
-    d = derive(p)
-    R = mc._region_radius(p, p.density, r_O, cfg)
+def per_trial(p, r_O, cfg, grid=None):
+    """Per-trial h and guard-zone indicator D at ``r_O`` by a literal loop
+    over the chunk streams and region of the estimator run on ``grid``
+    (default ``[r_O]``). h is the success probability under Rayleigh
+    fading, else the 0/1 outcome of the SINR test. Also returns whether
+    some chunk's last trial has no points."""
+    grid = [r_O] if grid is None else grid
+    R = mc._region_radius(p, p.density, max(grid), cfg)
     far_log = mc._far_field_log(p, p.density, R)
+    cuts = (np.asarray(grid) / R) ** p.n * 2.0**24
     h, D = [], []
     last_trial_empty = False
     for chunk_idx, start in enumerate(range(0, cfg.trials, mc._CHUNK)):
         size = min(mc._CHUNK, cfg.trials - start)
-        rng = mc._chunk_rng(cfg.seed, chunk_idx)
-        if cfg.fading == "rayleigh":
-            counts = rng.poisson(p.density * d.c_n * R**p.n, size=size)
-            u = 1.0 - rng.random(counts.sum(), dtype=np.float32)
-        else:
-            k, counts = nofading_points(rng, p, R, size)
-            u = (k * 2.0**-24).astype(np.float32)
+        k, counts = chunk_points(p, R, cuts, cfg, chunk_idx, size)
+        u = (k * 2.0**-24).astype(np.float32)
         last_trial_empty |= counts[-1] == 0
         lo = 0
         for t in range(size):
             pts = u[lo:lo + counts[t]].astype(np.float64)
             lo += counts[t]
-            x = R ** -p.alpha * pts ** (-1.0 / d.delta)
+            x = R ** -p.alpha * pts ** (-1.0 / p.delta)
             if cfg.fading == "rayleigh":
                 # success probability given the points: prod 1/(1+s x)
-                h.append(math.exp(far_log - d.sigma * p.eta
-                                  - np.sum(np.log1p(d.sigma * x))))
+                h.append(math.exp(far_log - p.sigma * p.eta
+                                  - np.sum(np.log1p(p.sigma * x))))
             else:
-                h.append(float(np.sum(x) <= 1.0 / d.sigma - p.eta))
+                h.append(float(np.sum(x) <= 1.0 / p.sigma - p.eta))
             D.append(not np.any(pts < (r_O / R) ** p.n))
     return np.array(h), np.array(D), last_trial_empty
 
@@ -821,10 +998,12 @@ class TestCalibration:
         ("rayleigh", FIG4, (1.5, 3.0), None),
         # the no-fading region 560.5 of fig4, where the near points decide
         # three trials in four
-        ("none", FIG4, (10.0, 15.0), None)],
+        ("none", FIG4, (10.0, 15.0), None),
+        # eta > 0: the margin 1/sigma - eta, 0.7 of 1/sigma
+        ("none", NOISY, (10.0, 20.0), None)],
         ids=["rayleigh", "none", "aloha", "rayleigh-default", "aloha-default",
              "rayleigh-default-shell", "rayleigh-default-small",
-             "none-default"])
+             "none-default", "none-noisy"])
     def test_sd_over_se(self, kind, p, grid, region):
         runs = self.replicated(kind, p, grid, region)
         ratios = {}
@@ -848,6 +1027,9 @@ class TestCalibration:
         runs = self.replicated("none", FIG4, grid, None)
         want = {"prior": levy_prior(FIG4)}
         want.update({f"posterior_d1[{r:g}]": posterior_nofade(FIG4, r).value
+                     for r in grid})
+        # read from the ring counts of the open trials
+        want.update({f"evidence[{r:g}]": evidence_success(FIG4, r)
                      for r in grid})
         z = {}
         for name, value in want.items():
