@@ -496,8 +496,8 @@ def _rings(k_kill: int, cuts: np.ndarray, p: ModelParams,
 
 
 def _settle(rng: np.random.Generator, counts: np.ndarray, edges: np.ndarray,
-            bounds: np.ndarray, p: ModelParams, R: float,
-            drawn: list | None = None) -> tuple[np.ndarray, np.ndarray]:
+            bounds: np.ndarray, p: ModelParams,
+            R: float) -> tuple[np.ndarray, np.ndarray]:
     """No-fading outcomes of trials known by their ring counts.
 
     ``counts[j, t]`` is trial t's number of points in ring j of
@@ -515,8 +515,7 @@ def _settle(rng: np.random.Generator, counts: np.ndarray, edges: np.ndarray,
 
     Returns the 0/1 outcomes, and the first index of each trial's first
     ring with points (``2**24 + 1`` if none), which decides every zone
-    that is a union of rings. A list ``drawn`` gets, for each pass, the
-    trials that took it.
+    that is a union of rings.
     """
     J, n = counts.shape
     margin = 1.0 / p.sigma - p.eta
@@ -545,8 +544,6 @@ def _settle(rng: np.random.Generator, counts: np.ndarray, edges: np.ndarray,
         trials, exact = trials[left], exact[left]
         if not len(trials):
             return h, nearest
-        if drawn is not None:
-            drawn.append(trials)
         c = counts[j].take(trials)
         total = int(c.sum())
         if total:
@@ -556,6 +553,29 @@ def _settle(rng: np.random.Generator, counts: np.ndarray, edges: np.ndarray,
     # every ring drawn: the sum decides
     h[trials[exact <= margin]] = 1.0
     return h, nearest
+
+
+def _chunk_sums(h: np.ndarray, kmin: np.ndarray,
+                cuts: np.ndarray) -> np.ndarray:
+    """A chunk's ``2 + 5 * len(cuts)`` sums for :func:`estimate_single`,
+    from each trial's h and the volume index ``kmin`` of its nearest point:
+    h and h**2, then for each cut the trials whose zone is clear (D = 1),
+    and h and h**2 summed where D = 1 and where D = 0."""
+    k = len(cuts)
+    hh = h * h
+    sums = np.empty(2 + 5 * k)
+    sums[0], sums[1] = h.sum(), hh.sum()
+    for i, cut in enumerate(cuts):
+        # A zone is clear when the trial's nearest point lies outside it.
+        D = kmin >= cut
+        sums[2 + i] = D.sum()
+        # Each side is summed, not taken as total minus the other: a side
+        # whose h is tiny next to the total would keep no digits.
+        busy = ~D
+        sums[2 + k + i], sums[2 + 2 * k + i] = h[D].sum(), hh[D].sum()
+        sums[2 + 3 * k + i] = h[busy].sum()
+        sums[2 + 4 * k + i] = hh[busy].sum()
+    return sums
 
 
 @dataclass(frozen=True)
@@ -591,24 +611,11 @@ def estimate_single(p: ModelParams, r_O_grid, cfg: SimConfig) -> SingleObsEstima
         starts = ends - counts
         draws = _volume_draw(rng, int(ends[-1]))
         h = _success(draws, starts, counts, p, R, far_log)
-        # A zone is clear when the trial's nearest point lies outside it.
         # An empty trial's 2**24 is above every cut, so its zones are clear.
         kmin = np.full(size, 1 << 24, dtype=draws.dtype)
         seen = np.flatnonzero(counts)
         kmin[seen] = np.minimum.reduceat(draws, starts[seen])
-        hh = h * h
-        sums = np.empty(2 + 5 * k)
-        sums[0], sums[1] = h.sum(), hh.sum()
-        for i, cut in enumerate(cuts):
-            D = kmin >= cut
-            sums[2 + i] = D.sum()
-            # Each side is summed, not taken as total minus the other: a
-            # side whose h is tiny next to the total would keep no digits.
-            busy = ~D
-            sums[2 + k + i], sums[2 + 2 * k + i] = h[D].sum(), hh[D].sum()
-            sums[2 + 3 * k + i] = h[busy].sum()
-            sums[2 + 4 * k + i] = hh[busy].sum()
-        return sums
+        return _chunk_sums(h, kmin, cuts)
 
     if far_log is None:
         # q: the share of the ball where one point fails the SINR test alone
@@ -616,10 +623,6 @@ def estimate_single(p: ModelParams, r_O_grid, cfg: SimConfig) -> SingleObsEstima
         q = (k_kill - 1) * _U_RESOLUTION
         edges, bounds = _rings(k_kill, cuts, p, R)
         ring_means = mean_pts * _U_RESOLUTION * np.diff(edges)[:, None]
-        # Zone i is clear when the trial's nearest point is at or above its
-        # cut: when at least rank[i] cuts lie at or below that point.
-        ordered = np.sort(cuts)
-        rank = np.searchsorted(ordered, cuts) + 1
 
     def nofading(rng, size):
         # Near points, k < k_kill, fail their trial alone (there are none
@@ -634,18 +637,9 @@ def estimate_single(p: ModelParams, r_O_grid, cfg: SimConfig) -> SingleObsEstima
         counts = rng.poisson(ring_means, size=(len(ring_means),
                                                size - len(closed)))
         h, nearest = _settle(rng, counts, edges, bounds, p, R)
-        # h is 0 or 1, so every sum is a count, exact in any order: the
-        # trials, and their successes, by the cuts at or below their
-        # nearest point, summed from the most cuts down
-        level = np.searchsorted(ordered, nearest, "right")
-        tally = np.stack([
-            np.bincount(level, minlength=k + 1) + np.bincount(
-                np.searchsorted(ordered, closed, "right"), minlength=k + 1),
-            np.bincount(level, h, k + 1)])
-        clear, won = np.cumsum(tally[:, ::-1], axis=1)[:, ::-1][:, rank]
-        s_h = h.sum()
-        return np.concatenate([[s_h, s_h], clear, won, won, s_h - won,
-                               s_h - won])
+        # the closed trials go last, with h = 0 and their nearest near point
+        return _chunk_sums(np.concatenate([h, np.zeros(len(closed))]),
+                           np.concatenate([nearest, closed]), cuts)
 
     sums = _sum_over_chunks(nofading if far_log is None else rayleigh, cfg)
     T = cfg.trials

@@ -553,6 +553,18 @@ class TestPinnedEstimates:
         assert hashlib.sha256(repr(run()).encode()).hexdigest() == digest
 
 
+class SpyRng:
+    """A generator that records the range and size of each
+    ``integers`` draw."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, []
+
+    def integers(self, low, high, size, dtype):
+        self.calls.append((int(low), int(high), int(size)))
+        return self.rng.integers(low, high, size, dtype)
+
+
 class TestSettle:
     """With no fading, a trial that the bounds of its ring counts settle
     has the outcome that the float sum over all of its points gives."""
@@ -562,7 +574,8 @@ class TestSettle:
         """``size`` open trials of the estimator's rings for ``grid``: their
         counts, outcomes and nearest ring edges from :func:`mc._settle`, and
         every trial's points, those of the rings it drew replayed from the
-        same stream and the rest from an independent one."""
+        same stream by :func:`literal_rings` and the rest from an
+        independent one."""
         cfg = mc.SimConfig(trials=10_000, fading="none", region_radius=region)
         R = mc._region_radius(p, p.density, max(grid), cfg)
         cuts = (np.asarray(grid) / R) ** p.n / mc._U_RESOLUTION
@@ -572,26 +585,12 @@ class TestSettle:
         counts = rng.poisson(p.density * p.c_n * R**p.n * 2.0**-24
                              * np.diff(edges)[:, None], size=(len(bounds[0]),
                                                              size))
-        replay, drawn = copy.deepcopy(rng), []
-        h, nearest = mc._settle(rng, counts, edges, bounds, p, R, drawn)
-        rings = [{} for _ in range(size)]
-        for j, trials in enumerate(drawn):
-            c = counts[j, trials]
-            if c.sum():
-                pts = replay.integers(edges[j], edges[j + 1], c.sum(),
-                                      dtype=np.int32)
-                for t, part in zip(trials, np.split(pts, np.cumsum(c)[:-1])):
-                    rings[t][j] = part
+        replay = copy.deepcopy(rng)
+        h, nearest = mc._settle(rng, counts, edges, bounds, p, R)
+        rings, undrawn = literal_rings(replay, counts, edges, p, R,
+                                       np.random.default_rng([seed, 1]))
         # the replay accounts for every draw of the kernel
         assert replay.bit_generator.state == rng.bit_generator.state
-        fill = np.random.default_rng([seed, 1])
-        undrawn = np.zeros(size, dtype=bool)
-        for t in range(size):
-            for j in np.flatnonzero(counts[:, t]):
-                if j not in rings[t]:
-                    undrawn[t] = True
-                    rings[t][j] = fill.integers(edges[j], edges[j + 1],
-                                                counts[j, t], dtype=np.int32)
         k = [np.concatenate([r[j] for j in sorted(r)] or [np.zeros(0, int)])
              for r in rings]
         return R, cuts, h, nearest, k, undrawn
@@ -641,12 +640,11 @@ class TestSettle:
         p = dataclasses.replace(base, eta=1.0 / base.sigma - S * (1 + offset))
         margin = 1.0 / p.sigma - p.eta
         assert abs(margin / S - 1 - offset) < 1e-14
-        drawn = []
-        h, _ = mc._settle(np.random.default_rng(0), counts, edges, bounds, p,
-                          R, drawn)
-        # drawn at every ring, or at none
-        assert [list(t) for t in drawn] == ([] if abs(offset) > 1e-12
-                                            else [[0]] * 3)
+        rng = SpyRng(np.random.default_rng(0))
+        h, _ = mc._settle(rng, counts, edges, bounds, p, R)
+        # drawn at every ring with points, or at none
+        assert rng.calls == ([] if abs(offset) > 1e-12 else
+                             [(750_000, 750_001, 2), (1_700_000, 1_700_001, 3)])
         k = np.repeat(edges[[0, 2]], [2, 3]).astype(np.int32)
         full = mc._success(k, np.zeros(1, int), np.array([5]), p, R, None)
         assert h[0] == full[0] == float(offset > 0)
@@ -701,17 +699,60 @@ def ring_edges(k_kill, cuts):
     return sorted(edges | {math.ceil(c) for c in cuts if c > k_kill})
 
 
+def literal_rings(rng, counts, edges, p, R, fill):
+    """The positions of open trials known by their ring counts
+    (``counts[j, t]`` in ring ``edges[j] <= k < edges[j + 1]``), drawn
+    from ``rng`` in the order of :func:`mc._settle` by a literal loop: pass
+    j, every trial that the bounds of its rings leave undecided (count
+    times the pathloss at a ring's last index and at its first, by a
+    relative margin of 1e-12) draws ring j's positions, all such trials at
+    once. A ring that a trial never draws takes its positions from
+    ``fill``. Returns each trial's ring -> positions, and whether it left
+    a ring with points to ``fill``."""
+    margin = 1.0 / p.sigma - p.eta
+    J, size = counts.shape
+
+    def x(k):
+        return R ** -p.alpha * (k * 2.0**-24) ** (-p.alpha / p.n)
+
+    low = [counts[j] * x(edges[j + 1] - 1) for j in range(J)]
+    high = [counts[j] * x(edges[j]) for j in range(J)]
+    exact = np.zeros(size)
+    rings = [{} for _ in range(size)]
+    alive = range(size)
+    for j in range(J):
+        still = []
+        for t in alive:
+            lo = exact[t] + sum(low[i][t] for i in range(j, J))
+            hi = exact[t] + sum(high[i][t] for i in range(j, J))
+            if (lo <= margin + 1e-12 * abs(margin)
+                    and hi > margin - 1e-12 * abs(margin)):
+                still.append(t)
+        alive = still
+        total = sum(counts[j][t] for t in alive)
+        if total:
+            pts = rng.integers(edges[j], edges[j + 1], total, dtype=np.int32)
+            for t in alive:
+                rings[t][j], pts = pts[:counts[j][t]], pts[counts[j][t]:]
+                exact[t] += x(rings[t][j]).sum()
+    undrawn = np.zeros(size, dtype=bool)
+    for t in range(size):
+        for j in range(J):
+            if j not in rings[t]:
+                undrawn[t] |= counts[j][t] > 0
+                rings[t][j] = fill.integers(edges[j], edges[j + 1],
+                                            counts[j][t], dtype=np.int32)
+    return rings, undrawn
+
+
 def nofading_points(rng, p, R, size, cuts, fill):
     """One no-fading chunk's networks, drawn from ``rng`` in the
     estimator's order by a literal loop over the trials.
 
     Every trial draws a Poisson(mu q) count of near points, k uniform on
     [1, k_kill); a trial with none is open. Each open trial draws a
-    Poisson count for each ring of :func:`ring_edges`. Then pass j: every
-    open trial that the bounds of its rings leave undecided (as
-    :func:`mc._settle` states them, by a relative margin of 1e-12) draws
-    ring j's positions, all such trials at once. A ring that a trial never
-    draws takes its positions from ``fill``. Returns the volume indices k
+    Poisson count for each ring of :func:`ring_edges`, and their positions
+    come from :func:`literal_rings`. Returns the volume indices k
     of every trial's points, in trial order (a closed trial holds only its
     near points, which fail it and decide its zones), and the per-trial
     counts."""
@@ -732,35 +773,9 @@ def nofading_points(rng, p, R, size, cuts, fill):
     J = len(edges) - 1
     counts = rng.poisson(mu * 2.0**-24 * np.diff(edges)[:, None],
                          size=(J, len(open_)))
-
-    def x(k):
-        return R ** -p.alpha * (k * 2.0**-24) ** (-p.alpha / p.n)
-
-    low = [counts[j] * x(edges[j + 1] - 1) for j in range(J)]
-    high = [counts[j] * x(edges[j]) for j in range(J)]
-    exact = np.zeros(len(open_))
-    rings = [{} for _ in open_]
-    alive = range(len(open_))
-    for j in range(J):
-        still = []
-        for t in alive:
-            lo = exact[t] + sum(low[i][t] for i in range(j, J))
-            hi = exact[t] + sum(high[i][t] for i in range(j, J))
-            if (lo <= margin + 1e-12 * abs(margin)
-                    and hi > margin - 1e-12 * abs(margin)):
-                still.append(t)
-        alive = still
-        total = sum(counts[j][t] for t in alive)
-        if total:
-            pts = rng.integers(edges[j], edges[j + 1], total, dtype=np.int32)
-            for t in alive:
-                rings[t][j], pts = pts[:counts[j][t]], pts[counts[j][t]:]
-                exact[t] += x(rings[t][j]).sum()
+    rings, _ = literal_rings(rng, counts, edges, p, R, fill)
     for t, trial in enumerate(open_):
         for j in range(J):
-            if j not in rings[t]:
-                rings[t][j] = fill.integers(edges[j], edges[j + 1],
-                                            counts[j][t], dtype=np.int32)
             points[trial] += list(rings[t][j])
     return (np.array([k for pts in points for k in pts], dtype=np.int32),
             np.array([len(pts) for pts in points]))
@@ -768,12 +783,14 @@ def nofading_points(rng, p, R, size, cuts, fill):
 
 def chunk_points(p, R, cuts, cfg, chunk_idx, size):
     """The points of one chunk of :func:`mc.estimate_single`, drawn from
-    its stream; with no fading, in full (:func:`nofading_points`), the
-    rings the estimator leaves undrawn from a stream of their own."""
+    its stream: under Rayleigh fading as float32 uniforms u, k = u * 2**24;
+    with no fading, in full (:func:`nofading_points`), the rings the
+    estimator leaves undrawn from a stream of their own."""
     rng = mc._chunk_rng(cfg.seed, chunk_idx)
     if cfg.fading == "rayleigh":
         counts = rng.poisson(p.density * p.c_n * R**p.n, size=size)
-        return mc._volume_draw(rng, int(counts.sum())), counts
+        u = 1.0 - rng.random(counts.sum(), dtype=np.float32)
+        return (u * 2**24).astype(np.int32), counts
     fill = np.random.default_rng(np.random.SeedSequence(
         [cfg.seed, chunk_idx, 2]))
     return nofading_points(rng, p, R, size, cuts, fill)
