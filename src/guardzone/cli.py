@@ -116,7 +116,7 @@ def _render_csv(columns, rows, comments, cfg_hash) -> str:
 
 def _render_json(columns, rows, comments, cfg_hash) -> str:
     return json.dumps({"manifest": cfg_hash, "notes": comments,
-                       "columns": list(columns), "rows": rows},
+                       "columns": columns, "rows": rows},
                       indent=2, default=str) + "\n"
 
 
@@ -128,10 +128,12 @@ def _rows(columns: dict) -> list[dict]:
     return [dict(zip(columns, row)) for row in zip(*values)]
 
 
-def _emit(args, columns, rows, comments, hash_payload, render_text=_render_csv) -> None:
+def _emit(args, rows, comments, hash_payload, render_text=_render_csv) -> None:
+    """Write a report of ``rows``, whose columns are the keys of the first
+    row, in their order."""
     cfg_hash = _digest(hash_payload)
     render = _render_json if args.format == "json" else render_text
-    text = render(columns, rows, comments, cfg_hash)
+    text = render(list(rows[0]), rows, comments, cfg_hash)
     if args.out:
         Path(args.out).write_text(text)
         manifest = {
@@ -160,7 +162,7 @@ def cmd_correlation(args) -> int:
             rows += _rows({"coeff": coeffs, "delta": [delta] * len(coeffs),
                            "chi_star": correlation.chi_star_from_coeff(
                                coeffs, delta)})
-        _emit(args, ("coeff", "delta", "chi_star"), rows, [],
+        _emit(args, rows, [],
               {"command": "correlation-sweep", "scenario": p.to_dict()})
         return 0
     grid = parse_grid(args.grid, np.geomspace(1e-3, 1e4, 400))
@@ -170,7 +172,7 @@ def cmd_correlation(args) -> int:
                   "f1": correlation.f1(p, chi), "f2": correlation.f2(p, chi),
                   "is_chi_star": [0] * len(grid) + [1]})
     comments = [f"chi_star {cs:.6g} r_O_star {radius_of_chi(p, cs):.6g}"]
-    _emit(args, ("chi", "rho", "f1", "f2", "is_chi_star"), rows, comments,
+    _emit(args, rows, comments,
           {"command": "correlation", "scenario": p.to_dict(),
            "grid": [float(c) for c in grid]})
     return 0
@@ -195,8 +197,7 @@ def cmd_risk(args) -> int:
     else:
         comments = [f"no interior optimum; risk decreases toward {opt.risk:.6g} "
                     "as r_O grows"]
-    _emit(args, ("r_O", "risk", "risk_deriv", "f_L", "f_R", "is_optimum"),
-          rows, comments,
+    _emit(args, rows, comments,
           {"command": "risk", "scenario": p.to_dict(),
            "cost": [cost.c00, cost.c01, cost.c10, cost.c11],
            "grid": [float(r) for r in grid]})
@@ -227,8 +228,7 @@ def cmd_roc(args) -> int:
                   "risk": p_i * (1.0 - pH) + p_ii * pH,
                   "rho": correlation.rho(p, chi),
                   "label": [""] * len(grid) + list(labels)})
-    _emit(args, ("r_O", "chi", "p_I", "p_II", "risk", "rho", "label"),
-          rows, comments,
+    _emit(args, rows, comments,
           {"command": "roc", "scenario": p.to_dict(),
            "grid": [float(r) for r in grid]})
     return 0
@@ -241,14 +241,12 @@ def cmd_fading_compare(args) -> int:
     ilt = nofading._invert(p, grid)
     rows = _rows({"r_O": grid, "chi": chi,
                   "posterior_fading": posterior(p, grid).p_h1_d1,
-                  "rho_fading": correlation.rho(p, chi),
                   "posterior_nofading": ilt.value,
+                  "rho_fading": correlation.rho(p, chi),
                   "rho_nofading": nofading._rho_given_posterior(p, grid, ilt.value),
                   "ilt_error": ilt.error_estimate,
                   "ilt_converged": (ilt.terms_used > 0).astype(int)})
-    _emit(args, ("r_O", "chi", "posterior_fading", "posterior_nofading",
-                 "rho_fading", "rho_nofading", "ilt_error", "ilt_converged"),
-          rows, [],
+    _emit(args, rows, [],
           {"command": "fading-compare", "scenario": p.to_dict(),
            "grid": [float(r) for r in grid]})
     return 0
@@ -270,8 +268,7 @@ def cmd_multiobs(args) -> int:
              "is_worst": int(e is worst)} for e in evals]
     comments = [f"best {best.rule.bits} risk {best.risk:.6g}",
                 f"worst {worst.rule.bits} risk {worst.risk:.6g}"]
-    _emit(args, ("rule", "p_I", "p_II", "risk", "is_best", "is_worst"),
-          rows, comments,
+    _emit(args, rows, comments,
           {"command": "multiobs", "scenario": p.to_dict(),
            "aloha": {"p": aloha.p, "N": aloha.N}, "r_O": r_O})
     return 0
@@ -415,8 +412,7 @@ def cmd_validate(args) -> int:
                     "aloha": None if aloha is None else vars(aloha),
                     # each simulation's own hash, which names its generator
                     "estimates": estimates}
-    _emit(args, ("quantity", "status", "analytic", "mc", "stderr", "z",
-                 "samples", "p"), checks, notes, hash_payload, _render_checks)
+    _emit(args, checks, notes, hash_payload, _render_checks)
     return 1 if any(c["status"] == "FAIL" for c in checks) else 0
 
 

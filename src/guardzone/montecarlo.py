@@ -18,10 +18,13 @@ fading:
   only in the rings whose bounds leave the SINR test open
   (:func:`_settle`): on fig4 about 22, of the 1974 points in the ball.
   Every guard zone is a union of rings, so its indicator needs none.
+  :func:`_kill_index` and :func:`_settle` are the only places the test
+  is applied.
 * Rayleigh fading: no fade is drawn. For unit-mean exponential fades
   ``E[exp(-s F)] = 1/(1 + s)``, so given the interferer positions the
   receiver succeeds with probability exactly
-  ``h = exp(-sigma*eta) * prod_i 1/(1 + sigma * r_i**-alpha)``. The
+  ``h = exp(-sigma*eta) * prod_i 1/(1 + sigma * r_i**-alpha)``
+  (:func:`_success`). The
   interferers beyond the region contribute the Poisson PGFL factor
   ``exp(-density * int_R^inf n c_n r**(n-1) / (1 + r**alpha/sigma) dr)``,
   which :func:`_far_field_log` evaluates by its own quadrature, so the
@@ -49,9 +52,9 @@ uniform, in 4 bytes a point and with no float32 array. So a guard zone
 with ``(r_O / R)**n`` at most 2**-24 would never be busy; both estimators
 raise ``RuntimeError`` for one. The guard-zone tests compare ``k`` with
 the thresholds times 2**24, which is exact; a single-slot trial's least
-``k`` decides them all. When ``2*alpha/n`` is a small integer (every
-shipped scenario), ``k**(alpha/n)`` is formed by a square root or a
-product, then multiplications, rather than ``pow``.
+``k`` decides them all. When ``2*alpha/n`` is an integer from 3 to 8
+(every shipped scenario), ``k**(alpha/n)`` is formed by a square root or
+a product, then multiplications, rather than ``pow``.
 
 Trials are processed in fixed-size chunks, each with its own PCG64
 stream keyed by ``SeedSequence([seed, chunk_index])``. Chunks run
@@ -376,13 +379,11 @@ def _sum_over_chunks(kernel, cfg: SimConfig) -> np.ndarray:
 
 
 def _half_power(x: np.ndarray, m: int) -> np.ndarray:
-    """``x**(m/2)`` for an integer ``1 <= m <= _MAX_HALF_POWER``: the square
+    """``x**(m/2)`` for an integer ``3 <= m <= _MAX_HALF_POWER``: the square
     root of ``x`` for odd m, else ``x * x``, then times ``x`` until the
-    power is reached. At m = 2 the result is ``x``, and at m = 4 ``x * x``
-    formed in place; else a new array."""
+    power is reached. At m = 4 the result is ``x * x`` formed in place;
+    else a new array."""
     k, odd = divmod(m, 2)
-    if m == 2:
-        return x
     if odd:
         acc = np.sqrt(x)
     else:
@@ -396,17 +397,18 @@ def _pathloss(k: np.ndarray, scale: float, exponent: float) -> np.ndarray:
     """``x = scale * u**(-exponent)`` at the volume draws ``k`` of
     :func:`_volume_draw`, ``u = k * 2**-24``, as a new float64 array.
 
-    If ``m = 2 * exponent`` is an integer up to ``_MAX_HALF_POWER``,
-    ``k**(m/2)`` is built by :func:`_half_power` and ``scale * 2**(12*m)``
-    divided by it: scaling by a power of two commutes with rounded ``*``,
-    ``/`` and ``sqrt``, and ``k**(m/2) <= 2**96``, so this is
-    ``scale / u**(m/2)`` to the bit. Else ``k`` is scaled to ``u``, also
-    exactly, and ``np.power`` forms ``u**-exponent``. Each step is rounded
-    monotonically, so x never rises with k.
+    If ``m = 2 * exponent`` is an integer from 3 to ``_MAX_HALF_POWER``
+    (``ModelParams`` has alpha > n, so m > 2), ``k**(m/2)`` is built by
+    :func:`_half_power` and ``scale * 2**(12*m)`` divided by it: scaling
+    by a power of two commutes with rounded ``*``, ``/`` and ``sqrt``, and
+    ``k**(m/2) <= 2**96``, so this is ``scale / u**(m/2)`` to the bit.
+    Else ``k`` is scaled to ``u``, also exactly, and ``np.power`` forms
+    ``u**-exponent``. Each step is rounded monotonically, so x never rises
+    with k.
     """
     x = k.astype(float)
     m = 2.0 * exponent
-    if m.is_integer() and 1 <= m <= _MAX_HALF_POWER:
+    if m.is_integer() and 3 <= m <= _MAX_HALF_POWER:
         return np.divide(scale * 2.0 ** (12 * m), _half_power(x, int(m)),
                          out=x)
     x *= _U_RESOLUTION
@@ -415,17 +417,20 @@ def _pathloss(k: np.ndarray, scale: float, exponent: float) -> np.ndarray:
     return x
 
 
-def _interference(k: np.ndarray, starts: np.ndarray, counts: np.ndarray,
-                  scale: float, exponent: float, log1p: bool) -> np.ndarray:
-    """Per-trial sums of the :func:`_pathloss` ``x`` over the volume draws
-    ``k``, or of ``log1p(x)`` if ``log1p`` is set.
+def _success(k: np.ndarray, starts: np.ndarray, counts: np.ndarray,
+             p: ModelParams, R: float, far_log: float) -> np.ndarray:
+    """Per-trial Rayleigh success probability h at the volume draws ``k``:
+    ``exp(far_log - sigma*eta - sum(log1p(sigma * x)))`` over the
+    :func:`_pathloss` ``x`` of each trial's points.
 
     Trial ``t`` owns the ``counts[t]`` points from ``k[starts[t]]`` on, and
     each trial's points follow the last one's. Points are processed in
     slices of whole trials, so float64 working memory stays near
     ``_SLICE`` points (plus one trial) whatever the chunk's size.
     """
-    out = np.zeros(len(counts))
+    # alpha / n, unlike 1 / delta, is exact for integer alpha and n
+    scale, exponent = p.sigma * R ** (-p.alpha), p.alpha / p.n
+    log_fade = np.zeros(len(counts))
     n = len(k)
     # the trials at the end with no point start at n, past reduceat's reach
     top = int(np.searchsorted(starts, n))
@@ -436,40 +441,25 @@ def _interference(k: np.ndarray, starts: np.ndarray, counts: np.ndarray,
         hi = min(int(np.searchsorted(starts, a + _SLICE)), top)
         b = int(starts[hi]) if hi < len(starts) else n
         seg = _pathloss(k[a:b], scale, exponent)
-        if log1p:
-            np.log1p(seg, out=seg)
-        out[lo:hi] = np.add.reduceat(seg, starts[lo:hi] - a)
+        np.log1p(seg, out=seg)
+        log_fade[lo:hi] = np.add.reduceat(seg, starts[lo:hi] - a)
         lo = hi
     # reduceat gives a trial with no point the value of the point after it
-    out[counts == 0] = 0.0
-    return out
-
-
-def _success(k: np.ndarray, starts: np.ndarray, counts: np.ndarray,
-             p: ModelParams, R: float, far_log: float | None) -> np.ndarray:
-    """Per-trial physical success at the volume draws ``k``, laid out as in
-    :func:`_interference`: the probability h under Rayleigh fading
-    (``far_log`` given), else the 0/1 outcome of the SINR test."""
-    # alpha / n, unlike 1 / delta, is exact for integer alpha and n
-    exponent = p.alpha / p.n
-    if far_log is None:
-        interference = _interference(k, starts, counts, R ** (-p.alpha),
-                                     exponent, False)
-        return (interference <= 1.0 / p.sigma - p.eta).astype(float)
-    log_fade = _interference(k, starts, counts, p.sigma * R ** (-p.alpha),
-                             exponent, True)
+    log_fade[counts == 0] = 0.0
     return np.exp(far_log - p.sigma * p.eta - log_fade)
 
 
 def _kill_index(p: ModelParams, R: float) -> int:
-    """Least k at which a lone point passes the no-fading test of
-    :func:`_success` (2**24 + 1 if none does), by bisection: a point below
-    it fails any trial, as a float sum is never below its largest term."""
+    """Least k at which a lone point's :func:`_pathloss` is within the
+    no-fading margin ``1/sigma - eta`` (2**24 + 1 if no k is), by
+    bisection: a point below it fails any trial, as a float sum is never
+    below its largest term."""
+    margin = 1.0 / p.sigma - p.eta
+    scale, exponent = R ** (-p.alpha), p.alpha / p.n
     lo, hi = 1, (1 << 24) + 1
     while lo < hi:
         mid = (lo + hi) // 2
-        if _success(np.array([mid], np.int32), np.zeros(1, int),
-                    np.ones(1, int), p, R, None)[0]:
+        if _pathloss(np.array([mid]), scale, exponent)[0] <= margin:
             hi = mid
         else:
             lo = mid + 1
@@ -507,8 +497,8 @@ def _settle(rng: np.random.Generator, counts: np.ndarray, edges: np.ndarray,
     the lower bound of its sum exceeds the margin ``1/sigma - eta``, and
     succeeds when the upper bound is within it; on each side by a relative
     margin ``eps`` wider than any float sum of the trial's points can
-    stray, so that the outcome is that of :func:`_success` over all of
-    them. Pass j takes ring j: each trial still open draws that ring's
+    stray, so that the outcome is that of the float sum over all of them.
+    Pass j takes ring j: each trial still open draws that ring's
     positions (``rng.integers`` within it) and replaces the ring's bounds
     by their exact sum. A trial open after the last ring is decided by
     that sum.
@@ -617,7 +607,7 @@ def estimate_single(p: ModelParams, r_O_grid, cfg: SimConfig) -> SingleObsEstima
         kmin[seen] = np.minimum.reduceat(draws, starts[seen])
         return _chunk_sums(h, kmin, cuts)
 
-    if far_log is None:
+    if cfg.fading == "none":
         # q: the share of the ball where one point fails the SINR test alone
         k_kill = _kill_index(p, R) if 1.0 / p.sigma > p.eta else 1
         q = (k_kill - 1) * _U_RESOLUTION
@@ -641,7 +631,8 @@ def estimate_single(p: ModelParams, r_O_grid, cfg: SimConfig) -> SingleObsEstima
         return _chunk_sums(np.concatenate([h, np.zeros(len(closed))]),
                            np.concatenate([nearest, closed]), cuts)
 
-    sums = _sum_over_chunks(nofading if far_log is None else rayleigh, cfg)
+    sums = _sum_over_chunks(nofading if cfg.fading == "none" else rayleigh,
+                            cfg)
     T = cfg.trials
     s_h, s_hh = float(sums[0]), float(sums[1])
     prior = Estimate.mean(s_h, s_hh, T)

@@ -195,6 +195,32 @@ class TestMultiobs:
         assert code == 2
 
 
+class TestJsonColumns:
+    @pytest.mark.parametrize("args", [
+        ["correlation", "--scenario", FIG1, "--grid", "1,2"],
+        ["correlation", "--scenario", FIG1, "--sweep-density"],
+        ["risk", "--scenario", "fig2", "--grid", "5,50"],
+        ["roc", "--scenario", "fig3", "--grid", "5,50"],
+        ["fading-compare", "--scenario", "fig4", "--grid", "5,50"],
+        ["multiobs", "--scenario", "fig5"],
+        ["validate", "--scenario", "fig4", "--trials", "10240",
+         "--grid", "20"]],
+        ids=["correlation", "sweep", "risk", "roc", "fading-compare",
+             "multiobs", "validate"])
+    def test_row_keys_are_the_columns(self, capsys, args):
+        # each row's keys in the order of the columns, as in the CSV
+        code, out = run_cli(args + ["--format", "json"], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["rows"]
+        for row in doc["rows"]:
+            assert list(row) == doc["columns"]
+        code, text = run_cli(args, capsys)
+        header = next(ln for ln in text.splitlines() if not ln.startswith("#"))
+        if args[0] != "validate":  # validate's text report has no header
+            assert header.split(",") == doc["columns"]
+
+
 class TestValidate:
     ARGS = ["validate", "--scenario", FIG1, "--trials", "10000",
             "--grid", "20,50"]

@@ -311,16 +311,10 @@ class TestChunkKernel:
         assert 1 < k_kill < 2**24
 
         def success(*k):
-            return mc._success(np.array(k, dtype=np.int32), np.zeros(1, int),
-                               np.array([len(k)]), p, R, None)[0]
+            return nofading_outcomes(np.array(k), [len(k)], p, R)[0]
 
         assert (success(k_kill - 1), success(k_kill)) == (0.0, 1.0)
         assert success(*[2**24] * 999, k_kill - 1) == 0.0
-        # the same boundary for the pathloss R**-alpha u**(-alpha/n) by pow
-        d = derive(p)
-        x = R ** -p.alpha * (np.array([k_kill - 1, k_kill]) * 2.0**-24) \
-            ** (-p.alpha / p.n)
-        assert x[0] > 1.0 / d.sigma - p.eta >= x[1]
 
     def test_kill_index_beyond_the_lattice(self):
         # in a ball of radius 3 a lone point anywhere fails fig4's test
@@ -380,24 +374,22 @@ class TestChunkKernel:
         assert est.p_II[0].value == pytest.approx(value, rel=1e-12)
         assert est.p_II[0].stderr == pytest.approx(se, rel=1e-9)
 
-    def test_interference_skips_empty_segments(self):
-        # u = k * 2**-24 = [0.5, 0.25, 1.0, 0.5]
+    def test_success_skips_empty_trials(self):
+        # sigma = 2 and R = 1: x = 2 u**-2 = [8, 32, 2, 8] at
+        # u = k * 2**-24 = [0.5, 0.25, 1.0, 0.5], and far_log = sigma * eta
+        p = ModelParams(n=2, density=1e-3, alpha=4, beta=2, r_T=1, eta=0.25)
         k = np.array([2**23, 2**22, 2**24, 2**23], dtype=np.int32)
         # trials 0, 2, 4 and 5 are empty, including the last
         starts = np.array([0, 0, 2, 2, 3, 4])
         counts = np.array([0, 2, 0, 1, 1, 0])
-        got = mc._interference(k, starts, counts, 2.0, 1.0, False)
-        assert got.tolist() == [0.0, 2 * (2.0 + 4.0), 0.0, 2.0, 4.0, 0.0]
-        got = mc._interference(k, starts, counts, 2.0, 1.0, True)
-        assert got == pytest.approx(
-            [0.0, math.log(5 * 9), 0.0, math.log(3), math.log(5), 0.0],
-            rel=1e-15)
+        got = mc._success(k, starts, counts, p, 1.0, 0.5)
+        assert got == pytest.approx([1.0, 1 / (9 * 33), 1.0, 1 / 3, 1 / 9,
+                                     1.0], rel=1e-15)
         zero = np.zeros(3, dtype=np.int64)
-        assert mc._interference(k[:0], zero, zero, 2.0, 1.0,
-                                False).tolist() == [0.0] * 3
+        empty = mc._success(k[:0], zero, zero, p, 1.0, 0.5)
+        assert empty.tolist() == [1.0] * 3
 
-    @pytest.mark.parametrize("log1p", [False, True], ids=["sum", "log1p"])
-    def test_interference_slices_whole_trials(self, monkeypatch, log1p):
+    def test_success_slices_whole_trials(self, monkeypatch):
         # slices of 5 points: the same bits as one slice, with empty trials
         # at the start, inside, at a slice's edge and at the end, and
         # trials larger than a slice
@@ -407,36 +399,42 @@ class TestChunkKernel:
         counts[[10, 40]] = 13
         k = rng.integers(1, 2**24 + 1, counts.sum(), dtype=np.int32)
         starts = np.cumsum(counts) - counts
-        whole = mc._interference(k, starts, counts, 0.37, 2.0, log1p)
+        R, far_log = 20.0, -0.3
+        whole = mc._success(k, starts, counts, NOISY, R, far_log)
         monkeypatch.setattr(mc, "_SLICE", 5)
-        sliced = mc._interference(k, starts, counts, 0.37, 2.0, log1p)
+        sliced = mc._success(k, starts, counts, NOISY, R, far_log)
         assert sliced.tobytes() == whole.tobytes()
-        x = 0.37 * np.power(k * 2.0**-24, -2.0)
-        want = [(np.log1p(x) if log1p else x)[a:a + c].sum()
+        # log h = far_log - sigma eta - sum(log1p(sigma x)), x by pow
+        x = NOISY.sigma * R**-NOISY.alpha * np.power(k * 2.0**-24, -2.0)
+        want = [far_log - NOISY.sigma * NOISY.eta - np.log1p(x[a:a + c]).sum()
                 for a, c in zip(starts, counts)]
-        np.testing.assert_allclose(sliced, want, rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(np.log(sliced), want, rtol=1e-15, atol=0.0)
 
-
-    @pytest.mark.parametrize("log1p", [False, True], ids=["sum", "log1p"])
-    # every m = 2 * exponent from 1 to 8 builds u**(m/2) from a square
-    # root and products; 2.25 (m = 4.5) takes np.power
+    # every m = 2 * exponent from 3 to 8 builds u**(m/2) from a square root
+    # and products; 2.25 (m = 4.5), 1.0 and 0.5 take np.power
     @pytest.mark.parametrize("exponent", [2.0, 1.5, 3.0, 2.25, 0.5, 1.0,
                                           2.5, 3.5, 4.0])
-    def test_interference_matches_power(self, exponent, log1p):
+    def test_pathloss_matches_power(self, exponent):
         # u = k * 2**-24 = [2**-24, 16777 * 2**-24 (about 1e-3), 0.5, 1.0]
-        values = [1, 16777, 2**23, 2**24]
-        k = np.array(values * 3 + values[::-1], dtype=np.int32)
-        # trials 0, 3 and 6 are empty, including the last
-        ends = np.array([0, 1, 4, 4, 9, 16, 16])
-        counts = np.diff(ends, prepend=0)
-        scale = 0.37
-        x = scale * np.power(k * 2.0**-24, -exponent)
-        if log1p:
-            x = np.log1p(x)
-        want = [x[a:b].sum() for a, b in zip(np.r_[0, ends[:-1]], ends)]
-        got = mc._interference(k, ends - counts, counts, scale, exponent,
-                               log1p)
-        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+        k = np.array([1, 16777, 2**23, 2**24], dtype=np.int32)
+        want = 0.37 * np.power(k * 2.0**-24, -exponent)
+        np.testing.assert_allclose(mc._pathloss(k, 0.37, exponent), want,
+                                   rtol=1e-15, atol=0.0)
+
+    # m = 3 ... 8 and two exponents that take np.power
+    @pytest.mark.parametrize("exponent", [1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 2.25,
+                                          1.1])
+    def test_pathloss_never_rises(self, exponent):
+        # the premise of _settle's ring bounds, over the whole lattice
+        # k = 1 ... 2**24: in blocks of 2**21 points, and across their edges
+        block = 1 << 21
+        for scale in (1.0, 560.5**-4, 1e-30):
+            last = math.inf
+            for lo in range(1, 1 << 24, block):
+                x = mc._pathloss(np.arange(lo, lo + block, dtype=np.int32),
+                                 scale, exponent)
+                assert x[0] <= last and not np.any(np.diff(x) > 0), (scale, lo)
+                last = x[-1]
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 1023, 100001])
     def test_volume_draw_is_float32_route(self, n):
@@ -609,9 +607,7 @@ class TestSettle:
              "eta-beyond"])
     def test_bounds_agree_with_full_sum(self, p, grid, region):
         R, cuts, h, nearest, k, undrawn = self.settle(p, grid, region, 24)
-        counts = np.array([len(x) for x in k])
-        full = mc._success(np.concatenate(k).astype(np.int32),
-                           np.cumsum(counts) - counts, counts, p, R, None)
+        full = nofading_outcomes(np.concatenate(k), [len(x) for x in k], p, R)
         assert np.array_equal(h, full)
         # each zone's indicator: no point below its cut
         for cut in cuts:
@@ -646,8 +642,7 @@ class TestSettle:
         assert rng.calls == ([] if abs(offset) > 1e-12 else
                              [(750_000, 750_001, 2), (1_700_000, 1_700_001, 3)])
         k = np.repeat(edges[[0, 2]], [2, 3]).astype(np.int32)
-        full = mc._success(k, np.zeros(1, int), np.array([5]), p, R, None)
-        assert h[0] == full[0] == float(offset > 0)
+        assert h[0] == nofading_outcomes(k, [5], p, R)[0] == float(offset > 0)
 
 
 class TestFarField:
@@ -796,23 +791,37 @@ def chunk_points(p, R, cuts, cfg, chunk_idx, size):
     return nofading_points(rng, p, R, size, cuts, fill)
 
 
+def nofading_outcomes(k, counts, p, R):
+    """The no-fading SINR test, trial by trial: 1 where the float sum of
+    the pathloss ``R**-alpha u**(-alpha/n)`` by pow, ``u = k * 2**-24``,
+    over the trial's points (``counts[t]`` of them, in order) is within
+    the margin ``1/sigma - eta``, else 0."""
+    x = R ** -p.alpha * (np.asarray(k) * 2.0**-24) ** (-p.alpha / p.n)
+    margin = 1.0 / p.sigma - p.eta
+    ends = np.cumsum(counts, dtype=int)
+    return np.array([float(x[b - c:b].sum() <= margin)
+                     for b, c in zip(ends, counts)])
+
+
 def former_mask_sums(p, grid, cfg):
     """The chunk sums of :func:`mc.estimate_single` as a literal loop over
-    the radii builds them: h by :func:`mc._success` over all of each
-    trial's points; for each radius a mask set to 1, then cleared at the
+    the radii builds them: h over all of each trial's points, by
+    :func:`mc._success` under Rayleigh fading and
+    :func:`nofading_outcomes` without; for each radius a mask set to 1, then cleared at the
     trial of every point with u < thr, and four masked sums. Also returns
     whether some trial has no points."""
     R = mc._region_radius(p, p.density, max(grid), cfg)
-    far_log = (mc._far_field_log(p, p.density, R)
-               if cfg.fading == "rayleigh" else None)
     thresholds = (np.asarray(grid) / R) ** p.n
     total, some_empty = 0, False
     for chunk_idx, size in enumerate(mc._chunk_sizes(cfg.trials)):
         k, counts = chunk_points(p, R, thresholds * 2.0**24, cfg, chunk_idx,
                                  size)
-        starts = np.cumsum(counts) - counts
-        # with no fading, a trial's near points make its h 0 here too
-        h = mc._success(k, starts, counts, p, R, far_log)
+        if cfg.fading == "rayleigh":
+            h = mc._success(k, np.cumsum(counts) - counts, counts, p, R,
+                            mc._far_field_log(p, p.density, R))
+        else:
+            # a trial's near points make its h 0 here too
+            h = nofading_outcomes(k, counts, p, R)
         hh = h * h
         some_empty |= bool(np.any(counts == 0))
         trial = np.repeat(np.arange(size), counts)
@@ -892,7 +901,7 @@ def literal_sample(p, grid, cfg):
         ring_counts = ring.poisson(p.density * d.c_n * (R**p.n - R1**p.n),
                                    size=size)
         r_n = R1**p.n + ring.random(ring_counts.sum()) * (R**p.n - R1**p.n)
-        ring_interference = np.bincount(
+        ring_sum = np.bincount(
             np.repeat(np.arange(size), ring_counts),
             weights=r_n ** (-1.0 / d.delta) * ring.exponential(size=len(r_n)),
             minlength=size)
@@ -901,7 +910,7 @@ def literal_sample(p, grid, cfg):
             pts = slice(lo, lo + counts[t])
             lo += counts[t]
             u_t = u[pts].astype(np.float64)
-            interference = ring_interference[t] + np.sum(
+            interference = ring_sum[t] + np.sum(
                 R1 ** -p.alpha * u_t ** (-1.0 / d.delta) * fades[pts])
             H.append(own[t] >= d.sigma * (p.eta + interference))
             D.append([not np.any(u_t < thr) for thr in thresholds])

@@ -481,3 +481,21 @@ class TestEnumeration:
     def test_combinatorial_guard(self):
         with pytest.raises(ValueError):
             mo.enumerate_rules(FIG5, mo.AlohaParams(p=0.5, N=9), 20.0)
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 4, 5])
+    def test_no_rule_beats_the_neyman_pearson_frontier(self, N):
+        # Order the 2(N+1) cells (K, d) by P(h=1, cell) / P(h=0, cell),
+        # highest first. Calling the first j cells a success, j = 0 ...
+        # 2(N+1), gives the threshold rules, whose (p_I, p_II) points,
+        # joined by straight lines (randomised rules), are the least p_II
+        # at each p_I: every rule lies on or above them.
+        aloha = mo.AlohaParams(p=0.5, N=N)
+        p_K, p_d, p_h = mo._cells(FIG5, aloha, 20.0)
+        joint = (p_K[:, None, None] * p_d[:, :, None] * p_h).reshape(-1, 2)
+        joint = joint[np.argsort(-joint[:, 1] / joint[:, 0], kind="stable")]
+        p_I = np.r_[0.0, np.cumsum(joint[:, 0])] / joint[:, 0].sum()
+        p_II = 1.0 - np.r_[0.0, np.cumsum(joint[:, 1])] / joint[:, 1].sum()
+        evals = mo.enumerate_rules(FIG5, aloha, 20.0)
+        assert len(evals) == 4 ** (N + 1)
+        gaps = [e.p_II - np.interp(e.p_I, p_I, p_II) for e in evals]
+        assert min(gaps) >= -1e-15

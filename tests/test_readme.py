@@ -1,17 +1,26 @@
-"""The README's library quick start runs as written and states true values."""
+"""The README's library quick start and command-line block run as written
+and state true values."""
 
 import ast
 import re
+import shlex
 from pathlib import Path
+
+from guardzone import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def block(heading: str, lang: str) -> str:
+    """The first ``lang`` code block under the README's ``heading``."""
+    text = (ROOT / "README.md").read_text()
+    section = text.split(f"## {heading}\n", 1)[1]
+    return section.split(f"```{lang}\n", 1)[1].split("```", 1)[0]
+
+
 def quick_start() -> str:
     """The python block under the README's "Library quick start" heading."""
-    text = (ROOT / "README.md").read_text()
-    section = text.split("## Library quick start", 1)[1]
-    return section.split("```python\n", 1)[1].split("```", 1)[0]
+    return block("Library quick start", "python")
 
 
 def test_quick_start_runs_and_states_its_values(monkeypatch):
@@ -38,3 +47,23 @@ def test_quick_start_runs_and_states_its_values(monkeypatch):
             assert f"{v:.{len(s.split('.')[1])}f}" == s, comment
         stated += numbers
     assert {"0.6413", "2.0804", "21.11", "0.2396"} <= set(stated)
+
+
+def test_command_line_block_runs(capsys):
+    # each `guardzone ...` line of the sh block, its comment dropped
+    lines = [ln.split("#", 1)[0] for ln in block("Command line",
+                                                  "sh").splitlines()]
+    commands = [shlex.split(ln)[1:] for ln in lines
+                if ln.startswith("guardzone ")]
+    assert [c[0] for c in commands] == ["correlation", "risk", "roc",
+                                        "fading-compare", "multiobs",
+                                        "validate"]
+    for argv in commands:
+        assert cli.main(argv) == 0, argv
+    capsys.readouterr()
+    # the error that the text below the block quotes for fading-compare on
+    # fig1, across its line breaks
+    section = (ROOT / "README.md").read_text().split("## Command line\n")[1]
+    quoted = re.search(r"exits 2 with\s+`([^`]+)` \(for `fig1`\)", section)
+    assert cli.main(["fading-compare", "--scenario", "fig1"]) == 2
+    assert capsys.readouterr().err.strip() == " ".join(quoted[1].split())
