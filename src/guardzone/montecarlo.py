@@ -57,13 +57,19 @@ the thresholds times 2**24, which is exact; a single-slot trial's least
 a product, then multiplications, rather than ``pow``.
 
 Trials are processed in fixed-size chunks, each with its own PCG64
-stream keyed by ``SeedSequence([seed, chunk_index])``. Chunks run
-concurrently on a thread pool kept for the life of the process (numpy's
-generators and ufuncs release the interpreter lock). Each returns float64
-sums of h, h**2, the guard-zone indicator D, and of h and h**2 on each
-side (D = 1 and D = 0). The sums are added in chunk order, so results are
-reproducible for a given seed and independent of how many chunks run at
-once. Standard errors come from these second moments.
+stream keyed by ``SeedSequence([seed, chunk_index])``. The chunks are cut
+into contiguous blocks, one per worker of a thread pool kept for the life
+of the process, and at most ``_BLOCK`` chunks each, which bounds their
+working memory. A block draws from each chunk's stream in turn, in the
+order the chunk alone would, then runs its arithmetic once over all of
+its trials: the kernels are bound by the cost of a numpy call, not by
+its size, and fewer calls also hold the interpreter lock less. Each
+chunk's float64 sums of h, h**2, the guard-zone indicator D, and of h
+and h**2 on each side (D = 1 and D = 0) are still taken over its own
+trials (with no fading they are counts, exact in any order, and a block
+takes them at once), and added in chunk order. So results are
+reproducible for a given seed and independent of the worker count and
+block size. Standard errors come from these second moments.
 """
 
 from __future__ import annotations
@@ -79,13 +85,16 @@ from .multi_obs import AlohaParams
 from .params import ModelParams, _digest
 
 _CHUNK = 1024
+# Most chunks a block takes at once (_sum_over_chunks): bounds a block's
+# working memory whatever the trial count.
+_BLOCK = 16
 # Points per pathloss slice: bounds a chunk's float64 working memory.
 _SLICE = 1 << 16
 # Largest m = 2*alpha/n for which u**(m/2) is built without pow.
 _MAX_HALF_POWER = 8
 # Bit generator of every chunk stream; its name enters the config hash.
 _BIT_GENERATOR = np.random.PCG64
-# Chunks run at once; tests set it to check that results do not depend on it.
+# Blocks run at once; tests set it to check that results do not depend on it.
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 # Rings that split the no-fading ball beyond the near field (_rings):
@@ -363,19 +372,42 @@ if hasattr(os, "register_at_fork"):
 
 
 def _sum_over_chunks(kernel, cfg: SimConfig) -> np.ndarray:
-    """Sum the float64 sums ``kernel(rng, size)`` over every chunk.
+    """Sum the float64 sums of every chunk.
 
-    Up to ``_WORKERS`` chunks run at once, on the pool of :func:`_pool`,
-    whose threads start with the first simulation and serve every later
-    one. Each chunk draws only from its own stream, and ``pool.map``
-    yields the results in chunk order, so they are added in the same
-    order, and the result is the same bits, at any worker count.
+    The chunks are cut into contiguous blocks of ``ceil(chunks /
+    _WORKERS)``; when that is more than ``_BLOCK``, into as few rounds of
+    ``_WORKERS`` blocks of at most ``_BLOCK`` as hold them, each block of
+    about the same size. ``kernel(rngs, sizes)`` takes one block, the
+    streams and trial counts of its chunks, and returns one row of sums
+    per chunk, or a single row for the block when its sums are integer
+    counts, exact in any order. Up to ``_WORKERS`` blocks run at once, on
+    the pool of :func:`_pool`, whose threads start with the first
+    simulation and serve every later one. Each chunk draws only from its
+    own stream, and ``pool.map`` yields the blocks in order, so the rows
+    are added in chunk order, and the result is the same bits at any
+    worker count and block size.
     """
-    def run(job):
-        chunk_idx, size = job
-        return kernel(_chunk_rng(cfg.seed, chunk_idx), size)
+    sizes = _chunk_sizes(cfg.trials)
+    rounds = -(-len(sizes) // (_WORKERS * _BLOCK))
+    per = -(-len(sizes) // (_WORKERS * rounds))
 
-    return sum(_pool(_WORKERS).map(run, enumerate(_chunk_sizes(cfg.trials))))
+    def run(first):
+        block = sizes[first:first + per]
+        return kernel([_chunk_rng(cfg.seed, first + i)
+                       for i in range(len(block))], block)
+
+    blocks = _pool(_WORKERS).map(run, range(0, len(sizes), per))
+    return sum(row for rows in blocks for row in rows)
+
+
+def _segment_reduce(ufunc, x: np.ndarray, sizes) -> np.ndarray:
+    """``ufunc`` over the consecutive segments of ``x`` of the given sizes,
+    each reduced from a 0 put before it. For ``np.add`` that is each
+    segment's ``sum()`` to the bit, as numpy's sum also starts from 0
+    before its pairwise steps; for ``np.maximum`` over x >= 0 it is
+    ``max(initial=0)``. An empty segment gives 0."""
+    at = np.cumsum(sizes) - sizes
+    return ufunc.reduceat(np.insert(x, at, 0), at + np.arange(len(at)))
 
 
 def _half_power(x: np.ndarray, m: int) -> np.ndarray:
@@ -485,23 +517,29 @@ def _rings(k_kill: int, cuts: np.ndarray, p: ModelParams,
                             R ** (-p.alpha), p.alpha / p.n)
 
 
-def _settle(rng: np.random.Generator, counts: np.ndarray, edges: np.ndarray,
+def _settle(rngs: list, counts: np.ndarray, sizes, edges: np.ndarray,
             bounds: np.ndarray, p: ModelParams,
             R: float) -> tuple[np.ndarray, np.ndarray]:
-    """No-fading outcomes of trials known by their ring counts.
+    """No-fading outcomes of the open trials of a block of chunks, known
+    by their ring counts.
 
     ``counts[j, t]`` is trial t's number of points in ring j of
-    :func:`_rings`, and ``bounds`` the pathloss at each ring's last index
-    and its first. As the pathloss falls with k, a ring's count times
-    these bounds its interference from below and from above. A trial fails when
-    the lower bound of its sum exceeds the margin ``1/sigma - eta``, and
-    succeeds when the upper bound is within it; on each side by a relative
-    margin ``eps`` wider than any float sum of the trial's points can
-    stray, so that the outcome is that of the float sum over all of them.
-    Pass j takes ring j: each trial still open draws that ring's
-    positions (``rng.integers`` within it) and replaces the ring's bounds
-    by their exact sum. A trial open after the last ring is decided by
-    that sum.
+    :func:`_rings`: the first ``sizes[0]`` trials are chunk 0's, drawing
+    from ``rngs[0]``, the next ``sizes[1]`` chunk 1's, and so on.
+    ``bounds`` is the pathloss at each ring's last index and its first.
+    As the pathloss falls with k, a ring's count times these bounds its
+    interference from below and from above. A trial fails when the lower
+    bound of its sum exceeds the margin ``1/sigma - eta``, and succeeds
+    when the upper bound is within it; on each side by a relative margin
+    ``eps``, its chunk's, wider than any float sum of the points of a
+    trial of that chunk can stray, so that the outcome is that of the
+    float sum over all of them. Pass j takes ring j over every trial of
+    the block still open: each draws that ring's positions and replaces
+    the ring's bounds by their exact sum. The positions come from one
+    ``rng.integers`` within the ring per chunk with an open trial that
+    holds points there, the chunk's trials in order, as the chunk alone
+    would draw them. A trial open after the last ring is decided by that
+    sum.
 
     Returns the 0/1 outcomes, and the first index of each trial's first
     ring with points (``2**24 + 1`` if none), which decides every zone
@@ -509,9 +547,12 @@ def _settle(rng: np.random.Generator, counts: np.ndarray, edges: np.ndarray,
     """
     J, n = counts.shape
     margin = 1.0 / p.sigma - p.eta
-    eps = max(_BOUND_MARGIN,
-              2.0 ** -51 * (int(counts.sum(axis=0).max(initial=0)) + J))
+    # each chunk's eps, from the most points a trial of it holds
+    eps = np.repeat(np.maximum(_BOUND_MARGIN, 2.0 ** -51 * (_segment_reduce(
+        np.maximum, counts.sum(axis=0), sizes) + J)), sizes)
     below, above = margin - eps * abs(margin), margin + eps * abs(margin)
+    # where each chunk's trials start, and where the last one's end
+    splits = np.concatenate(([0], np.cumsum(sizes)))
     scale, exponent = R ** (-p.alpha), p.alpha / p.n
     # the lower and upper bounds of the rings from j on, in row j; row J is 0
     low, high = tails = np.zeros((2, J + 1, n))
@@ -532,12 +573,17 @@ def _settle(rng: np.random.Generator, counts: np.ndarray, edges: np.ndarray,
         left = ~win
         left &= lo <= above
         trials, exact = trials[left], exact[left]
+        below, above = below[left], above[left]
         if not len(trials):
             return h, nearest
         c = counts[j].take(trials)
-        total = int(c.sum())
-        if total:
-            pts = rng.integers(edges[j], edges[j + 1], total, np.int32)
+        ends = np.concatenate(([0], np.cumsum(c)))
+        if ends[-1]:
+            # each chunk's points, from its own stream
+            pts = np.concatenate([
+                rng.integers(edges[j], edges[j + 1], m, np.int32)
+                for rng, m in zip(rngs, np.diff(
+                    ends[np.searchsorted(trials, splits)]).tolist()) if m])
             exact += np.bincount(np.repeat(np.arange(len(c)), c),
                                  _pathloss(pts, scale, exponent), len(c))
     # every ring drawn: the sum decides
@@ -545,27 +591,27 @@ def _settle(rng: np.random.Generator, counts: np.ndarray, edges: np.ndarray,
     return h, nearest
 
 
-def _chunk_sums(h: np.ndarray, kmin: np.ndarray,
-                cuts: np.ndarray) -> np.ndarray:
-    """A chunk's ``2 + 5 * len(cuts)`` sums for :func:`estimate_single`,
-    from each trial's h and the volume index ``kmin`` of its nearest point:
-    h and h**2, then for each cut the trials whose zone is clear (D = 1),
-    and h and h**2 summed where D = 1 and where D = 0."""
+def _chunk_sums(h: np.ndarray, kmin: np.ndarray, cuts: np.ndarray,
+                sizes) -> np.ndarray:
+    """The ``2 + 5 * len(cuts)`` sums for :func:`estimate_single` of each
+    run of ``sizes[c]`` consecutive trials, one row each, from each
+    trial's h and the volume index ``kmin`` of its nearest point: h and
+    h**2, then for each cut the trials whose zone is clear (D = 1), and h
+    and h**2 summed where D = 1 and where D = 0. Each is the ``sum()`` of
+    the run's values, in trial order (:func:`_segment_reduce`)."""
     k = len(cuts)
-    hh = h * h
-    sums = np.empty(2 + 5 * k)
-    sums[0], sums[1] = h.sum(), hh.sum()
-    for i, cut in enumerate(cuts):
-        # A zone is clear when the trial's nearest point lies outside it.
-        D = kmin >= cut
-        sums[2 + i] = D.sum()
-        # Each side is summed, not taken as total minus the other: a side
-        # whose h is tiny next to the total would keep no digits.
-        busy = ~D
-        sums[2 + k + i], sums[2 + 2 * k + i] = h[D].sum(), hh[D].sum()
-        sums[2 + 3 * k + i] = h[busy].sum()
-        sums[2 + 4 * k + i] = hh[busy].sum()
-    return sums
+    # A zone is clear when the trial's nearest point lies outside it. Each
+    # side is summed, not taken as total minus the other: a side whose h
+    # is tiny next to the total would keep no digits. Rows: every trial,
+    # then D = 1 at each cut, then D = 0.
+    D = kmin >= cuts[:, None]
+    mask = np.concatenate([np.ones((1, len(h)), bool), D, ~D])
+    n = np.add.reduceat(mask, np.cumsum(sizes) - sizes, axis=1)
+    s_h, s_hh = (_segment_reduce(np.add, np.broadcast_to(x, mask.shape)[mask],
+                                 n.ravel()).reshape(n.shape)
+                 for x in (h, h * h))
+    return np.concatenate([s_h[:1], s_hh[:1], n[1:k + 1], s_h[1:k + 1],
+                           s_hh[1:k + 1], s_h[k + 1:], s_hh[k + 1:]]).T
 
 
 @dataclass(frozen=True)
@@ -595,17 +641,19 @@ def estimate_single(p: ModelParams, r_O_grid, cfg: SimConfig) -> SingleObsEstima
     cuts = (grid / R) ** p.n / _U_RESOLUTION
     k = len(grid)
 
-    def rayleigh(rng, size):
-        counts = rng.poisson(mean_pts, size=size)
-        ends = np.cumsum(counts)
-        starts = ends - counts
-        draws = _volume_draw(rng, int(ends[-1]))
+    def rayleigh(rngs, sizes):
+        counts = [rng.poisson(mean_pts, size=size)
+                  for rng, size in zip(rngs, sizes)]
+        draws = np.concatenate([_volume_draw(rng, int(c.sum()))
+                                for rng, c in zip(rngs, counts)])
+        counts = np.concatenate(counts)
+        starts = np.cumsum(counts) - counts
         h = _success(draws, starts, counts, p, R, far_log)
         # An empty trial's 2**24 is above every cut, so its zones are clear.
-        kmin = np.full(size, 1 << 24, dtype=draws.dtype)
+        kmin = np.full(len(counts), 1 << 24, dtype=draws.dtype)
         seen = np.flatnonzero(counts)
         kmin[seen] = np.minimum.reduceat(draws, starts[seen])
-        return _chunk_sums(h, kmin, cuts)
+        return _chunk_sums(h, kmin, cuts, sizes)
 
     if cfg.fading == "none":
         # q: the share of the ball where one point fails the SINR test alone
@@ -614,22 +662,33 @@ def estimate_single(p: ModelParams, r_O_grid, cfg: SimConfig) -> SingleObsEstima
         edges, bounds = _rings(k_kill, cuts, p, R)
         ring_means = mean_pts * _U_RESOLUTION * np.diff(edges)[:, None]
 
-    def nofading(rng, size):
+    def nofading(rngs, sizes):
         # Near points, k < k_kill, fail their trial alone (there are none
         # if eta >= 1/sigma, where k_kill is 1). The trials with none are
         # settled by their ring counts.
+        inner, near, counts = [], [], []
+        for rng, size in zip(rngs, sizes):
+            if k_kill > 1:
+                inner.append(rng.poisson(mean_pts * q, size=size))
+                near.append(rng.integers(1, k_kill, int(inner[-1].sum()),
+                                         np.int32))
+                size -= np.count_nonzero(inner[-1])
+            counts.append(rng.poisson(ring_means,
+                                      size=(len(ring_means), size)))
         closed = np.empty(0, np.int32)
         if k_kill > 1:
-            inner = rng.poisson(mean_pts * q, size=size)
-            near = rng.integers(1, k_kill, int(inner.sum()), np.int32)
-            c = inner[inner > 0]
-            closed = np.minimum.reduceat(near, np.cumsum(c) - c)
-        counts = rng.poisson(ring_means, size=(len(ring_means),
-                                               size - len(closed)))
-        h, nearest = _settle(rng, counts, edges, bounds, p, R)
-        # the closed trials go last, with h = 0 and their nearest near point
+            c = np.concatenate(inner)
+            c = c[c > 0]
+            closed = np.minimum.reduceat(np.concatenate(near),
+                                         np.cumsum(c) - c)
+        h, nearest = _settle(rngs, np.concatenate(counts, axis=1),
+                             [m.shape[1] for m in counts], edges, bounds, p,
+                             R)
+        # The closed trials go last, with h = 0 and their nearest near
+        # point. The sums are counts: one row serves the block.
         return _chunk_sums(np.concatenate([h, np.zeros(len(closed))]),
-                           np.concatenate([nearest, closed]), cuts)
+                           np.concatenate([nearest, closed]), cuts,
+                           [len(h) + len(closed)])
 
     sums = _sum_over_chunks(nofading if cfg.fading == "none" else rayleigh,
                             cfg)
@@ -691,41 +750,56 @@ def estimate_multiobs(p: ModelParams, aloha: AlohaParams, r_O: float,
     inside_cut = math.ceil((r_O / R) ** p.n / _U_RESOLUTION)
     N = aloha.N
 
-    def chunk(rng, size):
-        counts = rng.poisson(mean_pts, size=size)
-        ends = np.cumsum(counts)
-        total = int(ends[-1])
-        draws = _volume_draw(rng, total)
+    def chunks(rngs, sizes):
+        counts = [rng.poisson(mean_pts, size=size)
+                  for rng, size in zip(rngs, sizes)]
+        totals = [int(c.sum()) for c in counts]
+        draws = np.concatenate([_volume_draw(rng, total)
+                                for rng, total in zip(rngs, totals)])
+        ends = np.cumsum(np.concatenate(counts))
+        n = len(ends)
         inside = np.flatnonzero(draws < inside_cut)
+        inside_trials = np.searchsorted(ends, inside, side="right")
+
+        # Each chunk's contention marks, drawn and thresholded into its
+        # share of the block's arrays, a byte a point: first for its
+        # inside-ball points in each observed slot (only they enter the
+        # history), then for all of its points in the decision slot.
+        observed = np.empty((N, len(inside)), bool)
+        active = np.empty(len(draws), bool)
+        stops = np.cumsum(totals)
+        at = np.searchsorted(inside, stops).tolist()
+        stops = stops.tolist()
+        for rng, a, b, c, d in zip(rngs, [0] + at, at, [0] + stops, stops):
+            for marks in observed:
+                np.less(rng.random(b - a), aloha.p, out=marks[a:b])
+            np.less(rng.random(d - c), aloha.p, out=active[c:d])
 
         # K: count observed slots whose guard zone had no active node.
-        # Only inside-ball points need contention marks for the history.
-        inside_trials = np.searchsorted(ends, inside, side="right")
-        K = np.zeros(size, dtype=np.int64)
-        for _slot in range(N):
-            active = rng.random(len(inside_trials)) < aloha.p
-            busy = np.bincount(inside_trials[active], minlength=size) > 0
-            K += ~busy
+        K = np.zeros(n, dtype=np.int64)
+        for marks in observed:
+            K += np.bincount(inside_trials[marks], minlength=n) == 0
 
-        # Decision slot: full thinning, then the success probability of
-        # the active interferers and the literal guard-zone test.
-        active = rng.random(total) < aloha.p
+        # Decision slot: the success probability of the active interferers
+        # and the literal guard-zone test.
         active_ends = np.searchsorted(np.flatnonzero(active), ends)
         active_counts = np.diff(active_ends, prepend=0)
         h = _success(draws[active], active_ends - active_counts,
                      active_counts, p, R, far_log)
         hh = h * h
-        D = np.bincount(inside_trials[active[inside]], minlength=size) == 0
-        # per K cell, where D = 1 and where D = 0 (each summed, as in
-        # estimate_single): trials, sums of h and h**2
+        D = np.bincount(inside_trials[active[inside]], minlength=n) == 0
+        # per chunk and K cell, where D = 1 and where D = 0 (each summed,
+        # as in estimate_single): trials, sums of h and h**2, each
+        # weighted bincount adding a cell's trials in order from 0
+        cell = np.repeat(np.arange(len(sizes)) * (N + 1), sizes) + K
         cells = []
         for m in (D, ~D):
-            cells += [np.bincount(K[m], minlength=N + 1),
-                      np.bincount(K[m], weights=h[m], minlength=N + 1),
-                      np.bincount(K[m], weights=hh[m], minlength=N + 1)]
-        return np.stack(cells)
+            cells += [np.bincount(cell[m], weights=w,
+                                  minlength=len(sizes) * (N + 1))
+                      for w in (None, h[m], hh[m])]
+        return np.stack(cells).reshape(6, len(sizes), N + 1).swapaxes(0, 1)
 
-    n_DK, s_hdK, s_hhdK, n_BK, s_hbK, s_hhbK = _sum_over_chunks(chunk, cfg)
+    n_DK, s_hdK, s_hhdK, n_BK, s_hbK, s_hhbK = _sum_over_chunks(chunks, cfg)
     trials = cfg.trials
     pK, pHK, pDK, posterior = [], [], [], {}
     for k in range(N + 1):

@@ -511,7 +511,9 @@ class TestBadNumbers:
         (["risk", "--grid", "10,20"], "--scenario",
          SCENARIO.replace('"beta": 5', '"beta": Infinity')),
         (["correlation"], "--scenario",
-         SCENARIO.replace('"lambda": 2e-4', '"lambda": Infinity'))])
+         SCENARIO.replace('"lambda": 2e-4', '"lambda": Infinity'))],
+        ids=["aloha-N-float", "aloha-N-bool", "scenario-n-float",
+             "scenario-beta-inf", "scenario-lambda-inf"])
     def test_exits_2(self, capsys, tmp_path, args, option, content):
         # counts must be integers and the real parameters finite
         path = tmp_path / "params.json"

@@ -13,6 +13,7 @@ import functools
 import hashlib
 import math
 import multiprocessing
+import tracemalloc
 import warnings
 
 import mpmath
@@ -29,6 +30,8 @@ FIG1 = ModelParams(n=2, density=2e-4, alpha=3, beta=5, r_T=10)
 FIG4 = ModelParams(n=2, density=2e-3, alpha=4, beta=5, r_T=10)
 NOISY = ModelParams(n=2, density=1e-3, alpha=4, beta=3, r_T=10, eta=1e-5)
 FAST = mc.SimConfig(trials=10_000, seed=7, region_radius=600.0)
+# 196 chunks: many times more than two workers' blocks of _BLOCK
+LONG = mc.SimConfig(trials=200_000, seed=0)
 
 
 class TestConfig:
@@ -227,21 +230,64 @@ class TestEstimateMultiobs:
 class TestChunkKernel:
     ALOHA = AlohaParams(p=0.5, N=2)
 
+    @staticmethod
+    def same_at_any_split(monkeypatch, run):
+        """``repr(run())`` at 1, 2 and 3 workers, each with blocks of at
+        most 1, 3 and the default ``_BLOCK`` chunks: 10 000 trials (nine
+        chunks and a last one of 784), then as one chunk."""
+        for chunk in (mc._CHUNK, 10_000):
+            monkeypatch.setattr(mc, "_CHUNK", chunk)
+            runs = set()
+            for workers in (1, 2, 3):
+                for block in (1, 3, mc._BLOCK):
+                    with monkeypatch.context() as m:
+                        m.setattr(mc, "_WORKERS", workers)
+                        m.setattr(mc, "_BLOCK", block)
+                        runs.add(repr(run()))
+            assert len(runs) == 1, chunk
+
     @pytest.mark.parametrize("fading", ["rayleigh", "none"])
     def test_single_independent_of_workers(self, monkeypatch, fading):
         cfg = dataclasses.replace(FAST, fading=fading)
-        runs = []
-        for workers in (1, 2):
-            monkeypatch.setattr(mc, "_WORKERS", workers)
-            runs.append(mc.estimate_single(FIG1, [20.0, 50.0], cfg))
-        assert runs[0] == runs[1]
+        self.same_at_any_split(
+            monkeypatch, lambda: mc.estimate_single(FIG1, [20.0, 50.0], cfg))
 
     def test_multiobs_independent_of_workers(self, monkeypatch):
-        runs = []
-        for workers in (1, 2):
-            monkeypatch.setattr(mc, "_WORKERS", workers)
-            runs.append(mc.estimate_multiobs(FIG1, self.ALOHA, 50.0, FAST))
-        assert runs[0] == runs[1]
+        self.same_at_any_split(monkeypatch, lambda: mc.estimate_multiobs(
+            FIG1, self.ALOHA, 50.0, FAST))
+
+    @pytest.mark.parametrize("run", [
+        lambda: mc.estimate_single(FIG4, [10.0, 15.0, 20.0, 25.0],
+                                   dataclasses.replace(LONG, fading="none")),
+        lambda: mc.estimate_single(FIG4, [10.0, 15.0, 20.0, 25.0], LONG),
+        lambda: mc.estimate_single(FIG1, [10.0, 30.0, 50.0, 80.0], LONG),
+        lambda: mc.estimate_multiobs(FIG4, AlohaParams(0.5, 2), 10.0, LONG)],
+        ids=["fig4-nofading", "fig4-rayleigh", "fig1-rayleigh", "fig4-aloha"])
+    def test_memory_is_bounded_by_the_block(self, monkeypatch, run):
+        # 196 chunks on two workers: blocks of _BLOCK chunks, so that two
+        # blocks, not half the run, are in memory at once
+        monkeypatch.setattr(mc, "_WORKERS", 2)
+        tracemalloc.start()
+        try:
+            run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6, peak
+
+    def test_segment_sums_are_sums(self):
+        # each segment reduced from a 0 put before it: its sum() to the
+        # bit, over lengths that cross the pairwise steps of 8 and 128
+        rng = np.random.default_rng(5)
+        sizes = np.array([0, 1, 3, 7, 8, 9, 0, 127, 128, 129, 1000, 0])
+        x = rng.random(sizes.sum()) * 10.0 ** rng.uniform(-20, 5,
+                                                          sizes.sum())
+        ends = np.cumsum(sizes)
+        want = [x[b - n:b].sum() for b, n in zip(ends, sizes)]
+        assert mc._segment_reduce(np.add, x, sizes).tolist() == want
+        counts = rng.integers(0, 50, sizes.sum())
+        assert mc._segment_reduce(np.maximum, counts, sizes).tolist() == [
+            counts[b - n:b].max(initial=0) for b, n in zip(ends, sizes)]
 
     @pytest.mark.parametrize("fading", ["rayleigh", "none"])
     def test_empty_trials_match_literal_loop(self, fading):
@@ -568,30 +614,41 @@ class TestSettle:
     has the outcome that the float sum over all of its points gives."""
 
     @staticmethod
-    def settle(p, grid, region, seed, size=2048):
-        """``size`` open trials of the estimator's rings for ``grid``: their
-        counts, outcomes and nearest ring edges from :func:`mc._settle`, and
-        every trial's points, those of the rings it drew replayed from the
-        same stream by :func:`literal_rings` and the rest from an
-        independent one."""
+    def settle(p, grid, region, seed, sizes=(1024, 1024)):
+        """A block of chunks of ``sizes`` open trials of the estimator's
+        rings for ``grid``: their counts, outcomes and nearest ring edges
+        from :func:`mc._settle`, and every trial's points, those of the
+        rings it drew replayed chunk by chunk from the chunk's stream by
+        :func:`literal_rings` and the rest from an independent one. The last
+        chunk's first trial holds about 4000 points, so that where there
+        are rings its margin eps is wider than the others'."""
         cfg = mc.SimConfig(trials=10_000, fading="none", region_radius=region)
         R = mc._region_radius(p, p.density, max(grid), cfg)
         cuts = (np.asarray(grid) / R) ** p.n / mc._U_RESOLUTION
         k_kill = mc._kill_index(p, R) if 1.0 / p.sigma > p.eta else 1
         edges, bounds = mc._rings(k_kill, cuts, p, R)
-        rng = np.random.default_rng(seed)
-        counts = rng.poisson(p.density * p.c_n * R**p.n * 2.0**-24
-                             * np.diff(edges)[:, None], size=(len(bounds[0]),
-                                                             size))
-        replay = copy.deepcopy(rng)
-        h, nearest = mc._settle(rng, counts, edges, bounds, p, R)
-        rings, undrawn = literal_rings(replay, counts, edges, p, R,
-                                       np.random.default_rng([seed, 1]))
-        # the replay accounts for every draw of the kernel
-        assert replay.bit_generator.state == rng.bit_generator.state
-        k = [np.concatenate([r[j] for j in sorted(r)] or [np.zeros(0, int)])
-             for r in rings]
-        return R, cuts, h, nearest, k, undrawn
+        means = p.density * p.c_n * R**p.n * 2.0**-24 * np.diff(edges)
+        gen = np.random.default_rng(seed)
+        counts = gen.poisson(means[:, None], size=(len(means), sum(sizes)))
+        if len(means):
+            counts[:, -sizes[-1]] = gen.poisson(4000.0 * means / means.sum())
+        rngs = [np.random.default_rng([seed, c]) for c in range(len(sizes))]
+        replays = copy.deepcopy(rngs)
+        h, nearest = mc._settle(rngs, counts, list(sizes), edges, bounds, p,
+                                R)
+        k, undrawn, eps = [], [], set()
+        for c, (rng, replay) in enumerate(zip(rngs, replays)):
+            part = counts[:, sum(sizes[:c]):sum(sizes[:c + 1])]
+            rings, left = literal_rings(replay, part, edges, p, R,
+                                        np.random.default_rng([seed, c, 1]))
+            # the replay accounts for every draw of the chunk
+            assert replay.bit_generator.state == rng.bit_generator.state
+            k += [np.concatenate([r[j] for j in sorted(r)]
+                                 or [np.zeros(0, int)]) for r in rings]
+            undrawn.append(left)
+            eps.add(chunk_eps(part))
+        assert len(eps) == (len(sizes) if len(means) else 1)
+        return R, cuts, h, nearest, k, np.concatenate(undrawn)
 
     @pytest.mark.parametrize("p, grid, region", [
         (FIG4, (10.0, 15.0, 20.0, 25.0), None),
@@ -622,12 +679,15 @@ class TestSettle:
 
     # One index a ring, so the bounds are the trial's exact sum S, with the
     # margin 1/sigma - eta set to S (1 + offset): within 1e-13 of it the
-    # trial is drawn, and beyond 1e-11 settled by its counts.
+    # trial is drawn, and beyond 1e-11 settled by its counts. A second
+    # chunk holds the same trial, and one of 30 000 points that fails at
+    # once but widens that chunk's eps to 30 003 * 2**-51 = 1.3e-11, so
+    # there the trial is drawn at every offset.
     @pytest.mark.parametrize("offset", [5e-14, -5e-14, 1e-11, -1e-11])
     def test_near_margin_is_drawn(self, offset):
         R = 100.0
         edges = np.array([750_000, 750_001, 1_700_000, 1_700_001])
-        counts = np.array([[2], [0], [3]])
+        counts = np.array([[2, 2, 0], [0, 0, 30_000], [3, 3, 0]])
         bounds = mc._pathloss(np.stack([edges[1:] - 1, edges[:-1]]),
                               R**-4, 2.0)
         assert np.array_equal(bounds[0, [0, 2]], bounds[1, [0, 2]])
@@ -636,13 +696,16 @@ class TestSettle:
         p = dataclasses.replace(base, eta=1.0 / base.sigma - S * (1 + offset))
         margin = 1.0 / p.sigma - p.eta
         assert abs(margin / S - 1 - offset) < 1e-14
-        rng = SpyRng(np.random.default_rng(0))
-        h, _ = mc._settle(rng, counts, edges, bounds, p, R)
+        rngs = [SpyRng(np.random.default_rng(c)) for c in range(2)]
+        h, _ = mc._settle(rngs, counts, [1, 2], edges, bounds, p, R)
         # drawn at every ring with points, or at none
-        assert rng.calls == ([] if abs(offset) > 1e-12 else
-                             [(750_000, 750_001, 2), (1_700_000, 1_700_001, 3)])
+        drawn = [(750_000, 750_001, 2), (1_700_000, 1_700_001, 3)]
+        assert rngs[0].calls == ([] if abs(offset) > 1e-12 else drawn)
+        assert rngs[1].calls == drawn
         k = np.repeat(edges[[0, 2]], [2, 3]).astype(np.int32)
-        assert h[0] == nofading_outcomes(k, [5], p, R)[0] == float(offset > 0)
+        assert h[0] == h[1] == nofading_outcomes(k, [5], p, R)[0] \
+            == float(offset > 0)
+        assert h[2] == 0.0
 
 
 class TestFarField:
@@ -694,17 +757,26 @@ def ring_edges(k_kill, cuts):
     return sorted(edges | {math.ceil(c) for c in cuts if c > k_kill})
 
 
+def chunk_eps(counts):
+    """The relative margin of :func:`mc._settle`'s decisions by bounds for
+    one chunk's ring counts: 2**-51 times the most points a trial holds
+    plus the rings, and at least 1e-12."""
+    return max(1e-12, 2.0**-51 * (counts.sum(axis=0).max(initial=0)
+                                  + len(counts)))
+
+
 def literal_rings(rng, counts, edges, p, R, fill):
-    """The positions of open trials known by their ring counts
+    """The positions of one chunk's open trials known by their ring counts
     (``counts[j, t]`` in ring ``edges[j] <= k < edges[j + 1]``), drawn
     from ``rng`` in the order of :func:`mc._settle` by a literal loop: pass
     j, every trial that the bounds of its rings leave undecided (count
-    times the pathloss at a ring's last index and at its first, by a
-    relative margin of 1e-12) draws ring j's positions, all such trials at
-    once. A ring that a trial never draws takes its positions from
-    ``fill``. Returns each trial's ring -> positions, and whether it left
-    a ring with points to ``fill``."""
+    times the pathloss at a ring's last index and at its first, by the
+    relative margin :func:`chunk_eps`) draws ring j's positions, all such
+    trials at once. A ring that a trial never draws takes its positions
+    from ``fill``. Returns each trial's ring -> positions, and whether it
+    left a ring with points to ``fill``."""
     margin = 1.0 / p.sigma - p.eta
+    eps = chunk_eps(counts)
     J, size = counts.shape
 
     def x(k):
@@ -720,8 +792,8 @@ def literal_rings(rng, counts, edges, p, R, fill):
         for t in alive:
             lo = exact[t] + sum(low[i][t] for i in range(j, J))
             hi = exact[t] + sum(high[i][t] for i in range(j, J))
-            if (lo <= margin + 1e-12 * abs(margin)
-                    and hi > margin - 1e-12 * abs(margin)):
+            if (lo <= margin + eps * abs(margin)
+                    and hi > margin - eps * abs(margin)):
                 still.append(t)
         alive = still
         total = sum(counts[j][t] for t in alive)
