@@ -51,10 +51,11 @@ words by :func:`_volume_draw`: the same values as 1 minus a float32
 uniform, in 4 bytes a point and with no float32 array. So a guard zone
 with ``(r_O / R)**n`` at most 2**-24 would never be busy; both estimators
 raise ``RuntimeError`` for one. The guard-zone tests compare ``k`` with
-the thresholds times 2**24, which is exact; a single-slot trial's least
-``k`` decides them all. When ``2*alpha/n`` is an integer from 3 to 8
-(every shipped scenario), ``k**(alpha/n)`` is formed by a square root or
-a product, then multiplications, rather than ``pow``.
+the thresholds times 2**24, which is exact; a trial's least ``k`` (in
+the Aloha decision slot, among its active points) decides them all.
+When ``2*alpha/n`` is an integer from 3 to 8 (every shipped scenario),
+``k**(alpha/n)`` is formed by a square root or a product, then
+multiplications, rather than ``pow``.
 
 Trials are processed in fixed-size chunks, each with its own PCG64
 stream keyed by ``SeedSequence([seed, chunk_index])``. The chunks are cut
@@ -63,13 +64,17 @@ of the process, and at most ``_BLOCK`` chunks each, which bounds their
 working memory. A block draws from each chunk's stream in turn, in the
 order the chunk alone would, then runs its arithmetic once over all of
 its trials: the kernels are bound by the cost of a numpy call, not by
-its size, and fewer calls also hold the interpreter lock less. Each
-chunk's float64 sums of h, h**2, the guard-zone indicator D, and of h
-and h**2 on each side (D = 1 and D = 0) are still taken over its own
-trials (with no fading they are counts, exact in any order, and a block
-takes them at once), and added in chunk order. So results are
-reproducible for a given seed and independent of the worker count and
-block size. Standard errors come from these second moments.
+its size, and fewer calls also hold the interpreter lock less. One
+Rayleigh kernel (:func:`_rayleigh`) serves both estimators: at N = 0
+slots and with no contention it is the single-slot chunk. Each chunk's
+sums (:func:`_chunk_sums`) are still taken over its own trials: for
+each Aloha history cell K (one for a single slot), the count and the
+float64 sums of h and h**2 over the cell's trials, then over each side
+(D = 1 and D = 0) at each radius. With no fading they are counts, exact
+in any order, and a block takes them at once. The sums are added in
+chunk order, so results are reproducible for a given seed and
+independent of the worker count and block size. Standard errors come
+from these second moments.
 """
 
 from __future__ import annotations
@@ -378,14 +383,14 @@ def _sum_over_chunks(kernel, cfg: SimConfig) -> np.ndarray:
     _WORKERS)``; when that is more than ``_BLOCK``, into as few rounds of
     ``_WORKERS`` blocks of at most ``_BLOCK`` as hold them, each block of
     about the same size. ``kernel(rngs, sizes)`` takes one block, the
-    streams and trial counts of its chunks, and returns one row of sums
-    per chunk, or a single row for the block when its sums are integer
-    counts, exact in any order. Up to ``_WORKERS`` blocks run at once, on
-    the pool of :func:`_pool`, whose threads start with the first
-    simulation and serve every later one. Each chunk draws only from its
-    own stream, and ``pool.map`` yields the blocks in order, so the rows
-    are added in chunk order, and the result is the same bits at any
-    worker count and block size.
+    streams and trial counts of its chunks, and returns the sums of
+    :func:`_chunk_sums`, one array per chunk, or a single one for the
+    block when its sums are integer counts, exact in any order. Up to
+    ``_WORKERS`` blocks run at once, on the pool of :func:`_pool`, whose
+    threads start with the first simulation and serve every later one.
+    Each chunk draws only from its own stream, and ``pool.map`` yields the
+    blocks in order, so the sums are added in chunk order, and the result
+    is the same bits at any worker count and block size.
     """
     sizes = _chunk_sizes(cfg.trials)
     rounds = -(-len(sizes) // (_WORKERS * _BLOCK))
@@ -591,27 +596,86 @@ def _settle(rngs: list, counts: np.ndarray, sizes, edges: np.ndarray,
     return h, nearest
 
 
-def _chunk_sums(h: np.ndarray, kmin: np.ndarray, cuts: np.ndarray,
-                sizes) -> np.ndarray:
-    """The ``2 + 5 * len(cuts)`` sums for :func:`estimate_single` of each
-    run of ``sizes[c]`` consecutive trials, one row each, from each
-    trial's h and the volume index ``kmin`` of its nearest point: h and
-    h**2, then for each cut the trials whose zone is clear (D = 1), and h
-    and h**2 summed where D = 1 and where D = 0. Each is the ``sum()`` of
-    the run's values, in trial order (:func:`_segment_reduce`)."""
-    k = len(cuts)
+def _chunk_sums(h: np.ndarray, kmin: np.ndarray, cuts: np.ndarray, sizes,
+                K: np.ndarray | None = None, cells: int = 1) -> np.ndarray:
+    """The sums of each run of ``sizes[c]`` consecutive trials, from each
+    trial's h, the volume index ``kmin`` of its nearest point, and its
+    history cell ``K``, 0 to ``cells - 1`` (None: one cell).
+
+    Returns an array indexed [run, cell, sum, side]: the sums are the
+    count, h and h**2 of the cell's trials; the sides are all of them,
+    then those whose zone is clear (D = 1) at each cut, then those whose
+    zone is busy (D = 0) at each cut. Each is the ``sum()`` of the run's
+    values, in trial order (:func:`_segment_reduce`)."""
     # A zone is clear when the trial's nearest point lies outside it. Each
     # side is summed, not taken as total minus the other: a side whose h
-    # is tiny next to the total would keep no digits. Rows: every trial,
-    # then D = 1 at each cut, then D = 0.
+    # is tiny next to the total would keep no digits.
     D = kmin >= cuts[:, None]
     mask = np.concatenate([np.ones((1, len(h)), bool), D, ~D])
+    if K is not None:
+        # rows of cell 0, then of cell 1, and so on
+        mask = np.vstack(mask & (K == np.arange(cells)[:, None, None]))
     n = np.add.reduceat(mask, np.cumsum(sizes) - sizes, axis=1)
-    s_h, s_hh = (_segment_reduce(np.add, np.broadcast_to(x, mask.shape)[mask],
+    # the selected trials, row by row: each flat index of the mask less
+    # its row's start
+    at = np.flatnonzero(mask)
+    at -= np.repeat(np.arange(0, mask.size, len(h)), n.sum(axis=1))
+    s_h, s_hh = (_segment_reduce(np.add, x.take(at),
                                  n.ravel()).reshape(n.shape)
                  for x in (h, h * h))
-    return np.concatenate([s_h[:1], s_hh[:1], n[1:k + 1], s_h[1:k + 1],
-                           s_hh[1:k + 1], s_h[k + 1:], s_hh[k + 1:]]).T
+    return np.stack([n, s_h, s_hh]).reshape(
+        3, cells, 1 + 2 * len(cuts), len(sizes)).transpose(3, 1, 0, 2)
+
+
+def _rayleigh(rngs: list, sizes, p: ModelParams, R: float, mean_pts: float,
+              far_log: float, cuts: np.ndarray,
+              aloha: AlohaParams | None = None) -> np.ndarray:
+    """Rayleigh sums (:func:`_chunk_sums`) of a block of chunks: chunk c
+    draws ``sizes[c]`` trials from ``rngs[c]``, first each trial's Poisson
+    count of points in the ball, then their volume indices.
+
+    Given ``aloha``, each chunk then draws its contention marks: in each
+    observed slot for its points inside the guard zone ``cuts[0]`` (only
+    they enter the history), then in the decision slot for all of its
+    points. A trial's cell K counts the observed slots where none of its
+    points inside the zone contends, and only the points that contend in
+    the decision slot interfere and enter the zone's test.
+    """
+    counts = [rng.poisson(mean_pts, size=size)
+              for rng, size in zip(rngs, sizes)]
+    totals = [int(c.sum()) for c in counts]
+    draws = np.concatenate([_volume_draw(rng, total)
+                            for rng, total in zip(rngs, totals)])
+    counts = np.concatenate(counts)
+    K, cells = None, 1
+    if aloha is not None:
+        ends = np.cumsum(counts)
+        inside = np.flatnonzero(draws < cuts[0])
+        # Each chunk's marks, thresholded into its share of the block's
+        # arrays, a byte a point.
+        observed = np.empty((aloha.N, len(inside)), bool)
+        active = np.empty(len(draws), bool)
+        stops = np.cumsum(totals)
+        at = np.searchsorted(inside, stops).tolist()
+        stops = stops.tolist()
+        for rng, a, b, c, d in zip(rngs, [0] + at, at, [0] + stops, stops):
+            for marks in observed:
+                np.less(rng.random(b - a), aloha.p, out=marks[a:b])
+            np.less(rng.random(d - c), aloha.p, out=active[c:d])
+        trial = np.searchsorted(ends, inside, side="right")
+        K, cells = np.zeros(len(counts), np.int64), aloha.N + 1
+        for marks in observed:
+            K += np.bincount(trial[marks], minlength=len(counts)) == 0
+        counts = np.diff(np.searchsorted(np.flatnonzero(active), ends),
+                         prepend=0)
+        draws = draws[active]
+    starts = np.cumsum(counts) - counts
+    h = _success(draws, starts, counts, p, R, far_log)
+    # An empty trial's 2**24 is above every cut, so its zones are clear.
+    kmin = np.full(len(counts), 1 << 24, dtype=draws.dtype)
+    seen = np.flatnonzero(counts)
+    kmin[seen] = np.minimum.reduceat(draws, starts[seen])
+    return _chunk_sums(h, kmin, cuts, sizes, K, cells)
 
 
 @dataclass(frozen=True)
@@ -640,21 +704,6 @@ def estimate_single(p: ModelParams, r_O_grid, cfg: SimConfig) -> SingleObsEstima
     # u < thr exactly when k < thr * 2**24, a product that is exact
     cuts = (grid / R) ** p.n / _U_RESOLUTION
     k = len(grid)
-
-    def rayleigh(rngs, sizes):
-        counts = [rng.poisson(mean_pts, size=size)
-                  for rng, size in zip(rngs, sizes)]
-        draws = np.concatenate([_volume_draw(rng, int(c.sum()))
-                                for rng, c in zip(rngs, counts)])
-        counts = np.concatenate(counts)
-        starts = np.cumsum(counts) - counts
-        h = _success(draws, starts, counts, p, R, far_log)
-        # An empty trial's 2**24 is above every cut, so its zones are clear.
-        kmin = np.full(len(counts), 1 << 24, dtype=draws.dtype)
-        seen = np.flatnonzero(counts)
-        kmin[seen] = np.minimum.reduceat(draws, starts[seen])
-        return _chunk_sums(h, kmin, cuts, sizes)
-
     if cfg.fading == "none":
         # q: the share of the ball where one point fails the SINR test alone
         k_kill = _kill_index(p, R) if 1.0 / p.sigma > p.eta else 1
@@ -690,19 +739,19 @@ def estimate_single(p: ModelParams, r_O_grid, cfg: SimConfig) -> SingleObsEstima
                            np.concatenate([nearest, closed]), cuts,
                            [len(h) + len(closed)])
 
-    sums = _sum_over_chunks(nofading if cfg.fading == "none" else rayleigh,
-                            cfg)
+    sums = _sum_over_chunks(nofading if cfg.fading == "none" else (
+        lambda rngs, sizes: _rayleigh(rngs, sizes, p, R, mean_pts, far_log,
+                                      cuts)), cfg)[0].T.tolist()
     T = cfg.trials
-    s_h, s_hh = float(sums[0]), float(sums[1])
+    _, s_h, s_hh = sums[0]
     prior = Estimate.mean(s_h, s_hh, T)
     evidence, post1, post0, rho, p_I, p_II = [], [], [], [], [], []
     for i in range(k):
-        # h and h**2 summed where D = 1 (s_hd, s_hhd) and D = 0 (s_hb, s_hhb)
-        s_d, s_hd, s_hhd, s_hb, s_hhb = (float(sums[2 + j * k + i])
-                                         for j in range(5))
+        # trials, h and h**2 where D = 1 (s_d, s_hd, s_hhd) and D = 0
+        (s_d, s_hd, s_hhd), (s_b, s_hb, s_hhb) = sums[1 + i], sums[1 + k + i]
         evidence.append(Estimate.binomial(int(s_d), T))
         post1.append(Estimate.mean(s_hd, s_hhd, s_d))
-        post0.append(Estimate.mean(s_hb, s_hhb, T - s_d))
+        post0.append(Estimate.mean(s_hb, s_hhb, s_b))
         rho.append(_rho(T, s_h, s_hh, s_d, s_hd, s_hhd))
         # p_I: sum((1-h) D) / sum(1-h); p_II: sum(h (1-D)) / sum(h)
         fail_d2 = s_d - 2.0 * s_hd + s_hhd  # sum((1-h)**2 D)
@@ -746,69 +795,18 @@ def estimate_multiobs(p: ModelParams, aloha: AlohaParams, r_O: float,
     if not r_O > 0:
         raise ValueError(f"r_O must be positive, got {r_O}")
     R, mean_pts, far_log = _ball(p, aloha.p * p.density, r_O, r_O, cfg)
-    # u < thr exactly when k < thr * 2**24, that is k < inside_cut
-    inside_cut = math.ceil((r_O / R) ** p.n / _U_RESOLUTION)
-    N = aloha.N
-
-    def chunks(rngs, sizes):
-        counts = [rng.poisson(mean_pts, size=size)
-                  for rng, size in zip(rngs, sizes)]
-        totals = [int(c.sum()) for c in counts]
-        draws = np.concatenate([_volume_draw(rng, total)
-                                for rng, total in zip(rngs, totals)])
-        ends = np.cumsum(np.concatenate(counts))
-        n = len(ends)
-        inside = np.flatnonzero(draws < inside_cut)
-        inside_trials = np.searchsorted(ends, inside, side="right")
-
-        # Each chunk's contention marks, drawn and thresholded into its
-        # share of the block's arrays, a byte a point: first for its
-        # inside-ball points in each observed slot (only they enter the
-        # history), then for all of its points in the decision slot.
-        observed = np.empty((N, len(inside)), bool)
-        active = np.empty(len(draws), bool)
-        stops = np.cumsum(totals)
-        at = np.searchsorted(inside, stops).tolist()
-        stops = stops.tolist()
-        for rng, a, b, c, d in zip(rngs, [0] + at, at, [0] + stops, stops):
-            for marks in observed:
-                np.less(rng.random(b - a), aloha.p, out=marks[a:b])
-            np.less(rng.random(d - c), aloha.p, out=active[c:d])
-
-        # K: count observed slots whose guard zone had no active node.
-        K = np.zeros(n, dtype=np.int64)
-        for marks in observed:
-            K += np.bincount(inside_trials[marks], minlength=n) == 0
-
-        # Decision slot: the success probability of the active interferers
-        # and the literal guard-zone test.
-        active_ends = np.searchsorted(np.flatnonzero(active), ends)
-        active_counts = np.diff(active_ends, prepend=0)
-        h = _success(draws[active], active_ends - active_counts,
-                     active_counts, p, R, far_log)
-        hh = h * h
-        D = np.bincount(inside_trials[active[inside]], minlength=n) == 0
-        # per chunk and K cell, where D = 1 and where D = 0 (each summed,
-        # as in estimate_single): trials, sums of h and h**2, each
-        # weighted bincount adding a cell's trials in order from 0
-        cell = np.repeat(np.arange(len(sizes)) * (N + 1), sizes) + K
-        cells = []
-        for m in (D, ~D):
-            cells += [np.bincount(cell[m], weights=w,
-                                  minlength=len(sizes) * (N + 1))
-                      for w in (None, h[m], hh[m])]
-        return np.stack(cells).reshape(6, len(sizes), N + 1).swapaxes(0, 1)
-
-    n_DK, s_hdK, s_hhdK, n_BK, s_hbK, s_hhbK = _sum_over_chunks(chunks, cfg)
+    # u < thr exactly when k < thr * 2**24, a product that is exact
+    cuts = np.array([(r_O / R) ** p.n / _U_RESOLUTION])
+    sums = _sum_over_chunks(lambda rngs, sizes: _rayleigh(
+        rngs, sizes, p, R, mean_pts, far_log, cuts, aloha), cfg)
     trials = cfg.trials
     pK, pHK, pDK, posterior = [], [], [], {}
-    for k in range(N + 1):
-        nDK, nBK = int(n_DK[k]), int(n_BK[k])
-        s_hd, s_hhd, s_hb, s_hhb = (float(s[k])
-                                    for s in (s_hdK, s_hhdK, s_hbK, s_hhbK))
-        nK = nDK + nBK
+    for k in range(aloha.N + 1):
+        # the cell's trials, then where D = 1, then where D = 0
+        (nK, nDK, nBK), (s_h, s_hd, s_hb), (s_hh, s_hhd, s_hhb) = (
+            sums[k].tolist())
         pK.append(Estimate.binomial(nK, trials))
-        pHK.append(Estimate.mean(s_hd + s_hb, s_hhd + s_hhb, nK))
+        pHK.append(Estimate.mean(s_h, s_hh, nK))
         pDK.append(Estimate.binomial(nDK, nK))
         posterior[(k, 1)] = Estimate.mean(s_hd, s_hhd, nDK)
         posterior[(k, 0)] = Estimate.mean(s_hb, s_hhb, nBK)

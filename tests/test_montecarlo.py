@@ -228,8 +228,6 @@ class TestEstimateMultiobs:
 
 
 class TestChunkKernel:
-    ALOHA = AlohaParams(p=0.5, N=2)
-
     @staticmethod
     def same_at_any_split(monkeypatch, run):
         """``repr(run())`` at 1, 2 and 3 workers, each with blocks of at
@@ -252,9 +250,13 @@ class TestChunkKernel:
         self.same_at_any_split(
             monkeypatch, lambda: mc.estimate_single(FIG1, [20.0, 50.0], cfg))
 
-    def test_multiobs_independent_of_workers(self, monkeypatch):
+    # at N = 0 the history is one cell, with no observed marks drawn
+    @pytest.mark.parametrize("aloha", [AlohaParams(0.5, 0),
+                                       AlohaParams(0.5, 2)],
+                             ids=["N0", "N2"])
+    def test_multiobs_independent_of_workers(self, monkeypatch, aloha):
         self.same_at_any_split(monkeypatch, lambda: mc.estimate_multiobs(
-            FIG1, self.ALOHA, 50.0, FAST))
+            FIG1, aloha, 50.0, FAST))
 
     @pytest.mark.parametrize("run", [
         lambda: mc.estimate_single(FIG4, [10.0, 15.0, 20.0, 25.0],
@@ -325,6 +327,24 @@ class TestChunkKernel:
             m.setattr(mc, "_sum_over_chunks", lambda kernel, cfg: sums)
             former = mc.estimate_single(FIG1, grid, cfg)
         assert mc.estimate_single(FIG1, grid, cfg) == former
+
+    @pytest.mark.parametrize("p, aloha, r_O, region", [
+        (FIG4, AlohaParams(0.5, 2), 10.0, None),
+        # R = 60 gives ~2.3 points per trial, so ~10% of trials hold none
+        (FIG1, AlohaParams(0.5, 1), 50.0, 60.0),
+        # no observed slot: one cell
+        (FIG4, AlohaParams(0.5, 0), 10.0, None)],
+        ids=["fig4-N2", "fig1-N1-empty", "fig4-N0"])
+    def test_aloha_matches_former_sums(self, monkeypatch, p, aloha, r_O,
+                                       region):
+        # 10_500 trials end on a partial chunk of 260
+        cfg = mc.SimConfig(trials=10_500, seed=6, region_radius=region)
+        sums, some_empty = former_aloha_sums(p, aloha, r_O, cfg)
+        assert some_empty == (region is not None)
+        with monkeypatch.context() as m:
+            m.setattr(mc, "_sum_over_chunks", lambda kernel, cfg: sums)
+            former = mc.estimate_multiobs(p, aloha, r_O, cfg)
+        assert repr(mc.estimate_multiobs(p, aloha, r_O, cfg)) == repr(former)
 
     def test_degenerate_sides_stay_exact(self):
         # on fig4 at r_O = 50 every zone is busy: the busy side is every
@@ -492,7 +512,8 @@ class TestChunkKernel:
         k = mc._volume_draw(raw, n)
         assert k.dtype == np.int32 and k.shape == (n,)
         np.testing.assert_array_equal(k, u.astype(np.float64) * 2.0**24)
-        # the Aloha kernel draws its doubles after the points
+        # with Aloha contention the Rayleigh kernel draws its marks, as
+        # doubles, after the points
         assert raw.random() == ref.random()
 
     def test_guard_zone_boundary(self, monkeypatch):
@@ -568,10 +589,10 @@ class TestThreadPool:
 
 
 class TestPinnedEstimates:
-    """sha256 of ``repr`` of whole estimates at fixed seeds, one per
-    chunk kernel: Rayleigh and no-fading single-slot, and Aloha. A change
-    to any drawn point, guard-zone test or rounding of the sums moves
-    them."""
+    """sha256 of ``repr`` of whole estimates at fixed seeds, for each
+    chunk kernel and use: the Rayleigh kernel single-slot and with Aloha
+    contention, and the no-fading kernel. A change to any drawn point,
+    guard-zone test or rounding of the sums moves them."""
 
     @pytest.mark.parametrize("run, digest", [
         (lambda: mc.estimate_single(FIG1, [10.0, 30.0, 50.0],
@@ -586,7 +607,11 @@ class TestPinnedEstimates:
          "158acaeda7f3ff0f48af42350b1a73b42238e211fdf251945463f6aea97fc572"),
         (lambda: mc.estimate_multiobs(FIG4, AlohaParams(0.5, 2), 10.0,
                                       mc.SimConfig(trials=10_240, seed=3)),
-         "64addcd8381de850f8cdd2d429460feb5d01f912d81f8235bfcbedcfd98e64bf"),
+         # re-pinned when the Aloha cells came to be summed pairwise, as
+         # the single-slot sides are, in place of weighted bincounts that
+         # add in sequence; the draws are unchanged
+         # (test_aloha_matches_former_sums)
+         "74e934bc43d87cbb7f727c6af6c05ee9e6f929541e87371cb6461ed55fdf4981"),
         # a default region at the ceiling 10 r_max = 20: the same
         # estimates, bit for bit, as under the former fixed 10 r_max
         (lambda: mc.estimate_single(FIG1, [0.5, 2.0],
@@ -906,8 +931,58 @@ def former_mask_sums(p, grid, cfg):
             hh_d.append(hh[D].sum())
             h_b.append(h[~D].sum())
             hh_b.append(hh[~D].sum())
-        total = total + np.array([h.sum(), hh.sum(), *clear, *h_d, *hh_d,
-                                  *h_b, *hh_b])
+        # one cell, indexed [sum, side] as mc._chunk_sums's
+        busy = [size - n for n in clear]
+        total = total + np.array([[[size, *clear, *busy],
+                                   [h.sum(), *h_d, *h_b],
+                                   [hh.sum(), *hh_d, *hh_b]]])
+    return total, some_empty
+
+
+def former_aloha_sums(p, aloha, r_O, cfg):
+    """The chunk sums of :func:`mc.estimate_multiobs` as a literal loop
+    over each chunk's stream builds them: the Poisson counts; the points
+    as float32 uniforms u, k = u * 2**24; in each observed slot a mark for
+    each point with u < thr, in order; then a mark for every point in the
+    decision slot. Trial by trial, K counts the observed slots where no
+    marked point lies inside the zone, D is whether none of the points
+    marked in the decision slot does, and h is :func:`mc._success` over
+    those points. Each chunk sums each (K, side) cell by ``.sum()``,
+    indexed [K, sum, side] as :func:`mc._chunk_sums`. Also returns whether
+    some trial has no points."""
+    R = mc._region_radius(p, aloha.p * p.density, r_O, cfg)
+    far_log = mc._far_field_log(p, aloha.p * p.density, R)
+    thr = (r_O / R) ** p.n
+    total, some_empty = 0, False
+    for chunk_idx, size in enumerate(mc._chunk_sizes(cfg.trials)):
+        rng = mc._chunk_rng(cfg.seed, chunk_idx)
+        counts = rng.poisson(p.density * p.c_n * R**p.n, size=size)
+        u = 1.0 - rng.random(counts.sum(), dtype=np.float32)
+        k = (u.astype(np.float64) * 2**24).astype(np.int32)
+        inside = k * 2.0**-24 < thr
+        slots = []
+        for _ in range(aloha.N):
+            marks = np.zeros(len(k), bool)
+            marks[inside] = rng.random(inside.sum()) < aloha.p
+            slots.append(marks)
+        active = rng.random(len(k)) < aloha.p
+        some_empty |= bool(np.any(counts == 0))
+        K, D, h = [], [], []
+        for lo, hi in zip(np.cumsum(counts) - counts, np.cumsum(counts)):
+            K.append(sum(not marks[lo:hi].any() for marks in slots))
+            mine = active[lo:hi]
+            D.append(not inside[lo:hi][mine].any())
+            pts = k[lo:hi][mine]
+            h.append(mc._success(pts, np.zeros(1, int), np.array([len(pts)]),
+                                 p, R, far_log)[0])
+        K, D, h = np.array(K), np.array(D), np.array(h)
+        cells = []
+        for cell in range(aloha.N + 1):
+            sides = [K == cell, (K == cell) & D, (K == cell) & ~D]
+            cells.append([[m.sum() for m in sides],
+                          [h[m].sum() for m in sides],
+                          [(h * h)[m].sum() for m in sides]])
+        total = total + np.array(cells)
     return total, some_empty
 
 
