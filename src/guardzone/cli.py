@@ -4,8 +4,11 @@ Subcommands mirror the library: ``correlation``, ``risk``, ``roc``,
 ``fading-compare``, ``multiobs`` compute analytic curves; ``validate``
 runs the Monte Carlo oracle against every analytic quantity in scope.
 
-Outputs are CSV (default) with a leading ``# manifest <hash>`` comment,
-or JSON via ``--format json``. When ``--out`` is given, a sidecar
+Each subcommand computes its report as named columns of equal length,
+which one renderer writes as CSV (default) with a leading
+``# manifest <hash>`` comment, or as JSON via ``--format json``. The
+config hash covers the command, the scenario's values and the
+subcommand's own inputs. When ``--out`` is given, a sidecar
 ``<out>.manifest.json`` records scenario, command, seed (``validate``
 only; null otherwise), version, timestamp, and the config hash; the
 report itself never contains a timestamp, so identical inputs give
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -79,17 +83,24 @@ def _load_input(option: str, path: str | None):
 
 
 def parse_grid(spec: str | None, default: np.ndarray) -> np.ndarray:
-    """Parse ``lo:hi:count`` (log-spaced) or a comma-separated value list."""
+    """Parse ``lo:hi:count`` (log-spaced) or a comma-separated list of
+    finite values."""
     if spec is None:
         return default
     try:
         if ":" in spec:
             lo_s, hi_s, count_s = spec.split(":")
-            lo, hi, count = float(lo_s), float(hi_s), int(count_s)
-            if not (0 < lo < hi and count >= 2):
-                raise ValueError("need 0 < lo < hi and count >= 2")
-            return np.geomspace(lo, hi, count)
-        return np.array([float(tok) for tok in spec.split(",")])
+            values, count = [float(lo_s), float(hi_s)], int(count_s)
+        else:
+            values = [float(tok) for tok in spec.split(",")]
+        if not all(map(math.isfinite, values)):
+            raise ValueError("values must be finite")
+        if ":" not in spec:
+            return np.array(values)
+        lo, hi = values
+        if not (0 < lo < hi and count >= 2):
+            raise ValueError("need 0 < lo < hi and count >= 2")
+        return np.geomspace(lo, hi, count)
     except ValueError as exc:
         raise InputError(f"bad grid spec {spec!r}: {exc}") from exc
 
@@ -102,38 +113,34 @@ def _fmt(v):
     return str(v)
 
 
-def _render_csv(columns, rows, comments, cfg_hash) -> str:
+def _render_csv(columns, notes, cfg_hash) -> str:
     buf = io.StringIO()
     buf.write(f"# manifest {cfg_hash}\n")
-    for c in comments:
+    for c in notes:
         buf.write(f"# {c}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_fmt(row[c]) for c in columns])
+    writer.writerows(zip(*(map(_fmt, c) for c in columns.values())))
     return buf.getvalue()
 
 
-def _render_json(columns, rows, comments, cfg_hash) -> str:
-    return json.dumps({"manifest": cfg_hash, "notes": comments,
-                       "columns": columns, "rows": rows},
+def _render_json(columns, notes, cfg_hash) -> str:
+    rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
+    return json.dumps({"manifest": cfg_hash, "notes": notes,
+                       "columns": list(columns), "rows": rows},
                       indent=2, default=str) + "\n"
 
 
-def _rows(columns: dict) -> list[dict]:
-    """Report rows from named columns of equal length: arrays, whose
-    values become Python floats, or lists."""
-    values = [c.tolist() if isinstance(c, np.ndarray) else c
-              for c in columns.values()]
-    return [dict(zip(columns, row)) for row in zip(*values)]
-
-
-def _emit(args, rows, comments, hash_payload, render_text=_render_csv) -> None:
-    """Write a report of ``rows``, whose columns are the keys of the first
-    row, in their order."""
-    cfg_hash = _digest(hash_payload)
+def _emit(args, p, columns, notes, payload, render_text=_render_csv) -> None:
+    """Write a report of named ``columns`` of equal length: arrays, whose
+    values become Python numbers, or lists. Its hash covers the command,
+    the scenario ``p`` and ``payload``, whose keys take precedence."""
+    cfg_hash = _digest({"command": args.command, "scenario": p.to_dict(),
+                        **payload})
+    columns = {name: c.tolist() if isinstance(c, np.ndarray) else c
+               for name, c in columns.items()}
     render = _render_json if args.format == "json" else render_text
-    text = render(list(rows[0]), rows, comments, cfg_hash)
+    text = render(columns, notes, cfg_hash)
     if args.out:
         Path(args.out).write_text(text)
         manifest = {
@@ -153,42 +160,37 @@ def _emit(args, rows, comments, hash_payload, render_text=_render_csv) -> None:
 
 # -------------------------------------------------------------- commands
 
-def cmd_correlation(args) -> int:
-    p = _load_input("scenario", args.scenario)
+def cmd_correlation(args, p) -> int:
     if args.sweep_density:
         coeffs = np.geomspace(1e-3, 10.0, 50)
-        rows = []
-        for delta in (1.0 / 3.0, 0.5, 2.0 / 3.0):
-            rows += _rows({"coeff": coeffs, "delta": [delta] * len(coeffs),
-                           "chi_star": correlation.chi_star_from_coeff(
-                               coeffs, delta)})
-        _emit(args, rows, [],
-              {"command": "correlation-sweep", "scenario": p.to_dict()})
+        deltas = (1.0 / 3.0, 0.5, 2.0 / 3.0)
+        columns = {"coeff": np.tile(coeffs, len(deltas)),
+                   "delta": np.repeat(deltas, len(coeffs)),
+                   "chi_star": np.concatenate([correlation.chi_star_from_coeff(
+                       coeffs, delta) for delta in deltas])}
+        _emit(args, p, columns, [], {"command": "correlation-sweep"})
         return 0
     grid = parse_grid(args.grid, np.geomspace(1e-3, 1e4, 400))
     cs = correlation.chi_star(p)
     chi = np.append(grid, cs)
-    rows = _rows({"chi": chi, "rho": correlation.rho(p, chi),
-                  "f1": correlation.f1(p, chi), "f2": correlation.f2(p, chi),
-                  "is_chi_star": [0] * len(grid) + [1]})
+    columns = {"chi": chi, "rho": correlation.rho(p, chi),
+               "f1": correlation.f1(p, chi), "f2": correlation.f2(p, chi),
+               "is_chi_star": [0] * len(grid) + [1]}
     comments = [f"chi_star {cs:.6g} r_O_star {radius_of_chi(p, cs):.6g}"]
-    _emit(args, rows, comments,
-          {"command": "correlation", "scenario": p.to_dict(),
-           "grid": [float(c) for c in grid]})
+    _emit(args, p, columns, comments, {"grid": grid.tolist()})
     return 0
 
 
-def cmd_risk(args) -> int:
-    p = _load_input("scenario", args.scenario)
+def cmd_risk(args, p) -> int:
     cost = _load_input("cost", args.cost)
     grid = parse_grid(args.grid, np.geomspace(0.01 * p.r_T, 100.0 * p.r_T, 400))
     cost.require_regular()
     opt = risk.optimal_radius(p, cost)
     r = np.append(grid, opt.r_O) if opt.exists else grid
-    rows = _rows({"r_O": r, "risk": risk.bayes_risk(p, cost, r),
-                  "risk_deriv": risk.bayes_risk_derivative(p, cost, r),
-                  "f_L": risk._f_left(p, cost, r), "f_R": risk._f_right(p, r),
-                  "is_optimum": [0] * len(grid) + [1] * opt.exists})
+    columns = {"r_O": r, "risk": risk.bayes_risk(p, cost, r),
+               "risk_deriv": risk.bayes_risk_derivative(p, cost, r),
+               "f_L": risk._f_left(p, cost, r), "f_R": risk._f_right(p, r),
+               "is_optimum": [0] * len(grid) + [1] * opt.exists}
     if opt.exists:
         comments = [f"r_O_star {opt.r_O:.6g} risk_star {opt.risk:.6g}"]
         if p.eta == 0:
@@ -197,15 +199,13 @@ def cmd_risk(args) -> int:
     else:
         comments = [f"no interior optimum; risk decreases toward {opt.risk:.6g} "
                     "as r_O grows"]
-    _emit(args, rows, comments,
-          {"command": "risk", "scenario": p.to_dict(),
-           "cost": [cost.c00, cost.c01, cost.c10, cost.c11],
-           "grid": [float(r) for r in grid]})
+    _emit(args, p, columns, comments,
+          {"cost": [cost.c00, cost.c01, cost.c10, cost.c11],
+           "grid": grid.tolist()})
     return 0
 
 
-def cmd_roc(args) -> int:
-    p = _load_input("scenario", args.scenario)
+def cmd_roc(args, p) -> int:
     grid = parse_grid(args.grid, np.geomspace(0.05 * p.r_T, 50.0 * p.r_T, 200))
     comments = []
     ops = risk.operating_points(p)
@@ -224,36 +224,30 @@ def cmd_roc(args) -> int:
     chi = chi_of_radius(p, r)
     p_i, p_ii = risk.type_errors(p, r, SingleObsRule.identity())
     pH = prior_success(p)
-    rows = _rows({"r_O": r, "chi": chi, "p_I": p_i, "p_II": p_ii,
-                  "risk": p_i * (1.0 - pH) + p_ii * pH,
-                  "rho": correlation.rho(p, chi),
-                  "label": [""] * len(grid) + list(labels)})
-    _emit(args, rows, comments,
-          {"command": "roc", "scenario": p.to_dict(),
-           "grid": [float(r) for r in grid]})
+    columns = {"r_O": r, "chi": chi, "p_I": p_i, "p_II": p_ii,
+               "risk": p_i * (1.0 - pH) + p_ii * pH,
+               "rho": correlation.rho(p, chi),
+               "label": [""] * len(grid) + list(labels)}
+    _emit(args, p, columns, comments, {"grid": grid.tolist()})
     return 0
 
 
-def cmd_fading_compare(args) -> int:
-    p = _load_input("scenario", args.scenario)
+def cmd_fading_compare(args, p) -> int:
     grid = parse_grid(args.grid, np.geomspace(0.1 * p.r_T, 30.0 * p.r_T, 80))
     chi = chi_of_radius(p, grid)
     ilt = nofading._invert(p, grid)
-    rows = _rows({"r_O": grid, "chi": chi,
-                  "posterior_fading": posterior(p, grid).p_h1_d1,
-                  "posterior_nofading": ilt.value,
-                  "rho_fading": correlation.rho(p, chi),
-                  "rho_nofading": nofading._rho_given_posterior(p, grid, ilt.value),
-                  "ilt_error": ilt.error_estimate,
-                  "ilt_converged": (ilt.terms_used > 0).astype(int)})
-    _emit(args, rows, [],
-          {"command": "fading-compare", "scenario": p.to_dict(),
-           "grid": [float(r) for r in grid]})
+    columns = {"r_O": grid, "chi": chi,
+               "posterior_fading": posterior(p, grid).p_h1_d1,
+               "posterior_nofading": ilt.value,
+               "rho_fading": correlation.rho(p, chi),
+               "rho_nofading": nofading._rho_given_posterior(p, grid, ilt.value),
+               "ilt_error": ilt.error_estimate,
+               "ilt_converged": (ilt.terms_used > 0).astype(int)}
+    _emit(args, p, columns, [], {"grid": grid.tolist()})
     return 0
 
 
-def cmd_multiobs(args) -> int:
-    p = _load_input("scenario", args.scenario)
+def cmd_multiobs(args, p) -> int:
     aloha = _load_input("aloha", args.aloha)
     grid = parse_grid(args.grid, np.array([2.0 * p.r_T]))
     if len(grid) != 1:
@@ -263,14 +257,15 @@ def cmd_multiobs(args) -> int:
     evals = multi_obs.enumerate_rules(p, aloha, r_O)
     best = min(evals, key=lambda e: e.risk)
     worst = max(evals, key=lambda e: e.risk)
-    rows = [{"rule": e.rule.bits, "p_I": e.p_I, "p_II": e.p_II,
-             "risk": e.risk, "is_best": int(e is best),
-             "is_worst": int(e is worst)} for e in evals]
+    columns = {"rule": [e.rule.bits for e in evals],
+               "p_I": [e.p_I for e in evals], "p_II": [e.p_II for e in evals],
+               "risk": [e.risk for e in evals],
+               "is_best": [int(e is best) for e in evals],
+               "is_worst": [int(e is worst) for e in evals]}
     comments = [f"best {best.rule.bits} risk {best.risk:.6g}",
                 f"worst {worst.rule.bits} risk {worst.risk:.6g}"]
-    _emit(args, rows, comments,
-          {"command": "multiobs", "scenario": p.to_dict(),
-           "aloha": {"p": aloha.p, "N": aloha.N}, "r_O": r_O})
+    _emit(args, p, columns, comments,
+          {"aloha": {"p": aloha.p, "N": aloha.N}, "r_O": r_O})
     return 0
 
 
@@ -335,26 +330,25 @@ def _holm(checks) -> None:
             c["z"] = math.inf if rejecting else 0.0
 
 
-def _render_checks(columns, checks, comments, cfg_hash) -> str:
+def _render_checks(columns, notes, cfg_hash) -> str:
     """validate's text report: the notes, one line per check, then the
     verdict."""
-    failures = sum(c["status"] == "FAIL" for c in checks)
-    evaluated = sum(c["status"] != "SKIP" for c in checks)
-    lines = [f"# manifest {cfg_hash}"] + [f"# {c}" for c in comments]
-    for c in checks:
-        lines.append(
-            f"{c['status']:4s} {c['quantity']:30s} "
-            f"analytic={c['analytic']:.6f} mc={c['mc']:.6f} "
-            f"se={c['stderr']:.2e} z={c['z']:+.2f} p={c['p']:.2e} "
-            f"n={c['samples']}")
+    status = columns["status"]
+    failures = status.count("FAIL")
+    evaluated = len(status) - status.count("SKIP")
+    lines = [f"# manifest {cfg_hash}"] + [f"# {c}" for c in notes]
+    names = ("status", "quantity", "analytic", "mc", "stderr", "z", "p",
+             "samples")
+    for s, q, a, mc, se, z, p, n in zip(*(columns[c] for c in names)):
+        lines.append(f"{s:4s} {q:30s} analytic={a:.6f} mc={mc:.6f} "
+                     f"se={se:.2e} z={z:+.2f} p={p:.2e} n={n}")
     verdict = "PASSED" if failures == 0 else "FAILED"
     lines.append(f"VALIDATION {verdict} "
                  f"({evaluated - failures}/{evaluated} checks)")
     return "\n".join(lines) + "\n"
 
 
-def cmd_validate(args) -> int:
-    p = _load_input("scenario", args.scenario)
+def cmd_validate(args, p) -> int:
     cfg = montecarlo.SimConfig(trials=args.trials, seed=args.seed)
     grid = parse_grid(args.grid, np.array([10.0, 30.0, 50.0, 80.0]))
     checks = []
@@ -403,23 +397,26 @@ def cmd_validate(args) -> int:
                     mo.posterior[(k, d_obs)]))
 
     _holm(checks)
-    evaluated = sum(c["status"] != "SKIP" for c in checks)
+    columns = {name: [c[name] for c in checks] for name in checks[0]}
+    evaluated = len(checks) - columns["status"].count("SKIP")
     notes = [f"family-wise level {_FAMILY_ALPHA:.4g} (Holm-Bonferroni over "
              f"{evaluated} checks)"]
-    hash_payload = {"command": "validate", "scenario": p.to_dict(),
-                    "seed": args.seed, "trials": args.trials,
-                    "grid": [float(r) for r in grid],
-                    "aloha": None if aloha is None else vars(aloha),
-                    # each simulation's own hash, which names its generator
-                    "estimates": estimates}
-    _emit(args, checks, notes, hash_payload, _render_checks)
-    return 1 if any(c["status"] == "FAIL" for c in checks) else 0
-
+    payload = {"seed": args.seed, "trials": args.trials,
+               "grid": grid.tolist(),
+               "aloha": None if aloha is None else vars(aloha),
+               # each simulation's own hash, which names its generator
+               "estimates": estimates}
+    _emit(args, p, columns, notes, payload, _render_checks)
+    return 1 if "FAIL" in columns["status"] else 0
 
 
 # ------------------------------------------------------------------ main
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once a process. It holds no command function:
+    :func:`main` looks ``cmd_<command>`` up at each call, so a function
+    rebound in this module, such as a tracing wrapper, is the one run."""
     parser = argparse.ArgumentParser(
         prog="guardzone",
         description="Closed-form protocol-vs-physical interference model "
@@ -428,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_text, cost=False, aloha=False, sweep=False,
+    def add(name, help_text, cost=False, aloha=False, sweep=False,
             oracle=False):
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--scenario", required=True,
@@ -450,19 +447,16 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--sweep-density", action="store_true",
                             help="emit chi_star vs. the density-SINR scale "
                                  "for three pathloss regimes")
-        sp.set_defaults(fn=fn)
-        return sp
 
-    add("correlation", cmd_correlation,
+    add("correlation",
         "indicator correlation vs. chi, with the maximizing chi", sweep=True)
-    add("risk", cmd_risk, "Bayes risk curve and optimal guard-zone radius",
-        cost=True)
-    add("roc", cmd_roc, "Type I/II errors with named operating points")
-    add("fading-compare", cmd_fading_compare,
+    add("risk", "Bayes risk curve and optimal guard-zone radius", cost=True)
+    add("roc", "Type I/II errors with named operating points")
+    add("fading-compare",
         "paired Rayleigh vs. no-fading posterior and correlation curves")
-    add("multiobs", cmd_multiobs,
-        "all multi-observation decision rules at one radius", aloha=True)
-    add("validate", cmd_validate,
+    add("multiobs", "all multi-observation decision rules at one radius",
+        aloha=True)
+    add("validate",
         "Monte Carlo oracle vs. analytic quantities, Holm-Bonferroni at "
         "the level of 3 standard errors",
         aloha=True, oracle=True)
@@ -471,8 +465,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.fn(args)
+        return command(args, _load_input("scenario", args.scenario))
     except (InputError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -6,10 +6,14 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import guardzone
 from guardzone import cli, correlation, montecarlo
@@ -41,9 +45,15 @@ class TestGridParsing:
         assert list(parse_grid("10,30,50", None)) == [10.0, 30.0, 50.0]
 
     def test_bad_specs(self):
-        for bad in ("5:1:10", "1:10:1", "abc", "1:2"):
+        for bad in ("5:1:10", "1:10:1", "abc", "1:2", "inf", "nan", "-inf,5",
+                    "1:inf:3", "1e400"):
             with pytest.raises(InputError):
                 parse_grid(bad, None)
+
+    def test_non_finite_grid_exits_2(self, capsys):
+        assert main(["multiobs", "--scenario", "fig5", "--grid", "inf"]) == 2
+        assert capsys.readouterr().err == (
+            "error: bad grid spec 'inf': values must be finite\n")
 
 
 class TestCorrelation:
@@ -482,12 +492,124 @@ class TestPlumbing:
         assert proc.returncode == 0
 
 
+# report cells: every float (nan, +-inf, -0.0 and subnormals included),
+# ints, and strings that csv must quote or json must escape
+_CELLS = st.one_of(
+    st.floats(), st.sampled_from([-0.0, 5e-324, float("nan")]),
+    st.integers(), st.text(max_size=6),
+    st.sampled_from(["a,b", 'say "hi"', "two\nlines", "\r", "r\u00e9sum\u00e9",
+                     "\u03c7*", ""]))
+
+
+@st.composite
+def _reports(draw):
+    """Named columns of equal length, arrays or lists, and notes."""
+    n = draw(st.integers(0, 5))
+    columns = {}
+    for name in draw(st.lists(st.text(max_size=4), min_size=1, max_size=4,
+                              unique=True)):
+        kind = draw(st.sampled_from(["list", "floats", "ints"]))
+        if kind == "list":
+            columns[name] = draw(st.lists(_CELLS, min_size=n, max_size=n))
+        elif kind == "floats":
+            columns[name] = np.array(draw(st.lists(
+                st.floats(), min_size=n, max_size=n)), dtype=float)
+        else:
+            columns[name] = np.array(draw(st.lists(
+                st.integers(-2**62, 2**62), min_size=n, max_size=n)),
+                dtype=np.int64)
+    return columns, draw(st.lists(st.text(max_size=8), max_size=2))
+
+
+class TestRendering:
+    """The renderers take named columns; the reference writes the same
+    report from row dicts, one row at a time."""
+
+    @staticmethod
+    def reference(columns, notes, cfg_hash, fmt):
+        values = [c.tolist() if isinstance(c, np.ndarray) else c
+                  for c in columns.values()]
+        rows = [dict(zip(columns, row)) for row in zip(*values)]
+        if fmt == "json":
+            return json.dumps({"manifest": cfg_hash, "notes": notes,
+                               "columns": list(columns), "rows": rows},
+                              indent=2, default=str) + "\n"
+        buf = io.StringIO()
+        buf.write(f"# manifest {cfg_hash}\n")
+        for note in notes:
+            buf.write(f"# {note}\n")
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([cli._fmt(row[c]) for c in columns])
+        return buf.getvalue()
+
+    @given(_reports(), st.sampled_from(["csv", "json"]))
+    @settings(max_examples=300, deadline=None)
+    def test_same_text_as_rows(self, report, fmt):
+        columns, notes = report
+        args = SimpleNamespace(command="roc", format=fmt, out=None)
+        scenario = SimpleNamespace(to_dict=lambda: {"n": 2})
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            cli._emit(args, scenario, columns, notes, {"grid": [1.0]})
+        cfg_hash = cli._digest({"command": "roc", "scenario": {"n": 2},
+                                "grid": [1.0]})
+        assert buf.getvalue() == self.reference(columns, notes, cfg_hash, fmt)
+
+
+class TestOneParser:
+    """A process builds its parser once and keeps no command in it."""
+
+    def test_same_bytes_as_a_fresh_process(self, capsys, monkeypatch):
+        # help text wraps at the terminal width, which COLUMNS fixes
+        monkeypatch.setenv("COLUMNS", "80")
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(guardzone.__file__).parents[1]))
+        main(["correlation", "--scenario", FIG1, "--grid", "1,2"])
+        capsys.readouterr()
+        for argv in (["roc", "--scenario", "fig3", "--grid", "5,50"],
+                     ["multiobs", "--scenario", "fig5"],
+                     ["--version"], ["--help"], ["roc", "--help"],
+                     ["no-such-command"], ["roc"],
+                     ["roc", "--scenario", FIG1, "--seed", "1"]):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            got = capsys.readouterr()
+            fresh = subprocess.run(
+                [sys.executable, "-m", "guardzone.cli", *argv], env=env,
+                capture_output=True, text=True)
+            assert (code, got.out, got.err) == (
+                fresh.returncode, fresh.stdout, fresh.stderr), argv
+
+    def test_rebound_command_runs(self, capsys, monkeypatch):
+        # a benchmark tracer rebinds cli.cmd_* after the parser is built
+        argv = ["roc", "--scenario", "fig3", "--grid", "5,50"]
+        main(argv)
+        assert cli.build_parser() is cli.build_parser()
+        calls = []
+        roc = cli.cmd_roc
+
+        def traced(args, p):
+            calls.append(args.command)
+            return roc(args, p)
+
+        monkeypatch.setattr(cli, "cmd_roc", traced)
+        first = capsys.readouterr().out
+        assert main(argv) == 0
+        assert calls == ["roc"]
+        assert capsys.readouterr().out == first
+
+
 class TestInputFiles:
     @pytest.mark.parametrize("args, what", [
         (["correlation", "--scenario"], "scenario"),
         (["risk", "--scenario", FIG1, "--grid", "10,20", "--cost"],
          "cost matrix"),
-        (["multiobs", "--scenario", "fig5", "--aloha"], "Aloha parameters")])
+        (["multiobs", "--scenario", "fig5", "--aloha"], "Aloha parameters")],
+        ids=["scenario", "cost", "aloha"])
     @pytest.mark.parametrize("content", [None, "{not json", '{"c00": 0}',
                                          "[0, 1]"],
                              ids=["missing", "bad-json", "missing-key",
