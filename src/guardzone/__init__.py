@@ -10,8 +10,8 @@ from .multi_obs import (AlohaParams, DecisionRuleTable, enumerate_rules,
 from .nofading import (IltConvergenceError, levy_prior, posterior_nofade,
                        rho_nofade)
 from .params import ModelParams, chi_of_radius, derive, load_scenario, radius_of_chi
-from .risk import (CostMatrix, SingleObsRule, bayes_risk, operating_points,
-                   optimal_radius, roc_curve, sensitivities, type_errors)
+from .risk import (CostMatrix, bayes_risk, operating_points, optimal_radius,
+                   roc_curve, sensitivities, type_errors)
 from .single_obs import (abc_terms, evidence_success, posterior,
                          prior_success)
 
@@ -19,7 +19,7 @@ __version__ = "1.0.0"
 
 __all__ = [
     "AlohaParams", "CostMatrix", "DecisionRuleTable", "IltConvergenceError",
-    "ModelParams", "SingleObsRule", "abc_terms",
+    "ModelParams", "abc_terms",
     "bayes_risk", "chi_of_radius", "chi_star", "chi_star_from_coeff",
     "chi_star_low_density_limit", "derive", "enumerate_rules",
     "evidence_success", "f_d", "levy_prior", "load_scenario",

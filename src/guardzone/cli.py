@@ -37,7 +37,8 @@ import numpy as np
 
 from . import __version__, correlation, montecarlo, multi_obs, nofading, risk
 from .params import ModelParams, _digest, chi_of_radius, radius_of_chi
-from .risk import CostMatrix, SingleObsRule
+from .multi_obs import DecisionRuleTable
+from .risk import CostMatrix
 from .single_obs import evidence_success, posterior, prior_success
 from .specfn import gauss_Q
 
@@ -222,7 +223,7 @@ def cmd_roc(args, p) -> int:
     labels, radii = zip(*named)
     r = np.append(grid, radii)
     chi = chi_of_radius(p, r)
-    p_i, p_ii = risk.type_errors(p, r, SingleObsRule.identity())
+    p_i, p_ii = risk.type_errors(p, r, DecisionRuleTable.follow_observation(0))
     pH = prior_success(p)
     columns = {"r_O": r, "chi": chi, "p_I": p_i, "p_II": p_ii,
                "risk": p_i * (1.0 - pH) + p_ii * pH,
@@ -356,7 +357,8 @@ def cmd_validate(args, p) -> int:
     sim = montecarlo.estimate_single(p, grid, cfg)
     estimates = [sim.config_hash]
     post = posterior(p, grid)
-    p_i, p_ii = risk.type_errors(p, grid, SingleObsRule.identity())
+    p_i, p_ii = risk.type_errors(p, grid,
+                                 DecisionRuleTable.follow_observation(0))
     # the analytic column of each estimate field, in report order
     analytic = {"evidence": evidence_success(p, grid),
                 "posterior_d1": post.p_h1_d1, "posterior_d0": post.p_h1_d0,

@@ -210,6 +210,9 @@ class DecisionRuleTable:
     bits: str
 
     def __post_init__(self):
+        object.__setattr__(self, "N", _integral(self.N, "N"))
+        if self.N < 0:
+            raise ValueError(f"N must be nonnegative, got {self.N}")
         if len(self.bits) != 2 * (self.N + 1) or set(self.bits) - {"0", "1"}:
             raise ValueError(
                 f"rule for N={self.N} needs {2 * (self.N + 1)} binary "

@@ -1,12 +1,18 @@
 """Bayes risk of guard-zone decision rules, the optimal radius, and the ROC.
 
 A decision rule maps the protocol observation (guard zone clear or not)
-to a prediction of physical success. The expected cost under a 2x2 cost
-matrix is quasi-convex in the radius; its interior minimizer solves a
-monotone-vs-monotone crossing equation, which certifies bracketing for
-the root finder. Under uniform costs the two conditional risks are the
-Type I (false rejection of physical failure) and Type II (false
-acceptance) error probabilities traced out as the ROC.
+to a prediction of physical success: it is a
+:class:`guardzone.multi_obs.DecisionRuleTable` with N = 0, no past
+slots, such as ``follow_observation(0)``. Its errors are ratios of the
+cells of the joint law of (d, h) (:mod:`guardzone.single_obs`): the
+cells it gets wrong in a column over the sum of that column.
+
+The expected cost of following the observation, the cells weighted by a
+2x2 cost matrix, is quasi-convex in the radius; its interior minimizer
+solves a monotone-vs-monotone crossing equation, which certifies
+bracketing for the root finder. Under uniform costs the two conditional
+risks are the Type I (false rejection of physical failure) and Type II
+(false acceptance) error probabilities traced out as the ROC.
 
 ``bayes_risk``, ``type_errors`` and the two sides of the crossing
 equation take a float radius or an array of radii, so a risk or ROC
@@ -21,8 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfn
+from .multi_obs import DecisionRuleTable
 from .params import ModelParams, chi_of_radius
-from .single_obs import _exponents, abc_terms, prior_success
+from .single_obs import _busy_failure, _exponents, prior_success
 
 
 @dataclass(frozen=True)
@@ -61,34 +68,6 @@ class CostMatrix:
 
 
 @dataclass(frozen=True)
-class SingleObsRule:
-    """Prediction (g0, g1) made on observing a busy / clear guard zone."""
-
-    g0: int
-    g1: int
-
-    def __post_init__(self):
-        if self.g0 not in (0, 1) or self.g1 not in (0, 1):
-            raise ValueError("rule outputs must be 0 or 1")
-
-    @classmethod
-    def identity(cls):
-        return cls(0, 1)
-
-    @classmethod
-    def complement(cls):
-        return cls(1, 0)
-
-    @classmethod
-    def always(cls, h: int):
-        return cls(h, h)
-
-
-ALL_SINGLE_OBS_RULES = (SingleObsRule(0, 0), SingleObsRule(0, 1),
-                        SingleObsRule(1, 0), SingleObsRule(1, 1))
-
-
-@dataclass(frozen=True)
 class RocPoint:
     r_O: float
     p_I: float
@@ -111,13 +90,14 @@ class OptimalRadius:
 
 
 def bayes_risk(p: ModelParams, cost: CostMatrix, r_O):
-    """Expected cost of the identity rule at guard-zone radius r_O."""
-    A, B, C, _ = _exponents(p, r_O)
+    """Expected cost of the identity rule at guard-zone radius r_O: the
+    sum over (d, h) of c_dh P(d, h)."""
+    A, B, C, T = _exponents(p, r_O)
     xp = specfn._ops(B)
-    return (cost.c00
-            + (cost.c01 - cost.c00) * math.exp(-A)
-            + (cost.c10 - cost.c00) * xp.exp(-B)
-            + (cost.c11 + cost.c00 - cost.c10 - cost.c01) * xp.exp(-A - C))
+    return (cost.c00 * _busy_failure(p, r_O, B, T)
+            - cost.c01 * math.exp(-A) * xp.expm1(-C)
+            - cost.c10 * xp.exp(-B) * xp.expm1(-T)
+            + cost.c11 * xp.exp(-B - T))
 
 
 def bayes_risk_derivative(p: ModelParams, cost: CostMatrix, r_O):
@@ -153,18 +133,15 @@ def optimal_radius(p: ModelParams, cost: CostMatrix) -> OptimalRadius:
     """
     cost.require_regular()
     if not math.log1p(cost.nu / cost.gamma) > p.sigma * p.eta:
-        boundary = cost.c00 + (cost.c01 - cost.c00) * prior_success(p)
+        boundary = cost.c00 * -math.expm1(-p.A) + cost.c01 * prior_success(p)
         return OptimalRadius(exists=False, r_O=math.inf, risk=boundary)
 
     def h(r):
         return _f_left(p, cost, r) - _f_right(p, r)
 
     r_star = _solve_up(h, p, "the optimal radius")
-    chi = chi_of_radius(p, r_star)
-    t = abc_terms(p, r_star)
-    risk_min = (cost.c00 + (cost.c01 - cost.c00) * math.exp(-t.A)
-                - (cost.c10 - cost.c00) / chi * math.exp(-t.B))
-    return OptimalRadius(exists=True, r_O=r_star, risk=risk_min)
+    return OptimalRadius(exists=True, r_O=r_star,
+                         risk=bayes_risk(p, cost, r_star))
 
 
 def _solve_up(f, p: ModelParams, what: str) -> float:
@@ -197,32 +174,26 @@ def sensitivities(p: ModelParams, cost: CostMatrix) -> tuple[float, float]:
     return d_dlam, d_dsig
 
 
-def type_errors(p: ModelParams, r_O, rule: SingleObsRule) -> tuple:
-    """(Type I, Type II) error probabilities of ``rule`` at radius r_O.
+def type_errors(p: ModelParams, r_O, rule: DecisionRuleTable) -> tuple:
+    """(Type I, Type II) error probabilities of an N = 0 ``rule`` at radius
+    r_O: the cells (d, h=0) it calls a success over P(h=0), and the
+    chance P(d | h=1) of the outcomes d it calls a failure, over the sum
+    of that column.
 
     Type I: predicting success when the SINR test fails; Type II:
     predicting failure when it succeeds.
     """
+    if rule.N != 0:
+        raise ValueError(f"a single-observation rule has N=0, got N={rule.N}")
     A, B, C, T = _exponents(p, r_O)
     xp = specfn._ops(B)
-    h0 = -math.expm1(-A)
-    # P(D=d | H=0) = (P(D=d) - P(D=d, H=1)) / P(H=0) and P(D=0 | H=1),
-    # written with expm1 so that none cancels when its exponents are small
-    d1_h0 = -xp.exp(-B) * xp.expm1(-T) / h0
-    d0_h0 = (math.exp(-A) * xp.expm1(-C) - xp.expm1(-B)) / h0
-    p_I = _predicts(rule.g1, rule.g0, d1_h0, d0_h0)
-    p_II = _predicts(1 - rule.g1, 1 - rule.g0, xp.exp(-C), -xp.expm1(-C))
+    # over d = 0, 1: the cells P(d, h=0), and P(d | h=1), in which a huge
+    # A cancels
+    h0 = (_busy_failure(p, r_O, B, T), -xp.exp(-B) * xp.expm1(-T))
+    h1 = (-xp.expm1(-C), xp.exp(-C))
+    p_I = sum(c for c, g in zip(h0, rule.bits) if g == "1") / sum(h0)
+    p_II = sum(c for c, g in zip(h1, rule.bits) if g == "0") / sum(h1)
     return p_I, p_II
-
-
-def _predicts(g1: int, g0: int, on_d1, on_d0):
-    """Probability of a rule's output being 1, given the probabilities of
-    a clear (``on_d1``) and a busy (``on_d0``) guard zone."""
-    if g1 == g0:
-        if isinstance(on_d1, np.ndarray):
-            return np.full(on_d1.shape, float(g1))
-        return float(g1)
-    return on_d1 if g1 else on_d0
 
 
 @dataclass(frozen=True)
@@ -246,7 +217,7 @@ def operating_points(p: ModelParams) -> OperatingPoints:
     # B(r_MM) = A
     r_mm = (p.A / (p.density * p.c_n)) ** (1.0 / p.n)
 
-    rule = SingleObsRule.identity()
+    rule = DecisionRuleTable.follow_observation(0)
 
     def gap(r):
         pi, pii = type_errors(p, r, rule)
@@ -257,12 +228,13 @@ def operating_points(p: ModelParams) -> OperatingPoints:
     return OperatingPoints(r_DI=r_di, r_MM=r_mm, r_EE=r_ee)
 
 
-def roc_curve(p: ModelParams, r_O_grid, rule: SingleObsRule | None = None) -> list[RocPoint]:
+def roc_curve(p: ModelParams, r_O_grid,
+              rule: DecisionRuleTable | None = None) -> list[RocPoint]:
     """Evaluate (p_I, p_II, uniform-cost risk) along an increasing grid."""
     grid = np.asarray(r_O_grid, dtype=float)
     if not (np.all(np.diff(grid) > 0) and grid[0] > 0):
         raise ValueError("r_O grid must be strictly increasing and positive")
-    rule = rule or SingleObsRule.identity()
+    rule = rule or DecisionRuleTable.follow_observation(0)
     pH = prior_success(p)
     p_i, p_ii = type_errors(p, grid, rule)
     risk = p_i * (1.0 - pH) + p_ii * pH

@@ -10,6 +10,17 @@ nonnegative exponents capture every distribution involved:
     C(r_O)       -- coupling exponent:  P(both)              = exp(-A-C)
 
 so the posterior given a clear guard zone is ``exp(-T)``, ``T = A - B + C``.
+The joint law of the protocol outcome d and the physical outcome h has
+four cells, each a product of positive factors or a sum of positive terms:
+
+    P(d=1, h=1) = exp(-B-T),            P(d=1, h=0) = exp(-B) (1 - exp(-T)),
+    P(d=0, h=1) = exp(-A) (1 - exp(-C)),
+    P(d=0, h=0) = (1 - exp(-B)) (1 - exp(-T)) + exp(-T) (1 - exp(-(B-C))):
+
+the nodes outside the guard zone spoil the slot, or they do not and a
+node inside does (:func:`_busy_failure`). None is a completeness
+subtraction, so each keeps its relative accuracy where it is small next
+to the others, as the busy-zone failure is in a sparse network.
 With the scale ``a = density * c_n * sigma**delta`` and ``chi = r_O**alpha/sigma``,
 
     A = a * kappa(delta) + sigma * eta,   B = a * chi**delta,
@@ -51,7 +62,9 @@ class PosteriorTable:
     """Conditional success probabilities P(physical | protocol) for all
     four (hypothesis, observation) combinations.
 
-    Columns sum to one: ``p_h1_d1 + p_h0_d1 == 1`` and likewise for d=0.
+    Columns sum to one within rounding: ``p_h1_d1 + p_h0_d1`` and
+    ``p_h1_d0 + p_h0_d0``, each formed from its own cells, not as ``1 -``
+    the other.
     """
 
     p_h1_d1: float
@@ -98,6 +111,13 @@ def _exponents(p: ModelParams, r_O):
     return p.A, _B(*args), _C(*args), T
 
 
+def _busy_failure(p: ModelParams, r_O, B, T):
+    """P(d=0, h=0) at radius r_O, given its B and T: two positive terms,
+    with B - C taken from :func:`_BmC`, never as a difference."""
+    xp, gap = specfn._ops(B), _BmC(*_coordinates(p, r_O))
+    return xp.expm1(-B) * xp.expm1(-T) - xp.exp(-T) * xp.expm1(-gap)
+
+
 def prior_success(p: ModelParams) -> float:
     """Unconditional probability the reference SINR clears the threshold."""
     return math.exp(-p.A)
@@ -130,6 +150,7 @@ def posterior(p: ModelParams, r_O) -> PosteriorTable:
     xp = specfn._ops(B)
     # P(H=1, D=0) / P(D=0) = (e^-A - e^(-A-C)) / (1 - e^-B) is of order
     # r_O**alpha; expm1 keeps it exact where both differences are tiny
-    p10 = math.exp(-A) * xp.expm1(-C) / xp.expm1(-B)
-    return PosteriorTable(p_h1_d1=xp.exp(-T), p_h1_d0=p10,
-                          p_h0_d1=-xp.expm1(-T), p_h0_d0=1.0 - p10)
+    busy = -xp.expm1(-B)
+    return PosteriorTable(
+        p_h1_d1=xp.exp(-T), p_h1_d0=math.exp(-A) * -xp.expm1(-C) / busy,
+        p_h0_d1=-xp.expm1(-T), p_h0_d0=_busy_failure(p, r_O, B, T) / busy)

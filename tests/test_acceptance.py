@@ -16,9 +16,8 @@ from scipy import special
 from guardzone import correlation, montecarlo as mc, multi_obs as mo
 from guardzone import nofading, specfn
 from guardzone.params import ModelParams, chi_of_radius, derive
-from guardzone.risk import (CostMatrix, SingleObsRule, bayes_risk,
-                            operating_points, optimal_radius, sensitivities,
-                            type_errors)
+from guardzone.risk import (CostMatrix, bayes_risk, operating_points,
+                            optimal_radius, sensitivities, type_errors)
 from guardzone.single_obs import evidence_success, posterior, prior_success
 
 FIG1 = ModelParams(n=2, density=2e-4, alpha=3, beta=5, r_T=10)
@@ -86,7 +85,8 @@ def test_criterion_4_single_obs_oracle():
     checks = [("p_H", prior_success(FIG1), est.prior)]
     for i, r in enumerate(grid):
         chi = chi_of_radius(derive(FIG1), r)
-        p_i, p_ii = type_errors(FIG1, r, SingleObsRule.identity())
+        p_i, p_ii = type_errors(FIG1, r,
+                                mo.DecisionRuleTable.follow_observation(0))
         checks += [
             (f"p_D@{r:g}", evidence_success(FIG1, r), est.evidence[i]),
             (f"p_H|D@{r:g}", posterior(FIG1, r).p_h1_d1, est.posterior_d1[i]),

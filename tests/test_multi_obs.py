@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from guardzone import multi_obs as mo
 from guardzone.params import ModelParams, derive
-from guardzone.risk import SingleObsRule, type_errors
+from guardzone.risk import type_errors
 from guardzone.single_obs import evidence_success, posterior, prior_success
 from test_single_obs import joint_exponents
 
@@ -414,6 +414,16 @@ class TestDecisionRules:
         with pytest.raises(ValueError):
             mo.DecisionRuleTable(N=1, bits="01x0")
 
+    def test_history_length_validation(self):
+        # N reads as AlohaParams reads it: a whole number, at least 0
+        with pytest.raises(ValueError):
+            mo.DecisionRuleTable(N=-1, bits="")
+        with pytest.raises(ValueError):
+            mo.DecisionRuleTable(N=0.5, bits="01")
+        rule = mo.DecisionRuleTable(N=1.0, bits="0101")
+        assert rule.N == 1 and type(rule.N) is int
+        assert rule == mo.DecisionRuleTable.follow_observation(1)
+
     def test_identity_rule_matches_single_slot_errors(self):
         # following the current observation ignores the history, so its
         # errors equal the thinned single-observation identity rule's
@@ -421,7 +431,7 @@ class TestDecisionRules:
         rule = mo.DecisionRuleTable.follow_observation(ALOHA2.N)
         p_i, p_ii = mo.rule_errors(FIG5, ALOHA2, r_O, rule)
         q_i, q_ii = type_errors(FIG5.thinned(0.5), r_O,
-                                SingleObsRule.identity())
+                                mo.DecisionRuleTable.follow_observation(0))
         assert p_i == pytest.approx(q_i, rel=1e-9)
         assert p_ii == pytest.approx(q_ii, rel=1e-9)
 

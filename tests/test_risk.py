@@ -1,7 +1,7 @@
 """Bayes risk, the optimal radius, sensitivities, errors, and the ROC."""
 
 import math
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import mpmath
 import numpy as np
@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings
 
 from guardzone.correlation import rho
+from guardzone.multi_obs import DecisionRuleTable
 from guardzone.params import ModelParams, derive, radius_of_chi
-from guardzone.risk import (ALL_SINGLE_OBS_RULES, CostMatrix, SingleObsRule,
-                            _f_right, bayes_risk, bayes_risk_derivative,
-                            operating_points,
+from guardzone.risk import (CostMatrix, _f_right, bayes_risk,
+                            bayes_risk_derivative, operating_points,
                             optimal_radius, roc_curve, sensitivities,
                             type_errors)
 from guardzone.single_obs import evidence_success, posterior, prior_success
@@ -22,17 +22,32 @@ from test_specfn import assert_each_alone, straddling_grids
 
 FIG2 = ModelParams(n=2, density=2e-4, alpha=3, beta=5, r_T=10)
 UNIFORM = CostMatrix.uniform()
+ASYMMETRIC = CostMatrix(0.1, 2.0, 0.7, 0.2)
+# every rule of one observation: identity, complement, always 0, always 1
+N0_RULES = [DecisionRuleTable(N=0, bits=b) for b in ("01", "10", "00", "11")]
+
+
+def joint_cells(p, r_O):
+    """Independent P(d, h), keyed (d, h), as 50-digit mpf: the prior
+    e^-A, the evidence e^-B, their joint e^(-A-C) and e^-T from the
+    quadratures of test_single_obs, and the busy-zone failure by
+    completeness, 1 - e^-B - e^-A + e^(-A-C), which cancels at most 18 of
+    those digits over the radii and densities tested here."""
+    A, B, C = joint_exponents(p, r_O)
+    T = outside_exponent(p, r_O)
+    with mpmath.workdps(50):
+        both = mpmath.exp(-A - C)
+        return {(1, 1): both, (1, 0): mpmath.exp(-B) * -mpmath.expm1(-T),
+                (0, 1): mpmath.exp(-A) * -mpmath.expm1(-C),
+                (0, 0): 1 - mpmath.exp(-B) - mpmath.exp(-A) + both}
 
 
 def risk_oracle(p, cost, r_O):
-    """Expected cost assembled from the joint Bernoulli distribution."""
-    pD = evidence_success(p, r_O)
-    t = posterior(p, r_O)
-    joint = {(1, 1): t.p_h1_d1 * pD, (0, 1): t.p_h0_d1 * pD,
-             (1, 0): t.p_h1_d0 * (1 - pD), (0, 0): t.p_h0_d0 * (1 - pD)}
-    cost_of = {(1, 1): cost.c11, (0, 1): cost.c10,
-               (1, 0): cost.c01, (0, 0): cost.c00}
-    return sum(joint[k] * cost_of[k] for k in joint)
+    """Expected cost of following the observation, c_dh P(d, h) summed
+    over the cells of :func:`joint_cells`."""
+    with mpmath.workdps(50):
+        return float(sum(getattr(cost, f"c{d}{h}") * cell
+                         for (d, h), cell in joint_cells(p, r_O).items()))
 
 
 class TestCostMatrix:
@@ -50,7 +65,7 @@ class TestCostMatrix:
 
 class TestBayesRisk:
     @pytest.mark.parametrize("r_O", [1.0, 10.0, 21.1, 100.0])
-    @pytest.mark.parametrize("cost", [UNIFORM, CostMatrix(0.1, 2.0, 0.7, 0.2)])
+    @pytest.mark.parametrize("cost", [UNIFORM, ASYMMETRIC])
     def test_matches_joint_distribution(self, r_O, cost):
         assert bayes_risk(FIG2, cost, r_O) == pytest.approx(
             risk_oracle(FIG2, cost, r_O), rel=1e-10)
@@ -170,7 +185,8 @@ class TestSensitivities:
 class TestTypeErrors:
     def test_identity_rule_from_joint(self):
         r_O = 30.0
-        p_i, p_ii = type_errors(FIG2, r_O, SingleObsRule.identity())
+        p_i, p_ii = type_errors(FIG2, r_O,
+                                DecisionRuleTable.follow_observation(0))
         pD = evidence_success(FIG2, r_O)
         t = posterior(FIG2, r_O)
         pH = prior_success(FIG2)
@@ -178,14 +194,16 @@ class TestTypeErrors:
         assert p_ii == pytest.approx(t.p_h1_d0 * (1 - pD) / pH, rel=1e-10)
 
     def test_constant_rules(self):
-        p_i, p_ii = type_errors(FIG2, 30.0, SingleObsRule.always(1))
+        p_i, p_ii = type_errors(FIG2, 30.0, DecisionRuleTable.constant(0, 1))
         assert (p_i, p_ii) == (1.0, 0.0)
-        p_i, p_ii = type_errors(FIG2, 30.0, SingleObsRule.always(0))
+        p_i, p_ii = type_errors(FIG2, 30.0, DecisionRuleTable.constant(0, 0))
         assert (p_i, p_ii) == (0.0, 1.0)
 
     def test_complement_mirrors_identity(self):
-        p_i, p_ii = type_errors(FIG2, 30.0, SingleObsRule.identity())
-        q_i, q_ii = type_errors(FIG2, 30.0, SingleObsRule.complement())
+        p_i, p_ii = type_errors(FIG2, 30.0,
+                                DecisionRuleTable.follow_observation(0))
+        q_i, q_ii = type_errors(FIG2, 30.0,
+                                DecisionRuleTable.contradict_observation(0))
         assert q_i == pytest.approx(1.0 - p_i)
         assert q_ii == pytest.approx(1.0 - p_ii)
 
@@ -204,7 +222,7 @@ class TestTypeErrors:
                 ref_i.append(float(
                     (mpmath.exp(-B) - mpmath.exp(-A - C)) / -mpmath.expm1(-A)))
                 ref_ii.append(float(-mpmath.expm1(-C)))
-        p_i, p_ii = type_errors(p, r_O, SingleObsRule.identity())
+        p_i, p_ii = type_errors(p, r_O, DecisionRuleTable.follow_observation(0))
         # e^-B underflows to 0 from r_O = 1e3 r_T on
         assert np.atleast_1d(p_i) == pytest.approx(np.array(ref_i), rel=1e-10,
                                                    abs=1e-300)
@@ -214,10 +232,50 @@ class TestTypeErrors:
             np.array(ref_T), rel=1e-10, abs=0.0)
 
     def test_all_rules_bounded(self):
-        for rule in ALL_SINGLE_OBS_RULES:
+        for rule in N0_RULES:
             for r in (1.0, 20.0, 300.0):
                 p_i, p_ii = type_errors(FIG2, r, rule)
                 assert 0.0 <= p_i <= 1.0 and 0.0 <= p_ii <= 1.0
+
+    def test_rejects_multi_slot_rule(self):
+        with pytest.raises(ValueError):
+            type_errors(FIG2, 30.0, DecisionRuleTable.follow_observation(1))
+
+
+class TestDensitySweep:
+    # fig1 geometry over eight decades of density: A is 0.44 at 2e-4 and
+    # 4.4e-9 at 2e-12, where P(d=0, h=0) falls to A next to P(d=0) ~ 1
+    RADII = [1e-3, 1.0, 30.0, 300.0, 3e3, 1e5, 1e6, 1e7]
+
+    @pytest.mark.parametrize("density", [2e-4, 2e-8, 2e-12])
+    def test_busy_failure_cell_against_quadrature(self, density):
+        # what is built from the busy-zone failure cell, within 1e-13 of
+        # the 50-digit cells at eight radii and the optimal one; every
+        # value here is above 1e-290, so none is let off
+        p = replace(FIG2, density=density)
+        opt = optimal_radius(p, UNIFORM)
+        r_O = np.array(self.RADII + [opt.r_O])
+        got = {"p_h0_d0": posterior(p, r_O).p_h0_d0,
+               "complement p_I": type_errors(p, r_O, N0_RULES[1])[0],
+               "uniform risk": bayes_risk(p, UNIFORM, r_O),
+               "asymmetric risk": bayes_risk(p, ASYMMETRIC, r_O),
+               "optimal risk": np.array([opt.risk])}
+        want = {name: [] for name in got}
+        for r in r_O.tolist():
+            cell = joint_cells(p, r)
+            with mpmath.workdps(50):
+                want["p_h0_d0"].append(cell[0, 0] / (cell[0, 0] + cell[0, 1]))
+                want["complement p_I"].append(
+                    cell[0, 0] / (cell[0, 0] + cell[1, 0]))
+        want["uniform risk"] = [risk_oracle(p, UNIFORM, r) for r in r_O]
+        want["asymmetric risk"] = [risk_oracle(p, ASYMMETRIC, r) for r in r_O]
+        want["optimal risk"] = want["uniform risk"][-1:]
+        for name, value in got.items():
+            assert value == pytest.approx(np.array(want[name], float),
+                                          rel=1e-13, abs=0.0), name
+        for rule in N0_RULES:
+            for errors in type_errors(p, r_O, rule):
+                assert np.all((0.0 <= errors) & (errors <= 1.0)), rule
 
 
 class TestGridIndependence:
@@ -228,7 +286,7 @@ class TestGridIndependence:
         # every closed form over a grid of chi = r_O**alpha/sigma that
         # straddles both splits of specfn, at delta = 2/3 (fig1) and 1/2
         r_O = radius_of_chi(derive(p), chi)
-        rule = SingleObsRule.identity()
+        rule = DecisionRuleTable.follow_observation(0)
         assert_each_alone(lambda r: astuple(posterior(p, r)), r_O)
         assert_each_alone(lambda r: evidence_success(p, r), r_O)
         assert_each_alone(lambda r: type_errors(p, r, rule), r_O)
@@ -247,7 +305,8 @@ class TestOperatingPoints:
 
     def test_equal_error(self):
         ops = operating_points(FIG2)
-        p_i, p_ii = type_errors(FIG2, ops.r_EE, SingleObsRule.identity())
+        p_i, p_ii = type_errors(FIG2, ops.r_EE,
+                                DecisionRuleTable.follow_observation(0))
         assert abs(p_i - p_ii) < 1e-9
 
     def test_matched_mean_radius(self):

@@ -39,7 +39,11 @@ def joint_exponents(p, r_O):
 
     Clearing the ball of radius r_O removes its share of the interference
     exponent and costs its void probability, which leaves
-    C = density * c_n * n * int_0^r_O r**(alpha+n-1) / (r**alpha + sigma) dr.
+    C = density * c_n * n * int_0^r_O r**(alpha+n-1) / (r**alpha + sigma) dr,
+    B minus the gap density * c_n * n * int_0^r_O sigma * r**(n-1) /
+    (r**alpha + sigma) dr. Within the knee r = sigma**(1/alpha) C is taken
+    directly; beyond it as B - gap, where the gap is small next to B: a
+    quadrature of C there loses up to 15 of its 30 digits at r_O = 1e7.
     """
     d = derive(p)
     scale = d.sigma ** (1.0 / p.alpha)
@@ -51,9 +55,14 @@ def joint_exponents(p, r_O):
         r_O = mpmath.mpf(r_O)
         B = p.density * d.c_n * r_O**p.n
         # over x = r / r_O, so that the quadrature sees a unit interval
-        C = c * r_O ** (p.alpha + p.n) * mpmath.quad(
-            lambda x: x ** (p.alpha + p.n - 1) / ((r_O * x) ** p.alpha + d.sigma),
-            sorted({0, min(scale / r_O, 1), 1}))
+        if r_O <= scale:
+            C = c * r_O ** (p.alpha + p.n) * mpmath.quad(
+                lambda x: x ** (p.alpha + p.n - 1) / ((r_O * x) ** p.alpha + d.sigma),
+                [0, 1])
+        else:
+            C = B - c * d.sigma * r_O**p.n * mpmath.quad(
+                lambda x: x ** (p.n - 1) / ((r_O * x) ** p.alpha + d.sigma),
+                [0, scale / r_O, 1])
     return A, B, C
 
 
