@@ -37,7 +37,7 @@ import numpy as np
 
 from . import __version__, correlation, montecarlo, multi_obs, nofading, risk
 from .params import ModelParams, _digest, chi_of_radius, radius_of_chi
-from .multi_obs import DecisionRuleTable
+from .multi_obs import DecisionRuleTable, _uniform_risk
 from .risk import CostMatrix
 from .single_obs import evidence_success, posterior, prior_success
 from .specfn import gauss_Q
@@ -224,9 +224,8 @@ def cmd_roc(args, p) -> int:
     r = np.append(grid, radii)
     chi = chi_of_radius(p, r)
     p_i, p_ii = risk.type_errors(p, r, DecisionRuleTable.follow_observation(0))
-    pH = prior_success(p)
     columns = {"r_O": r, "chi": chi, "p_I": p_i, "p_II": p_ii,
-               "risk": p_i * (1.0 - pH) + p_ii * pH,
+               "risk": _uniform_risk(p, p_i, p_ii),
                "rho": correlation.rho(p, chi),
                "label": [""] * len(grid) + list(labels)}
     _emit(args, p, columns, comments, {"grid": grid.tolist()})

@@ -5,10 +5,14 @@ correlation of the two Bernoulli indicators is
 
     rho(chi) = expm1(B - C) / sqrt(expm1(A) * expm1(B))
 
-with the exponents A, B, C of :mod:`guardzone.single_obs`, which defines
-B, C and B - C as functions of chi and of the single scale
-``a = density * c_n * sigma**delta``. The correlation
-vanishes at both extremes and peaks at some ``chi > 1`` solving
+with the exponents A, B, C of :mod:`guardzone.single_obs`. Its
+equations are in chi, so this module writes B, C and B - C in chi
+coordinates and the single scale ``a = density * c_n * sigma**delta``:
+``B = a * chi**delta``, ``C = a * int_I(chi)``, ``B - C = a *
+power_gap(chi)`` (:func:`_B`, :func:`_C`, :func:`_BmC`). The single-slot
+forms of a radius take B from the radius (``single_obs._law``); :func:`_B`
+here is the only other home of B. The correlation vanishes at both
+extremes and peaks at some ``chi > 1`` solving
 
     (1 - chi) * exp(B) + (1 + chi) * exp(C) = 2.
 
@@ -32,7 +36,6 @@ import numpy as np
 
 from . import specfn
 from .params import ModelParams
-from .single_obs import _B, _BmC, _C
 from .specfn import BracketError
 
 
@@ -40,6 +43,22 @@ from .specfn import BracketError
 class CorrelationCurve:
     chi_grid: np.ndarray
     rho_values: np.ndarray
+
+
+def _B(a: float, delta: float, chi):
+    """Evidence exponent in chi coordinates, ``a * chi**delta``."""
+    return a * chi**delta
+
+
+def _C(a: float, delta: float, chi):
+    """Coupling exponent ``a * int_I(chi)``."""
+    return a * specfn.int_I(chi, delta)
+
+
+def _BmC(a: float, delta: float, chi):
+    """B - C, taken directly as ``a * power_gap(chi)``: it stays below
+    ``a * kappa`` for every chi, while B and C both diverge."""
+    return a * specfn.power_gap(chi, delta)
 
 
 def _scaled_rho(a: float, delta: float, chi):

@@ -35,7 +35,7 @@ from itertools import product
 import numpy as np
 
 from .params import ModelParams, _integral
-from .single_obs import _BmC, _coordinates, _exponents, prior_success
+from .single_obs import _law, prior_success
 
 
 @dataclass(frozen=True)
@@ -115,8 +115,7 @@ def _cells(p: ModelParams, aloha: AlohaParams, r_O: float):
     underflows everywhere, which takes p^(N-K) nu_K below about 1e-308.
     """
     _check_noiseless(p)
-    _, B, C, T = _exponents(p, r_O)
-    gap = _BmC(*_coordinates(p, r_O))
+    _, B, C, T, gap, _ = _law(p, r_O)
     N, pc = aloha.N, aloha.p
     log_pb, log_u = math.log1p(-pc), math.log1p(-pc * gap / B)
     hit, miss = math.exp(-pc * T), -math.expm1(-pc * T)
@@ -238,6 +237,13 @@ class DecisionRuleTable:
         return cls(N=N, bits=str(int(h)) * (2 * (N + 1)))
 
 
+def _uniform_risk(p: ModelParams, p_I, p_II):
+    """The uniform-cost risk ``p_I P(h=0) + p_II P(h=1)`` of a rule with
+    errors (p_I, p_II) in scenario ``p``: under Aloha, the thinned one."""
+    pH = prior_success(p)
+    return p_I * (1.0 - pH) + p_II * pH
+
+
 def rule_errors(p: ModelParams, aloha: AlohaParams, r_O: float,
                 rule: DecisionRuleTable) -> tuple[float, float]:
     """(Type I, Type II) error probabilities of a (K, d)-rule g:
@@ -274,12 +280,11 @@ def enumerate_rules(p: ModelParams, aloha: AlohaParams, r_O: float) -> list[Rule
             f"rule enumeration for N={aloha.N} would produce "
             f"2**{2 * (aloha.N + 1)} rules; N is capped at 8")
     thin = p.thinned(aloha.p)
-    pH = prior_success(thin)
     out = []
     width = 2 * (aloha.N + 1)
     for bits in ("".join(b) for b in product("01", repeat=width)):
         rule = DecisionRuleTable(N=aloha.N, bits=bits)
         p_i, p_ii = rule_errors(p, aloha, r_O, rule)
         out.append(RuleEvaluation(rule=rule, p_I=p_i, p_II=p_ii,
-                                  risk=p_i * (1.0 - pH) + p_ii * pH))
+                                  risk=_uniform_risk(thin, p_i, p_ii)))
     return out

@@ -3,16 +3,19 @@
 A decision rule maps the protocol observation (guard zone clear or not)
 to a prediction of physical success: it is a
 :class:`guardzone.multi_obs.DecisionRuleTable` with N = 0, no past
-slots, such as ``follow_observation(0)``. Its errors are ratios of the
-cells of the joint law of (d, h) (:mod:`guardzone.single_obs`): the
-cells it gets wrong in a column over the sum of that column.
+slots, such as ``follow_observation(0)``. Every form here reads the
+joint law of (d, h) at its radius, ``single_obs._law``, and forms no
+exponent of its own: the risk is the law's cells weighted by a 2x2 cost
+matrix, and a rule's errors are the cells it gets wrong in a column
+over the sum of that column. So each form raises ``ValueError`` for a
+radius that is not finite and positive, as the law does.
 
-The expected cost of following the observation, the cells weighted by a
-2x2 cost matrix, is quasi-convex in the radius; its interior minimizer
-solves a monotone-vs-monotone crossing equation, which certifies
-bracketing for the root finder. Under uniform costs the two conditional
-risks are the Type I (false rejection of physical failure) and Type II
-(false acceptance) error probabilities traced out as the ROC.
+The expected cost of following the observation is quasi-convex in the
+radius; its interior minimizer solves a monotone-vs-monotone crossing
+equation, which certifies bracketing for the root finder. Under uniform
+costs the two conditional risks are the Type I (false rejection of
+physical failure) and Type II (false acceptance) error probabilities
+traced out as the ROC.
 
 ``bayes_risk``, ``type_errors`` and the two sides of the crossing
 equation take a float radius or an array of radii, so a risk or ROC
@@ -27,9 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfn
-from .multi_obs import DecisionRuleTable
+from .multi_obs import DecisionRuleTable, _uniform_risk
 from .params import ModelParams, chi_of_radius
-from .single_obs import _busy_failure, _exponents, prior_success
+from .single_obs import _law, prior_success
 
 
 @dataclass(frozen=True)
@@ -92,24 +95,19 @@ class OptimalRadius:
 def bayes_risk(p: ModelParams, cost: CostMatrix, r_O):
     """Expected cost of the identity rule at guard-zone radius r_O: the
     sum over (d, h) of c_dh P(d, h)."""
-    A, B, C, T = _exponents(p, r_O)
-    xp = specfn._ops(B)
-    return (cost.c00 * _busy_failure(p, r_O, B, T)
-            - cost.c01 * math.exp(-A) * xp.expm1(-C)
-            - cost.c10 * xp.exp(-B) * xp.expm1(-T)
-            + cost.c11 * xp.exp(-B - T))
+    (p00, p01), (p10, p11) = _law(p, r_O).cells
+    return cost.c00 * p00 + cost.c01 * p01 + cost.c10 * p10 + cost.c11 * p11
 
 
 def bayes_risk_derivative(p: ModelParams, cost: CostMatrix, r_O):
     """d/dr_O of :func:`bayes_risk`, in closed form: B grows like r_O**n,
     so ``dB/dr_O = n B / r_O``, and ``dC/dr_O = chi/(1+chi) dB/dr_O``."""
-    A, B, C, _ = _exponents(p, r_O)
-    chi = chi_of_radius(p, r_O)
-    xp = specfn._ops(B)
-    return -p.n * B / r_O * (
-        (cost.c10 - cost.c00) * xp.exp(-B)
-        + (cost.c11 + cost.c00 - cost.c10 - cost.c01) * chi / (1.0 + chi)
-        * xp.exp(-A - C))
+    law = _law(p, r_O)
+    xp = specfn._ops(law.B)
+    return -p.n * law.B / r_O * (
+        (cost.c10 - cost.c00) * xp.exp(-law.B)
+        + (cost.c11 + cost.c00 - cost.c10 - cost.c01) * law.chi
+        / (1.0 + law.chi) * xp.exp(-law.A - law.C))
 
 
 def _f_left(p: ModelParams, cost: CostMatrix, r_O):
@@ -120,7 +118,7 @@ def _f_left(p: ModelParams, cost: CostMatrix, r_O):
 
 def _f_right(p: ModelParams, r_O):
     """-T = -A + B - C; increasing from -A up to -sigma*eta."""
-    return -_exponents(p, r_O)[3]
+    return -_law(p, r_O).T
 
 
 def optimal_radius(p: ModelParams, cost: CostMatrix) -> OptimalRadius:
@@ -165,8 +163,7 @@ def sensitivities(p: ModelParams, cost: CostMatrix) -> tuple[float, float]:
     if not opt.exists:
         raise ValueError("no interior optimum; sensitivities undefined")
     r = opt.r_O
-    chi = chi_of_radius(p, r)
-    A, B, C, T = _exponents(p, r)
+    A, B, C, T, _, chi = _law(p, r)
     denom = p.alpha * (1.0 + p.delta * B)
     d_dlam = r * (1.0 + chi) * T / (p.density * denom)
     bracket = 1.0 + p.delta * ((1.0 + chi) * (A + C) - chi * B)
@@ -185,12 +182,9 @@ def type_errors(p: ModelParams, r_O, rule: DecisionRuleTable) -> tuple:
     """
     if rule.N != 0:
         raise ValueError(f"a single-observation rule has N=0, got N={rule.N}")
-    A, B, C, T = _exponents(p, r_O)
-    xp = specfn._ops(B)
-    # over d = 0, 1: the cells P(d, h=0), and P(d | h=1), in which a huge
-    # A cancels
-    h0 = (_busy_failure(p, r_O, B, T), -xp.exp(-B) * xp.expm1(-T))
-    h1 = (-xp.expm1(-C), xp.exp(-C))
+    law = _law(p, r_O)
+    # over d = 0, 1: the cells P(d, h=0), and P(d | h=1)
+    h0, h1 = [row[0] for row in law.cells], law.given_success
     p_I = sum(c for c, g in zip(h0, rule.bits) if g == "1") / sum(h0)
     p_II = sum(c for c, g in zip(h1, rule.bits) if g == "0") / sum(h1)
     return p_I, p_II
@@ -235,8 +229,7 @@ def roc_curve(p: ModelParams, r_O_grid,
     if not (np.all(np.diff(grid) > 0) and grid[0] > 0):
         raise ValueError("r_O grid must be strictly increasing and positive")
     rule = rule or DecisionRuleTable.follow_observation(0)
-    pH = prior_success(p)
     p_i, p_ii = type_errors(p, grid, rule)
-    risk = p_i * (1.0 - pH) + p_ii * pH
+    risk = _uniform_risk(p, p_i, p_ii)
     return [RocPoint(r_O=r, p_I=a, p_II=b, risk=c) for r, a, b, c in
             zip(grid.tolist(), p_i.tolist(), p_ii.tolist(), risk.tolist())]

@@ -10,32 +10,39 @@ nonnegative exponents capture every distribution involved:
     C(r_O)       -- coupling exponent:  P(both)              = exp(-A-C)
 
 so the posterior given a clear guard zone is ``exp(-T)``, ``T = A - B + C``.
-The joint law of the protocol outcome d and the physical outcome h has
-four cells, each a product of positive factors or a sum of positive terms:
+With the scale ``a = density * c_n * sigma**delta`` and ``chi = r_O**alpha/sigma``,
+
+    A = a * kappa(delta) + sigma * eta,   B = density * c_n * r_O**n,
+    C = a * int_I(chi, delta),            B - C = a * power_gap(chi, delta),
+    T = a * power_tail(chi, delta) + sigma * eta.
+
+B is taken from the radius, not as ``a * chi**delta``, a power of a
+power of r_O whose few ulps ``exp(-B)`` would multiply by B. The gap
+and T come from one series pass (:func:`guardzone.specfn._gap_tail`),
+and C from ``int_I``. The scale and A are attributes of the scenario,
+``p.a`` and ``p.A`` (:class:`guardzone.params.ModelParams`).
+
+The joint law of the protocol outcome d and the physical outcome h at
+one radius is :func:`_law`, the one home of these exponents and of the
+four cells, each a product of positive factors or a sum of positive
+terms:
 
     P(d=1, h=1) = exp(-B-T),            P(d=1, h=0) = exp(-B) (1 - exp(-T)),
     P(d=0, h=1) = exp(-A) (1 - exp(-C)),
     P(d=0, h=0) = (1 - exp(-B)) (1 - exp(-T)) + exp(-T) (1 - exp(-(B-C))):
 
 the nodes outside the guard zone spoil the slot, or they do not and a
-node inside does (:func:`_busy_failure`). None is a completeness
-subtraction, so each keeps its relative accuracy where it is small next
-to the others, as the busy-zone failure is in a sparse network.
-With the scale ``a = density * c_n * sigma**delta`` and ``chi = r_O**alpha/sigma``,
+node inside does. None is a completeness subtraction, so each keeps its
+relative accuracy where it is small next to the others, as the busy-zone
+failure is in a sparse network. The law also gives P(d | h=1), in which
+a huge A cancels. It checks the radius, once: every form that reads it
+raises ``ValueError`` for a radius that is not finite and positive.
+Every other single-slot form reads the law and forms no exponent of its
+own; :mod:`guardzone.correlation` writes B and C in chi, as its
+equations are.
 
-    A = a * kappa(delta) + sigma * eta,   B = a * chi**delta,
-    C = a * int_I(chi, delta),            B - C = a * power_gap(chi, delta),
-    T = a * power_tail(chi, delta) + sigma * eta.
-
-The scale and A are attributes of the scenario, ``p.a`` and ``p.A``
-(:class:`guardzone.params.ModelParams`); B, C and T are each defined
-once, below. Every other module builds on these definitions. All
-probabilities are assembled in log-space and exponentiated once: ``B``
-alone overflows ``exp`` for large radii while ``B - C`` stays bounded by
-``a * kappa``, and ``T`` is small next to ``A``.
-
-The exponents, :func:`evidence_success` and :func:`posterior` take a
-float radius or a numpy array of radii, and return floats or arrays to
+The law, :func:`evidence_success` and :func:`posterior` take a float
+radius or a numpy array of radii, and return floats or arrays to
 match; :func:`guardzone.specfn._ops` picks ``math`` or numpy for them.
 """
 
@@ -43,18 +50,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import specfn
 from .params import ModelParams, chi_of_radius
-
-
-@dataclass(frozen=True)
-class AbcTerms:
-    """The three exponents; ``A`` does not depend on the radius."""
-
-    A: float
-    B: float
-    C: float
 
 
 @dataclass(frozen=True)
@@ -73,49 +72,45 @@ class PosteriorTable:
     p_h0_d0: float
 
 
-def _coordinates(p: ModelParams, r_O) -> tuple:
-    """(a, delta, chi) at guard-zone radius r_O: the arguments of B, C, B - C."""
-    return p.a, p.delta, chi_of_radius(p, r_O)
+class _Law(NamedTuple):
+    """The joint law of (d, h) at one radius: A, a float, and B, C, T, the
+    gap B - C and chi, floats or arrays, as r_O is."""
+
+    A: float
+    B: object
+    C: object
+    T: object
+    gap: object
+    chi: object
+
+    @property
+    def cells(self) -> tuple:
+        """P(d, h), indexed [d][h], each a product of positive factors or a
+        sum of positive terms."""
+        xp = specfn._ops(self.B)
+        # 1 - e^-B, 1 - e^-T and 1 - e^-(B-C), each by expm1
+        busy, fail, spoil = (-xp.expm1(-x) for x in (self.B, self.T, self.gap))
+        return ((busy * fail + xp.exp(-self.T) * spoil,
+                 math.exp(-self.A) * -xp.expm1(-self.C)),
+                (xp.exp(-self.B) * fail, xp.exp(-self.B - self.T)))
+
+    @property
+    def given_success(self) -> tuple:
+        """P(d | h=1), d = 0, 1, in which a huge A cancels."""
+        xp = specfn._ops(self.C)
+        return -xp.expm1(-self.C), xp.exp(-self.C)
 
 
-def _B(a: float, delta: float, chi):
-    """Evidence exponent ``a * chi**delta = density * c_n * r_O**n``."""
-    return a * chi**delta
-
-
-def _C(a: float, delta: float, chi):
-    """Coupling exponent ``a * int_I(chi)``."""
-    return a * specfn.int_I(chi, delta)
-
-
-def _BmC(a: float, delta: float, chi):
-    """B - C, taken directly as ``a * power_gap(chi)``: it stays below
-    ``a * kappa`` for every chi, while B and C both diverge."""
-    return a * specfn.power_gap(chi, delta)
-
-
-def _tail(a: float, delta: float, chi):
-    """T without its noise term: ``a * power_tail(chi)``, the interference
-    exponent of the nodes outside the guard zone."""
-    return a * specfn.power_tail(chi, delta)
-
-
-def _exponents(p: ModelParams, r_O):
-    """(A, B, C, T) at a positive guard-zone radius r_O, T = A - (B - C).
-
-    A is a float; B, C and T are floats or arrays, as r_O is."""
-    if not specfn._all(r_O > 0):
-        raise ValueError(f"r_O must be positive, got {r_O}")
-    args = _coordinates(p, r_O)
-    T = _tail(*args) + p.sigma * p.eta
-    return p.A, _B(*args), _C(*args), T
-
-
-def _busy_failure(p: ModelParams, r_O, B, T):
-    """P(d=0, h=0) at radius r_O, given its B and T: two positive terms,
-    with B - C taken from :func:`_BmC`, never as a difference."""
-    xp, gap = specfn._ops(B), _BmC(*_coordinates(p, r_O))
-    return xp.expm1(-B) * xp.expm1(-T) - xp.exp(-T) * xp.expm1(-gap)
+def _law(p: ModelParams, r_O) -> _Law:
+    """The :class:`_Law` at a finite positive guard-zone radius r_O, a
+    float or an array; raises ``ValueError`` for any other."""
+    if not specfn._all((r_O > 0) & (r_O < math.inf)):
+        raise ValueError(f"r_O must be finite and positive, got {r_O}")
+    chi = chi_of_radius(p, r_O)
+    gap, tail = specfn._gap_tail(chi, p.delta)
+    return _Law(A=p.A, B=p.density * p.c_n * r_O**p.n,
+                C=p.a * specfn.int_I(chi, p.delta),
+                T=p.a * tail + p.sigma * p.eta, gap=p.a * gap, chi=chi)
 
 
 def prior_success(p: ModelParams) -> float:
@@ -125,14 +120,8 @@ def prior_success(p: ModelParams) -> float:
 
 def evidence_success(p: ModelParams, r_O):
     """Void probability of the guard zone, ``exp(-density * c_n * r_O**n)``."""
-    B = _B(*_coordinates(p, r_O))
+    B = _law(p, r_O).B
     return specfn._ops(B).exp(-B)
-
-
-def abc_terms(p: ModelParams, r_O: float) -> AbcTerms:
-    """Evaluate A, B(r_O), C(r_O) for a positive guard-zone radius."""
-    A, B, C, _ = _exponents(p, r_O)
-    return AbcTerms(A=A, B=B, C=C)
 
 
 def posterior(p: ModelParams, r_O) -> PosteriorTable:
@@ -143,14 +132,11 @@ def posterior(p: ModelParams, r_O) -> PosteriorTable:
     tends to :func:`prior_success` as r_O -> 0 and to ``exp(-sigma*eta)``
     as r_O -> inf. An array of radii gives a table of arrays.
     """
-    if not specfn._all((r_O > 0) & (r_O < math.inf)):
-        raise ValueError(
-            f"posterior requires a finite positive r_O, got {r_O}")
-    A, B, C, T = _exponents(p, r_O)
-    xp = specfn._ops(B)
+    law = _law(p, r_O)
+    xp = specfn._ops(law.B)
     # P(H=1, D=0) / P(D=0) = (e^-A - e^(-A-C)) / (1 - e^-B) is of order
     # r_O**alpha; expm1 keeps it exact where both differences are tiny
-    busy = -xp.expm1(-B)
-    return PosteriorTable(
-        p_h1_d1=xp.exp(-T), p_h1_d0=math.exp(-A) * -xp.expm1(-C) / busy,
-        p_h0_d1=-xp.expm1(-T), p_h0_d0=_busy_failure(p, r_O, B, T) / busy)
+    busy = -xp.expm1(-law.B)
+    (h0, h1), _ = law.cells
+    return PosteriorTable(p_h1_d1=xp.exp(-law.T), p_h1_d0=h1 / busy,
+                          p_h0_d1=-xp.expm1(-law.T), p_h0_d0=h0 / busy)

@@ -7,7 +7,9 @@
   ``delta * int_0^u t**delta / (1+t) dt`` appearing in every
   void-conditioned Laplace transform.
 * ``power_gap = u**delta - int_I`` and ``power_tail = kappa - power_gap``,
-  exposed because each difference is what an exponent needs.
+  exposed because each difference is what an exponent needs. Both are
+  read from one series pass, ``_gap_tail``, which returns the pair: an
+  exponent that needs both takes them from one call.
 * ``gauss_Q(z)`` -- the standard normal CCDF, needed by the Levy-law
   prior and by Monte Carlo confidence intervals.
 * ``_find_root`` and ``_expand`` -- the bracketed root solver of every
@@ -20,11 +22,12 @@ function but ``pow``. By Pfaff's transformation each is a factor times
 * for u <= 1, with ``x = u/(1+u)``,
   ``power_gap = u**delta/(1+u) * F_{1+delta}(x)`` and
   ``int_I = delta/(1+delta) * u**(1+delta)/(1+u) * F_{2+delta}(x)``;
-* for u >= 1, with ``v = 1/u`` and ``y = v/(1+v)``,
+* for u > 1, with ``v = 1/u`` and ``y = v/(1+v)``,
   ``power_tail = delta/(1-delta) * v**(1-delta)/(1+v) * F_{2-delta}(y)``.
 
 On the other side of u = 1, ``power_gap`` and ``power_tail`` are each
-kappa minus the other. ``int_I`` keeps its series up to u = 3 (x = 3/4)
+kappa minus the other: one branch on u picks the series, and the pass
+gives both. ``int_I`` keeps its series up to u = 3 (x = 3/4)
 and is ``u**delta - kappa + power_tail`` only beyond: just above u = 1
 that difference cancels as delta -> 1 (9e-13 off at delta = 0.99,
 u = 1.01). It is never ``u**delta - power_gap``, which cancels for small
@@ -235,7 +238,8 @@ def _split(u, above, lower, upper) -> np.ndarray:
     """``upper`` of the elements of ``u`` where ``above`` holds and
     ``lower`` of the rest, with ``u`` taken as a float array and checked
     to be nonnegative; ``above`` is a test that holds from some positive
-    u on.
+    u on. ``lower`` and ``upper`` return an array or a pair of arrays,
+    which comes back as an array whose first axis holds the two.
 
     Each side is evaluated on its own subarray, by the same operations
     whatever else the array holds, so an element's value does not depend
@@ -250,10 +254,10 @@ def _split(u, above, lower, upper) -> np.ndarray:
         raise ValueError(f"u must be nonnegative, got {u[neg].min()}")
     if not hi.any():
         return lower(u)
-    out = np.empty_like(u)
-    out[hi] = upper(u[hi])
-    lo = ~hi
-    out[lo] = lower(u[lo])
+    up = upper(u[hi])
+    out = np.empty(np.shape(up)[:-1] + u.shape)
+    out[..., hi] = up
+    out[..., ~hi] = lower(u[~hi])
     return out
 
 
@@ -264,23 +268,39 @@ def _nan_or_raise(u: float) -> float:
     return u
 
 
+def _gap_tail(u, delta: float):
+    """``(power_gap(u), power_tail(u))`` from one series: power_gap's up
+    to u = 1 and power_tail's above, each function there ``kappa`` minus
+    the other. For an array, a pair of arrays shaped like ``u``."""
+    t = _table(delta)
+    if isinstance(u, float):
+        if u > 1.0:
+            tail = _ratio(t.tail, 1.0 / u, 1.0 - delta)
+            return t.kappa - tail, tail
+        if u >= 0.0:
+            gap = _ratio(t.gap, u, delta)
+            return gap, t.kappa - gap
+        u = _nan_or_raise(u)
+        return u, u
+
+    def below(v):
+        gap = _ratio_array(t.gap_rows, v, delta)
+        return gap, t.kappa - gap
+
+    def above(v):
+        tail = _ratio_array(t.tail_rows, 1.0 / v, 1.0 - delta)
+        return t.kappa - tail, tail
+
+    return _split(u, lambda v: v > 1.0, below, above)
+
+
 def power_gap(u, delta: float):
     """Compute ``delta * int_0^u t**(delta-1)/(1+t) dt``.
 
     Equals ``u**delta - int_I(u, delta)``; increases from 0 to
     ``kappa(delta)`` as u grows.
     """
-    t = _table(delta)
-    if isinstance(u, float):
-        if u > 1.0:
-            return t.kappa - _ratio(t.tail, 1.0 / u, 1.0 - delta)
-        if u >= 0.0:
-            return _ratio(t.gap, u, delta)
-        return _nan_or_raise(u)
-    return _split(u, lambda v: v > 1.0,
-                  lambda v: _ratio_array(t.gap_rows, v, delta),
-                  lambda v: t.kappa - _ratio_array(t.tail_rows, 1.0 / v,
-                                                   1.0 - delta))
+    return _gap_tail(u, delta)[0]
 
 
 def power_tail(u, delta: float):
@@ -289,16 +309,7 @@ def power_tail(u, delta: float):
     Equals ``kappa(delta) - power_gap(u, delta)``; decreases from
     ``kappa(delta)`` to 0 as u grows.
     """
-    t = _table(delta)
-    if isinstance(u, float):
-        if u >= 1.0:
-            return _ratio(t.tail, 1.0 / u, 1.0 - delta)
-        if u >= 0.0:
-            return t.kappa - _ratio(t.gap, u, delta)
-        return _nan_or_raise(u)
-    return _split(u, lambda v: v >= 1.0,
-                  lambda v: t.kappa - _ratio_array(t.gap_rows, v, delta),
-                  lambda v: _ratio_array(t.tail_rows, 1.0 / v, 1.0 - delta))
+    return _gap_tail(u, delta)[1]
 
 
 def int_I(u, delta: float):

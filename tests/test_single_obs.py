@@ -10,9 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from guardzone.params import ModelParams, derive
-from guardzone.single_obs import (abc_terms, evidence_success, posterior,
+from guardzone.multi_obs import (AlohaParams, DecisionRuleTable, p_K,
+                                 p_d_given_K, p_h_given_K,
+                                 posterior_given_K_d, rule_errors)
+from guardzone.params import ModelParams, chi_of_radius, derive
+from guardzone.risk import (CostMatrix, _f_right, bayes_risk,
+                            bayes_risk_derivative, optimal_radius,
+                            type_errors)
+from guardzone.single_obs import (_law, evidence_success, posterior,
                                   prior_success)
+from guardzone.specfn import BracketError
 
 FIG1 = ModelParams(n=2, density=2e-4, alpha=3, beta=5, r_T=10)
 NOISY = ModelParams(n=2, density=2e-4, alpha=3, beta=5, r_T=10, eta=1e-5)
@@ -174,29 +181,54 @@ class TestPosterior:
             np.array(ref_01), rel=1e-10, abs=0.0)
 
     def test_rejects_degenerate_radius(self):
-        for bad in (0.0, -1.0, math.inf, math.nan):
-            with pytest.raises(ValueError):
-                posterior(FIG1, bad)
+        # every form that reads the single-slot law: those of one slot as
+        # a float and inside an array, the Aloha ones through their cells
+        uniform = CostMatrix.uniform()
+        rule = DecisionRuleTable.follow_observation(0)
+        single_slot = [
+            lambda r: posterior(FIG1, r),
+            lambda r: evidence_success(FIG1, r),
+            lambda r: bayes_risk(FIG1, uniform, r),
+            lambda r: bayes_risk_derivative(FIG1, uniform, r),
+            lambda r: _f_right(FIG1, r),
+            lambda r: type_errors(FIG1, r, rule)]
+        aloha = AlohaParams(0.5, 1)
+        aloha_forms = [
+            lambda r: rule_errors(FIG1, aloha, r,
+                                  DecisionRuleTable.follow_observation(1)),
+            lambda r: p_K(FIG1, aloha, r, 0),
+            lambda r: p_h_given_K(FIG1, aloha, r, 0),
+            lambda r: p_d_given_K(FIG1, aloha, r, 0),
+            lambda r: posterior_given_K_d(FIG1, aloha, r, 0, 0)]
+        for bad in (0.0, -1.0, math.inf, -math.inf, math.nan):
+            for form in single_slot + aloha_forms:
+                with pytest.raises(ValueError, match="finite and positive"):
+                    form(bad)
+            for form in single_slot:
+                with pytest.raises(ValueError, match="finite and positive"):
+                    form(np.array([30.0, bad]))
 
 
-class TestAbcTerms:
+class TestLaw:
+    """The exponents of :func:`guardzone.single_obs._law`."""
+
     def test_prior_evidence_consistency(self):
-        t = abc_terms(FIG1, 30.0)
-        assert math.exp(-t.A) == pytest.approx(prior_success(FIG1), rel=1e-12)
-        assert math.exp(-t.B) == pytest.approx(
+        law = _law(FIG1, 30.0)
+        assert math.exp(-law.A) == pytest.approx(prior_success(FIG1), rel=1e-12)
+        assert math.exp(-law.B) == pytest.approx(
             evidence_success(FIG1, 30.0), rel=1e-12)
 
     def test_posterior_assembly(self):
-        t = abc_terms(FIG1, 30.0)
-        assert math.exp(-t.A + t.B - t.C) == pytest.approx(
+        law = _law(FIG1, 30.0)
+        assert math.exp(-law.A + law.B - law.C) == pytest.approx(
             posterior(FIG1, 30.0).p_h1_d1, rel=1e-10)
 
     @given(st.floats(1e-3, 1e5))
     @settings(max_examples=100, deadline=None)
     def test_exponents_nonnegative(self, r_O):
-        t = abc_terms(FIG1, r_O)
-        assert t.A >= 0 and t.B >= 0 and t.C >= 0
-        assert t.B - t.C >= 0  # clearing the zone never hurts
+        law = _law(FIG1, r_O)
+        assert law.A >= 0 and law.B >= 0 and law.C >= 0
+        assert law.B - law.C >= 0  # clearing the zone never hurts
 
 
 class TestConditionalLT:
@@ -214,3 +246,126 @@ class TestConditionalLT:
                 [r_O, 100 * r_O, 1e4 * r_O, mpmath.inf])
             oracle = float(mpmath.exp(-expo))
         assert posterior(p, r_O).p_h1_d1 == pytest.approx(oracle, rel=1e-10)
+
+
+@functools.cache
+def hypergeometric_shapes(delta, chi):
+    """(B - C, C, T - sigma*eta) over the scale a, at chi, as 50-digit mpf
+    from Gauss's function, each a product of positive factors:
+    u**delta 2F1(1, delta; 1+delta; -u),
+    delta/(1+delta) u**(1+delta) 2F1(1, 1+delta; 2+delta; -u) and
+    delta/(1-delta) u**(delta-1) 2F1(1, 1-delta; 2-delta; -1/u)."""
+    with mpmath.workdps(50):
+        d, u = mpmath.mpf(delta), mpmath.mpf(chi)
+        hyp2f1 = mpmath.hyp2f1
+        return (u**d * hyp2f1(1, d, 1 + d, -u),
+                d / (1 + d) * u ** (1 + d) * hyp2f1(1, 1 + d, 2 + d, -u),
+                d / (1 - d) * u ** (d - 1) * hyp2f1(1, 1 - d, 2 - d, -1 / u))
+
+
+def hypergeometric_law(p, r_O):
+    """Independent C, T and cells P(d, h), keyed (d, h), as 50-digit
+    mpf, with B = density * c_n * r_O**n from the radius and the rest
+    from :func:`hypergeometric_shapes` at the scenario's own delta, sigma
+    and chi = chi_of_radius(p, r_O), taken as exact."""
+    gap, C, tail = hypergeometric_shapes(p.delta, chi_of_radius(p, r_O))
+    with mpmath.workdps(50):
+        d, sigma = mpmath.mpf(p.delta), mpmath.mpf(p.sigma)
+        a = p.density * mpmath.pi * sigma**d
+        A = a * mpmath.pi * d / mpmath.sin(mpmath.pi * d) + sigma * p.eta
+        B = p.density * mpmath.pi * mpmath.mpf(r_O) ** 2
+        C, T, gap = a * C, a * tail + sigma * p.eta, a * gap
+
+        def fail(x):
+            return -mpmath.expm1(-x)
+
+        cells = {(1, 1): mpmath.exp(-B - T), (1, 0): mpmath.exp(-B) * fail(T),
+                 (0, 1): mpmath.exp(-A) * fail(C),
+                 (0, 0): fail(B) * fail(T) + mpmath.exp(-T) * fail(gap)}
+    return C, T, cells
+
+
+class TestDomainSweep:
+    """Every single-slot form of a radius against 50-digit exponents from
+    Gauss's hypergeometric function, which cancel nowhere: n = 2, delta
+    from 0.05 to 0.976 (alpha from 40 to 2.05), densities 2e-2 to 2e-12,
+    eta = 0 and 1e-5, r_O from 1e-3 to 1e7 and the optimal radius.
+
+    The scenario's delta, sigma and chi are the reference's inputs, so
+    this measures the arithmetic of the closed forms, not how rounding
+    n/alpha or r_O**alpha/sigma moves them. B from the radius and B - C
+    from chi then differ in their last digits, so the cells take the
+    positive forms of single_obs, not a completeness subtraction;
+    test_risk's TestDensitySweep checks those forms against quadrature
+    of the model. Each value is checked within
+    1e-13 relative, plus two ulps of its exponent: a value e^-X is no
+    better than X, and at X = 630 two ulps of X are 2.8e-13 relative.
+    Values below 1e-290 are let off; exp underflows there."""
+
+    DENSITIES = [2e-2, 2e-4, 2e-6, 2e-8, 2e-10, 2e-12]
+    RADII = [10.0**k for k in range(-3, 8)]
+    RULES = [DecisionRuleTable(N=0, bits=b) for b in ("01", "10", "00", "11")]
+    COSTS = {"uniform": CostMatrix.uniform(),
+             "asymmetric": CostMatrix(0.1, 2.0, 0.7, 0.2)}
+
+    def forms(self, p, r_O):
+        """Every form over the radii r_O, by name."""
+        got = {"evidence": evidence_success(p, r_O)}
+        got.update((f"{name} risk", bayes_risk(p, cost, r_O))
+                   for name, cost in self.COSTS.items())
+        got.update(vars(posterior(p, r_O)))
+        for rule in self.RULES:
+            got[f"p_I {rule.bits}"], got[f"p_II {rule.bits}"] = type_errors(
+                p, r_O, rule)
+        return got
+
+    def reference(self, p, r_O):
+        """Every form at the radius r_O from :func:`hypergeometric_law`."""
+        C, T, cell = hypergeometric_law(p, r_O)
+        with mpmath.workdps(50):
+            busy, h0 = cell[0, 0] + cell[0, 1], cell[0, 0] + cell[1, 0]
+            given_h1 = (-mpmath.expm1(-C), mpmath.exp(-C))
+            want = {"evidence": cell[1, 0] + cell[1, 1],
+                    "p_h1_d1": mpmath.exp(-T), "p_h0_d1": -mpmath.expm1(-T),
+                    "p_h1_d0": cell[0, 1] / busy, "p_h0_d0": cell[0, 0] / busy}
+            want.update((f"{name} risk", sum(
+                getattr(cost, f"c{d}{h}") * v for (d, h), v in cell.items()))
+                for name, cost in self.COSTS.items())
+            for rule in self.RULES:
+                want[f"p_I {rule.bits}"] = sum(
+                    cell[d, 0] for d in (0, 1) if rule.bits[d] == "1") / h0
+                want[f"p_II {rule.bits}"] = sum(
+                    given_h1[d] for d in (0, 1) if rule.bits[d] == "0")
+        return want
+
+    @staticmethod
+    def check(got, want, where):
+        """``got`` within the bound of the 50-digit ``want``, unless
+        ``want`` is below 1e-290."""
+        if want > 1e-290:
+            error = float(abs(float(got) / want - 1))
+            bound = 1e-13 + 4.5e-16 * max(0.0, -float(mpmath.log(want)))
+            assert error <= bound, (where, error, bound)
+
+    @pytest.mark.parametrize("alpha", [40.0, 8.0, 4.0, 3.0, 2.5, 2.05])
+    def test_against_hypergeometric_exponents(self, alpha):
+        for density in self.DENSITIES:
+            for eta in (0.0, 1e-5):
+                p = ModelParams(n=2, density=density, alpha=alpha, beta=5,
+                                r_T=10, eta=eta)
+                try:
+                    opt = optimal_radius(p, self.COSTS["uniform"])
+                except BracketError:
+                    # at alpha = 2.05 and densities from 2e-4 on, the
+                    # optimum lies beyond the solver's cap of 1e15 r_T
+                    opt = None
+                # where there is no interior optimum (sigma * eta > log 2
+                # at alpha = 8 and 40), its limit e^-A underflows
+                radii = self.RADII + ([opt.r_O] if opt and opt.exists else [])
+                got = self.forms(p, np.array(radii))
+                for i, r in enumerate(radii):
+                    for name, want in self.reference(p, r).items():
+                        self.check(got[name][i], want, (name, p, r))
+                if opt and opt.exists:
+                    self.check(opt.risk, self.reference(p, opt.r_O)[
+                        "uniform risk"], ("optimum", p))
