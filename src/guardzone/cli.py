@@ -386,16 +386,16 @@ def cmd_validate(args, p) -> int:
         r_O = float(grid[0])
         mo = montecarlo.estimate_multiobs(p, aloha, r_O, cfg)
         estimates.append(mo.config_hash)
-        laws = multi_obs._by_K(p, aloha, r_O)
+        laws = multi_obs.aloha_laws(p, aloha, r_O)
         for k in range(aloha.N + 1):
             for name in ("p_K", "p_h_given_K", "p_d_given_K"):
-                checks.append(_check(f"{name}[K={k}]", float(laws[name][k]),
+                checks.append(_check(f"{name}[K={k}]",
+                                     float(getattr(laws, name)[k]),
                                      getattr(mo, name)[k]))
             for d_obs in (0, 1):
-                checks.append(_check(
-                    f"posterior[K={k},d={d_obs}]",
-                    float(laws["posterior"][k, d_obs]),
-                    mo.posterior[(k, d_obs)]))
+                checks.append(_check(f"posterior[K={k},d={d_obs}]",
+                                     float(laws.posterior[k, d_obs]),
+                                     mo.posterior[k, d_obs]))
 
     _holm(checks)
     columns = {name: [c[name] for c in checks] for name in checks[0]}

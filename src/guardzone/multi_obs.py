@@ -18,9 +18,10 @@ node in the zone does not spoil the slot, and ``1 + xi = u/pb = 1 +
 p C/(pb B)``. Every cell P(K, d, h) of the joint law is the Poisson
 expectation of one of these terms times the history law ``C(N,K)
 pb^(mK) (1 - pb^m)^(N-K)``: a sum of nonnegative terms over a window of
-counts (:func:`_weights`, :func:`_cells`). Every public quantity is a sum
-or a ratio of cells, so none is formed by a subtraction, and ``f_d`` is
-the same window sum.
+counts (:func:`_weights`, :func:`_cells`). :func:`aloha_laws` reads the
+law at one radius by K, and :func:`rule_errors` weighs its cells by a
+rule. Each of their values is a sum or a ratio of cells, so none is
+formed by a subtraction, and ``f_d`` is the same window sum.
 
 Single-slot quantities reappear throughout with the density thinned to
 ``p * density``.
@@ -147,54 +148,33 @@ def _cells(p: ModelParams, aloha: AlohaParams, r_O: float):
     return p_K, np.array([(c0 + c1) / s0, p_d1]).T, p_h
 
 
-def _by_K(p: ModelParams, aloha: AlohaParams, r_O: float) -> dict:
-    """Every K's value of :func:`p_K`, :func:`p_h_given_K`,
-    :func:`p_d_given_K` and, indexed [K, d], :func:`posterior_given_K_d`,
-    from one :func:`_cells` call."""
-    p_K, p_d, p_h = _cells(p, aloha, r_O)
-    return {"p_K": p_K, "p_h_given_K": np.array(
-                [p_d[K] @ p_h[K, :, 1] for K in range(aloha.N + 1)]),
-            "p_d_given_K": p_d[:, 1], "posterior": p_h[:, :, 1]}
+@dataclass(frozen=True)
+class AlohaLaws:
+    """The joint law of (K, d, h) at one radius, read by K: ``p_K[K]``,
+    ``p_d_given_K[K]`` and ``p_h_given_K[K]``, the chances of K protocol
+    successes in the N observed slots and of a protocol and a physical
+    success in slot N+1 given K, and ``posterior[K, d]``, P(h=1 | K, d).
 
-
-def p_h_given_K(p: ModelParams, aloha: AlohaParams, r_O: float, K: int) -> float:
-    """Physical success probability in slot N+1 given K of N past protocol
-    successes: the sum over d of P(d | K) P(h=1 | K, d)."""
-    _check_K(aloha, K)
-    return float(_by_K(p, aloha, r_O)["p_h_given_K"][K])
-
-
-def p_d_given_K(p: ModelParams, aloha: AlohaParams, r_O: float, K: int) -> float:
-    """Protocol success probability in slot N+1 given K past successes:
-    ``e^{-p nu_K}``, ``nu_K = B pb^K``, times a ratio of window sums that
-    tends to 1 as the radius grows."""
-    _check_K(aloha, K)
-    return float(_by_K(p, aloha, r_O)["p_d_given_K"][K])
-
-
-def p_K(p: ModelParams, aloha: AlohaParams, r_O: float, K: int) -> float:
-    """Marginal probability of K protocol successes in the N observed slots."""
-    _check_K(aloha, K)
-    return float(_by_K(p, aloha, r_O)["p_K"][K])
-
-
-def _check_K(aloha: AlohaParams, K: int) -> None:
-    if not 0 <= K <= aloha.N:
-        raise ValueError(f"K must lie in [0, {aloha.N}], got {K}")
-
-
-def posterior_given_K_d(p: ModelParams, aloha: AlohaParams, r_O: float,
-                        K: int, d_obs: int) -> float:
-    """P(physical success | K past successes, current protocol outcome).
-
-    Given a clear guard zone the history is uninformative and the value
-    equals the thinned single-slot posterior ``e^{-pT}`` for every K. Given
-    a busy zone it is the (d=0, h=1) cell over the sum of both d=0 cells.
+    Given a clear guard zone (d = 1) the history is uninformative, and
+    ``posterior[K, 1]`` is the thinned single-slot posterior ``e^{-pT}``
+    for every K. Given a busy zone it is the (d=0, h=1) cell over the sum
+    of both d=0 cells.
     """
-    _check_K(aloha, K)
-    if d_obs not in (0, 1):
-        raise ValueError(f"d must be 0 or 1, got {d_obs}")
-    return float(_by_K(p, aloha, r_O)["posterior"][K, d_obs])
+
+    p_K: np.ndarray
+    p_d_given_K: np.ndarray
+    p_h_given_K: np.ndarray
+    posterior: np.ndarray
+
+
+def aloha_laws(p: ModelParams, aloha: AlohaParams, r_O: float) -> AlohaLaws:
+    """Every K's value of the Aloha history law at radius ``r_O``, from one
+    :func:`_cells` call. ``p_d_given_K[K]`` is ``e^{-p nu_K}``, ``nu_K =
+    B pb^K``, times a ratio of window sums that tends to 1 as the radius
+    grows; ``p_h_given_K[K]`` is the sum over d of P(d | K) P(h=1 | K, d)."""
+    p_K, p_d, p_h = _cells(p, aloha, r_O)
+    p_h_given_K = np.array([d @ h[:, 1] for d, h in zip(p_d, p_h)])
+    return AlohaLaws(p_K, p_d[:, 1], p_h_given_K, p_h[:, :, 1])
 
 
 @dataclass(frozen=True)

@@ -27,10 +27,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import specfn
-from .multi_obs import DecisionRuleTable, _uniform_risk
+from .multi_obs import DecisionRuleTable
 from .params import ModelParams, chi_of_radius
 from .single_obs import _law, prior_success
 
@@ -68,14 +66,6 @@ class CostMatrix:
             raise ValueError(
                 "optimization requires wrong decisions to cost more than "
                 f"right ones (c10 > c00 and c01 > c11); got {self}")
-
-
-@dataclass(frozen=True)
-class RocPoint:
-    r_O: float
-    p_I: float
-    p_II: float
-    risk: float
 
 
 @dataclass(frozen=True)
@@ -145,9 +135,10 @@ def optimal_radius(p: ModelParams, cost: CostMatrix) -> OptimalRadius:
 def _solve_up(f, p: ModelParams, what: str) -> float:
     """The radius where ``f``, positive at small radii, turns negative:
     the bracket [1e-6 r_T, 2 r_T] is doubled at its upper end until it
-    holds the sign change."""
+    holds the sign change, up to the radius where chi = r**alpha / sigma
+    reaches 1e300, short of the float range."""
     lo, hi = specfn._expand(lambda r: f(r) > 0, 1e-6 * p.r_T, 2.0 * p.r_T,
-                            1e15 * p.r_T, what)
+                            (p.sigma * 1e300) ** (1 / p.alpha), what)
     return specfn._find_root(f, lo, hi, 1e-14, 1e-15)
 
 
@@ -220,16 +211,3 @@ def operating_points(p: ModelParams) -> OperatingPoints:
     # p_I starts at 1 (> p_II)
     r_ee = _solve_up(gap, p, "the equal-error radius")
     return OperatingPoints(r_DI=r_di, r_MM=r_mm, r_EE=r_ee)
-
-
-def roc_curve(p: ModelParams, r_O_grid,
-              rule: DecisionRuleTable | None = None) -> list[RocPoint]:
-    """Evaluate (p_I, p_II, uniform-cost risk) along an increasing grid."""
-    grid = np.asarray(r_O_grid, dtype=float)
-    if not (np.all(np.diff(grid) > 0) and grid[0] > 0):
-        raise ValueError("r_O grid must be strictly increasing and positive")
-    rule = rule or DecisionRuleTable.follow_observation(0)
-    p_i, p_ii = type_errors(p, grid, rule)
-    risk = _uniform_risk(p, p_i, p_ii)
-    return [RocPoint(r_O=r, p_I=a, p_II=b, risk=c) for r, a, b, c in
-            zip(grid.tolist(), p_i.tolist(), p_ii.tolist(), risk.tolist())]

@@ -49,8 +49,7 @@ def test_criterion_1_chi_star():
 def test_criterion_2_remark_values():
     t0 = time.perf_counter()
     single = posterior(FIG1.thinned(0.5), 50.0).p_h1_d0
-    multi00 = mo.posterior_given_K_d(FIG1, ALOHA, 50.0, 0, 0)
-    multi10 = mo.posterior_given_K_d(FIG1, ALOHA, 50.0, 1, 0)
+    multi00, multi10 = mo.aloha_laws(FIG1, ALOHA, 50.0).posterior[:, 0]
     elapsed = time.perf_counter() - t0
     ok = (abs(single - 0.68) <= 0.01 and abs(multi00 - 0.67) <= 0.01
           and abs(multi10 - 0.72) <= 0.01 and elapsed < 1.0)
@@ -108,18 +107,16 @@ def test_criterion_5_multi_obs_oracle():
     r_O = 50.0
     est = mc.estimate_multiobs(FIG1, ALOHA, r_O,
                                mc.SimConfig(trials=100_000, seed=13))
+    laws = mo.aloha_laws(FIG1, ALOHA, r_O)
     checks = []
     for k in range(ALOHA.N + 1):
         checks += [
-            (f"p_K@{k}", mo.p_K(FIG1, ALOHA, r_O, k), est.p_K[k]),
-            (f"p_H|K@{k}", mo.p_h_given_K(FIG1, ALOHA, r_O, k),
-             est.p_h_given_K[k]),
-            (f"p_D|K@{k}", mo.p_d_given_K(FIG1, ALOHA, r_O, k),
-             est.p_d_given_K[k]),
+            (f"p_K@{k}", laws.p_K[k], est.p_K[k]),
+            (f"p_H|K@{k}", laws.p_h_given_K[k], est.p_h_given_K[k]),
+            (f"p_D|K@{k}", laws.p_d_given_K[k], est.p_d_given_K[k]),
         ]
         for d_obs in (0, 1):
-            checks.append((f"p_H|K,D@({k},{d_obs})",
-                           mo.posterior_given_K_d(FIG1, ALOHA, r_O, k, d_obs),
+            checks.append((f"p_H|K,D@({k},{d_obs})", laws.posterior[k, d_obs],
                            est.posterior[(k, d_obs)]))
     failures = [name for name, a, e in checks if not within_3se(a, e)]
     elapsed = time.perf_counter() - t0

@@ -302,13 +302,13 @@ class TestValidate:
         rows = {r["quantity"]: r["analytic"] for r in json.loads(out)["rows"]}
         p = cli._load_input("scenario", "fig4")
         aloha = cli._load_input("aloha", "aloha_n2")
+        laws = multi_obs.aloha_laws(p, aloha, 10.0)
         for k in range(aloha.N + 1):
             for name in ("p_K", "p_h_given_K", "p_d_given_K"):
-                assert rows[f"{name}[K={k}]"] == getattr(multi_obs, name)(
-                    p, aloha, 10.0, k)
+                assert rows[f"{name}[K={k}]"] == getattr(laws, name)[k]
             for d_obs in (0, 1):
                 assert rows[f"posterior[K={k},d={d_obs}]"] == (
-                    multi_obs.posterior_given_K_d(p, aloha, 10.0, k, d_obs))
+                    laws.posterior[k, d_obs])
 
     def test_unconverged_nofading_row_exits_3(self, capsys, monkeypatch):
         # the settings of TestFadingCompare.test_unconverged_row, where

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from guardzone import montecarlo as mc, specfn
-from guardzone.multi_obs import AlohaParams, p_K, posterior_given_K_d
+from guardzone.multi_obs import AlohaParams, aloha_laws
 from guardzone.nofading import levy_prior, posterior_nofade
 from guardzone.params import ModelParams, derive
 from guardzone.single_obs import evidence_success, posterior, prior_success
@@ -206,11 +206,11 @@ class TestEstimateMultiobs:
 
     def test_matches_analytic_loosely(self):
         est = mc.estimate_multiobs(FIG1, self.ALOHA, 50.0, FAST)
+        laws = aloha_laws(FIG1, self.ALOHA, 50.0)
         for k in range(2):
-            assert abs(est.p_K[k].value - p_K(FIG1, self.ALOHA, 50.0, k)) \
-                < 4 * est.p_K[k].stderr
+            assert abs(est.p_K[k].value - laws.p_K[k]) < 4 * est.p_K[k].stderr
             got = est.posterior[(k, 0)]
-            want = posterior_given_K_d(FIG1, self.ALOHA, 50.0, k, 0)
+            want = laws.posterior[k, 0]
             assert abs(got.value - want) < 4 * got.stderr + 2e-3
 
     def test_history_counts_partition(self):

@@ -231,7 +231,7 @@ class TestConditionalLaws:
         # underflows, though the product lies in [e^-pA, 1]; at 1.47e-4 an
         # alternating binomial sum for f_d cancels to 1.8e-5
         aloha = mo.AlohaParams(p=0.5, N=N)
-        assert mo.p_h_given_K(FIG5, aloha, r_O, K) == pytest.approx(
+        assert mo.aloha_laws(FIG5, aloha, r_O).p_h_given_K[K] == pytest.approx(
             p_h_given_K_oracle(FIG5, aloha, r_O, K), rel=1e-12)
 
     @pytest.mark.parametrize("p, N, r_O, K", [
@@ -243,7 +243,7 @@ class TestConditionalLaws:
         # fig4 at 681 has the subnormal value 4.2e-317, which carries about
         # seven digits, so one unit of the subnormal spacing is allowed too
         aloha = mo.AlohaParams(p=0.5, N=N)
-        assert mo.p_d_given_K(p, aloha, r_O, K) == pytest.approx(
+        assert mo.aloha_laws(p, aloha, r_O).p_d_given_K[K] == pytest.approx(
             p_d_given_K_oracle(p, aloha, r_O, K), rel=1e-12, abs=5e-324)
 
     @pytest.mark.parametrize("p", [FIG5, ModelParams(3, 1e-5, 4.5, 3, 6)])
@@ -257,51 +257,49 @@ class TestConditionalLaws:
 
         for r_O in [1e-6] + [p.r_T * 10.0**e for e in range(-4, 4)]:
             for N in range(4):
-                aloha = mo.AlohaParams(pc, N)
+                laws = mo.aloha_laws(p, mo.AlohaParams(pc, N), r_O)
                 for K, ((c00, c01), (c10, c11)) in enumerate(
                         cells_exact(p, pc, r_O, N)):
                     pK, where = c00 + c01 + c10 + c11, (r_O, N, K)
-                    close(mo.p_K(p, aloha, r_O, K), pK, where)
-                    close(mo.p_d_given_K(p, aloha, r_O, K), (c10 + c11) / pK, where)
-                    close(mo.p_h_given_K(p, aloha, r_O, K), (c01 + c11) / pK, where)
-                    close(mo.posterior_given_K_d(p, aloha, r_O, K, 0),
-                          c01 / (c00 + c01), where)
-                    close(mo.posterior_given_K_d(p, aloha, r_O, K, 1),
-                          c11 / (c10 + c11), where)
+                    close(laws.p_K[K], pK, where)
+                    close(laws.p_d_given_K[K], (c10 + c11) / pK, where)
+                    close(laws.p_h_given_K[K], (c01 + c11) / pK, where)
+                    close(laws.posterior[K, 0], c01 / (c00 + c01), where)
+                    close(laws.posterior[K, 1], c11 / (c10 + c11), where)
 
     def test_p_K_normalizes(self):
         for aloha in (ALOHA1, ALOHA2, mo.AlohaParams(p=0.3, N=5)):
-            total = sum(mo.p_K(FIG5, aloha, 50.0, k)
-                        for k in range(aloha.N + 1))
-            assert total == pytest.approx(1.0, abs=1e-12)
+            p_K = mo.aloha_laws(FIG5, aloha, 50.0).p_K
+            assert len(p_K) == aloha.N + 1
+            assert sum(p_K) == pytest.approx(1.0, abs=1e-12)
 
     def test_history_marginalizes_to_thinned_single_slot(self):
         # averaging the K-conditionals over p_K recovers the slot-(N+1)
         # marginals of the thinned process
         thin = FIG5.thinned(ALOHA2.p)
         r_O = 40.0
-        pk = [mo.p_K(FIG5, ALOHA2, r_O, k) for k in range(3)]
-        pH = sum(w * mo.p_h_given_K(FIG5, ALOHA2, r_O, k)
-                 for k, w in enumerate(pk))
-        pD = sum(w * mo.p_d_given_K(FIG5, ALOHA2, r_O, k)
-                 for k, w in enumerate(pk))
+        laws = mo.aloha_laws(FIG5, ALOHA2, r_O)
+        pH = sum(laws.p_K * laws.p_h_given_K)
+        pD = sum(laws.p_K * laws.p_d_given_K)
         assert pH == pytest.approx(prior_success(thin), rel=1e-10)
         assert pD == pytest.approx(evidence_success(thin, r_O), rel=1e-10)
 
     def test_successful_history_is_good_news(self):
-        vals = [mo.p_h_given_K(FIG5, ALOHA2, 50.0, k) for k in range(3)]
+        laws = mo.aloha_laws(FIG5, ALOHA2, 50.0)
+        vals = laws.p_h_given_K
         assert vals[0] < vals[1] < vals[2]
-        vals = [mo.p_d_given_K(FIG5, ALOHA2, 50.0, k) for k in range(3)]
+        vals = laws.p_d_given_K
         assert vals[0] < vals[1] < vals[2]
 
     def test_n_zero_degenerates(self):
         a0 = mo.AlohaParams(p=0.5, N=0)
         thin = FIG5.thinned(0.5)
-        assert mo.p_h_given_K(FIG5, a0, 50.0, 0) == pytest.approx(
+        laws = mo.aloha_laws(FIG5, a0, 50.0)
+        assert laws.p_h_given_K[0] == pytest.approx(
             prior_success(thin), rel=1e-12)
-        assert mo.p_d_given_K(FIG5, a0, 50.0, 0) == pytest.approx(
+        assert laws.p_d_given_K[0] == pytest.approx(
             evidence_success(thin, 50.0), rel=1e-12)
-        assert mo.p_K(FIG5, a0, 50.0, 0) == 1.0
+        assert laws.p_K[0] == 1.0
 
     def test_history_below_the_float_range(self):
         # fig1, r_O = 20, p = 1e-40, N = 8: the history law of K = 0,
@@ -310,44 +308,37 @@ class TestConditionalLaws:
         # with no RuntimeWarning, and within 1e-12 of the exact sums; the
         # subnormal one within one unit of its spacing.
         pc, N, r_O = 1e-40, 8, 20.0
-        aloha = mo.AlohaParams(pc, N)
+        laws = mo.aloha_laws(FIG5, mo.AlohaParams(pc, N), r_O)
         exact = cells_exact(FIG5, pc, r_O, N)
         for K in (0, 1, N):
             (c00, c01), (c10, c11) = exact[K]
             pK = c00 + c01 + c10 + c11
-            assert abs(mo.p_K(FIG5, aloha, r_O, K) - float(pK)) \
-                <= max(1e-12 * pK, 5e-324)
+            assert abs(laws.p_K[K] - float(pK)) <= max(1e-12 * pK, 5e-324)
             for got, want in [
-                    (mo.p_d_given_K(FIG5, aloha, r_O, K), (c10 + c11) / pK),
-                    (mo.p_h_given_K(FIG5, aloha, r_O, K), (c01 + c11) / pK),
-                    (mo.posterior_given_K_d(FIG5, aloha, r_O, K, 0),
-                     c01 / (c00 + c01))]:
+                    (laws.p_d_given_K[K], (c10 + c11) / pK),
+                    (laws.p_h_given_K[K], (c01 + c11) / pK),
+                    (laws.posterior[K, 0], c01 / (c00 + c01))]:
                 assert got == pytest.approx(float(want), rel=1e-12, abs=0.0)
 
     def test_rejects_noise(self):
         noisy = ModelParams(n=2, density=2e-4, alpha=3, beta=5, r_T=10,
                             eta=1e-6)
         with pytest.raises(ValueError):
-            mo.p_h_given_K(noisy, ALOHA1, 50.0, 0)
-
-    def test_rejects_out_of_range_K(self):
-        with pytest.raises(ValueError):
-            mo.p_K(FIG5, ALOHA1, 50.0, 2)
+            mo.aloha_laws(noisy, ALOHA1, 50.0)
 
 
 class TestPosteriorGivenKd:
     def test_remark_values(self):
-        assert mo.posterior_given_K_d(FIG5, ALOHA1, 50.0, 0, 0) \
-            == pytest.approx(0.67, abs=0.01)
-        assert mo.posterior_given_K_d(FIG5, ALOHA1, 50.0, 1, 0) \
-            == pytest.approx(0.72, abs=0.01)
+        posterior = mo.aloha_laws(FIG5, ALOHA1, 50.0).posterior
+        assert posterior[0, 0] == pytest.approx(0.67, abs=0.01)
+        assert posterior[1, 0] == pytest.approx(0.72, abs=0.01)
 
     def test_clear_zone_forgets_history(self):
         # given a clear guard zone the past tells nothing extra
         expected = posterior(FIG5.thinned(0.5), 50.0).p_h1_d1
+        laws = mo.aloha_laws(FIG5, ALOHA2, 50.0)
         for k in range(3):
-            assert mo.posterior_given_K_d(FIG5, ALOHA2, 50.0, k, 1) \
-                == pytest.approx(expected, rel=1e-12)
+            assert laws.posterior[k, 1] == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("p,pc,r_O,K,N", [
         (ModelParams(1, 5e-3, 2.5, 2, 4), 0.5, 4.7e-4, 0, 0),
@@ -357,37 +348,36 @@ class TestPosteriorGivenKd:
     def test_busy_zone_reference_points(self, p, pc, r_O, K, N):
         # where a completeness subtraction, 1 - P(clear), cancels
         want = busy_zone_oracle(p, pc, r_O, K, N)[N]
-        got = mo.posterior_given_K_d(p, mo.AlohaParams(pc, N), r_O, K, 0)
+        got = mo.aloha_laws(p, mo.AlohaParams(pc, N), r_O).posterior[K, 0]
         assert got == pytest.approx(float(want), rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("p,pc", [
         (FIG5, 0.5), (FIG5, 0.05), (ModelParams(1, 5e-3, 2.5, 2, 4), 0.9)])
     def test_busy_zone_relative_accuracy(self, p, pc):
         for r_O in [1e-6] + [p.r_T * 10.0**e for e in range(-4, 4)]:
+            busy = [mo.aloha_laws(p, mo.AlohaParams(pc, N), r_O).posterior[:, 0]
+                    for N in range(4)]
             for K in range(4):
                 for N, want in busy_zone_oracle(p, pc, r_O, K, 3).items():
                     if want > 1e-290:
-                        got = mo.posterior_given_K_d(
-                            p, mo.AlohaParams(pc, N), r_O, K, 0)
-                        assert got == pytest.approx(float(want), rel=1e-12,
-                                                    abs=0.0), (r_O, N, K)
+                        assert busy[N][K] == pytest.approx(
+                            float(want), rel=1e-12, abs=0.0), (r_O, N, K)
 
     def test_busy_zone_without_history(self):
         thin = FIG5.thinned(0.5)
         for r_O in np.geomspace(1e-3, 1e3, 13):
-            assert mo.posterior_given_K_d(FIG5, mo.AlohaParams(0.5, 0),
-                                          r_O, 0, 0) == pytest.approx(
+            assert mo.aloha_laws(FIG5, mo.AlohaParams(0.5, 0),
+                                 r_O).posterior[0, 0] == pytest.approx(
                 posterior(thin, r_O).p_h1_d0, rel=1e-12)
 
     def test_bayes_consistency(self):
         # p_{H|K} = post(1|K) p_{D|K} + post(0-branch) (1 - p_{D|K})
+        laws = mo.aloha_laws(FIG5, ALOHA1, 50.0)
         for k in range(2):
-            pDK = mo.p_d_given_K(FIG5, ALOHA1, 50.0, k)
-            recon = (mo.posterior_given_K_d(FIG5, ALOHA1, 50.0, k, 1) * pDK
-                     + mo.posterior_given_K_d(FIG5, ALOHA1, 50.0, k, 0)
-                     * (1 - pDK))
-            assert recon == pytest.approx(
-                mo.p_h_given_K(FIG5, ALOHA1, 50.0, k), rel=1e-10)
+            pDK = laws.p_d_given_K[k]
+            recon = (laws.posterior[k, 1] * pDK
+                     + laws.posterior[k, 0] * (1 - pDK))
+            assert recon == pytest.approx(laws.p_h_given_K[k], rel=1e-10)
 
 
 class TestDecisionRules:

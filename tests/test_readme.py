@@ -1,11 +1,12 @@
 """The README's library quick start and command-line block run as written
-and state true values."""
+and state true values, and the package's public names are pinned."""
 
 import ast
 import re
 import shlex
 from pathlib import Path
 
+import guardzone
 from guardzone import cli
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -46,7 +47,7 @@ def test_quick_start_runs_and_states_its_values(monkeypatch):
         for v, s in zip(values, numbers):
             assert f"{v:.{len(s.split('.')[1])}f}" == s, comment
         stated += numbers
-    assert {"0.6413", "2.0804", "21.11", "0.2396"} <= set(stated)
+    assert {"0.6413", "2.0804", "21.11", "0.2396", "0.2688"} <= set(stated)
 
 
 def test_command_line_block_runs(capsys):
@@ -67,3 +68,18 @@ def test_command_line_block_runs(capsys):
     quoted = re.search(r"exits 2 with\s+`([^`]+)` \(for `fig1`\)", section)
     assert cli.main(["fading-compare", "--scenario", "fig1"]) == 2
     assert capsys.readouterr().err.strip() == " ".join(quoted[1].split())
+
+
+def test_public_names_are_pinned():
+    # a name added to or dropped from the package's API is an edit here
+    assert set(guardzone.__all__) == {
+        "AlohaParams", "CostMatrix", "DecisionRuleTable",
+        "IltConvergenceError", "ModelParams", "aloha_laws", "bayes_risk",
+        "chi_of_radius", "chi_star", "chi_star_from_coeff",
+        "chi_star_low_density_limit", "derive", "enumerate_rules",
+        "evidence_success", "f_d", "levy_prior", "load_scenario",
+        "operating_points", "optimal_radius", "posterior",
+        "posterior_nofade", "prior_success", "radius_of_chi", "rho",
+        "rho_curve", "rho_nofade", "rule_errors", "sensitivities",
+        "type_errors", "__version__"}
+    assert len(guardzone.__all__) == 30

@@ -9,12 +9,11 @@ import pytest
 from hypothesis import given, settings
 
 from guardzone.correlation import rho
-from guardzone.multi_obs import DecisionRuleTable
+from guardzone.multi_obs import DecisionRuleTable, _uniform_risk
 from guardzone.params import ModelParams, derive, radius_of_chi
 from guardzone.risk import (CostMatrix, _f_right, bayes_risk,
                             bayes_risk_derivative, operating_points,
-                            optimal_radius, roc_curve, sensitivities,
-                            type_errors)
+                            optimal_radius, sensitivities, type_errors)
 from guardzone.single_obs import evidence_success, posterior, prior_success
 from test_single_obs import (AS_ARRAY, FIG4, NOISY, SMALL_TO_LARGE,
                              joint_exponents, outside_exponent)
@@ -322,20 +321,18 @@ class TestOperatingPoints:
 
 
 class TestRocCurve:
+    FOLLOW = DecisionRuleTable.follow_observation(0)
+
     def test_row_count_and_endpoints(self):
         grid = np.geomspace(0.05, 5000.0, 50)
-        pts = roc_curve(FIG2, grid)
-        assert len(pts) == 50
+        p_i, p_ii = type_errors(FIG2, grid, self.FOLLOW)
+        assert len(p_i) == len(p_ii) == 50
         # small radius: (p_I, p_II) -> (1, 0); large: -> (0, 1)
-        assert pts[0].p_I > 0.99 and pts[0].p_II < 0.01
-        assert pts[-1].p_I < 0.01 and pts[-1].p_II > 0.99
+        assert p_i[0] > 0.99 and p_ii[0] < 0.01
+        assert p_i[-1] < 0.01 and p_ii[-1] > 0.99
 
     def test_risk_decomposition(self):
         pH = prior_success(FIG2)
-        for pt in roc_curve(FIG2, [5.0, 25.0, 80.0]):
-            assert pt.risk == pytest.approx(
-                pt.p_I * (1 - pH) + pt.p_II * pH, rel=1e-12)
-
-    def test_rejects_unsorted_grid(self):
-        with pytest.raises(ValueError):
-            roc_curve(FIG2, [10.0, 5.0])
+        p_i, p_ii = type_errors(FIG2, np.array([5.0, 25.0, 80.0]), self.FOLLOW)
+        for a, b, risk in zip(p_i, p_ii, _uniform_risk(FIG2, p_i, p_ii)):
+            assert risk == pytest.approx(a * (1 - pH) + b * pH, rel=1e-12)

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import warnings
 from dataclasses import replace
 
 import mpmath
@@ -10,9 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from guardzone.multi_obs import (AlohaParams, DecisionRuleTable, p_K,
-                                 p_d_given_K, p_h_given_K,
-                                 posterior_given_K_d, rule_errors)
+from guardzone.multi_obs import (AlohaParams, DecisionRuleTable, aloha_laws,
+                                 rule_errors)
 from guardzone.params import ModelParams, chi_of_radius, derive
 from guardzone.risk import (CostMatrix, _f_right, bayes_risk,
                             bayes_risk_derivative, optimal_radius,
@@ -196,10 +196,7 @@ class TestPosterior:
         aloha_forms = [
             lambda r: rule_errors(FIG1, aloha, r,
                                   DecisionRuleTable.follow_observation(1)),
-            lambda r: p_K(FIG1, aloha, r, 0),
-            lambda r: p_h_given_K(FIG1, aloha, r, 0),
-            lambda r: p_d_given_K(FIG1, aloha, r, 0),
-            lambda r: posterior_given_K_d(FIG1, aloha, r, 0, 0)]
+            lambda r: aloha_laws(FIG1, aloha, r)]
         for bad in (0.0, -1.0, math.inf, -math.inf, math.nan):
             for form in single_slot + aloha_forms:
                 with pytest.raises(ValueError, match="finite and positive"):
@@ -353,19 +350,23 @@ class TestDomainSweep:
             for eta in (0.0, 1e-5):
                 p = ModelParams(n=2, density=density, alpha=alpha, beta=5,
                                 r_T=10, eta=eta)
-                try:
-                    opt = optimal_radius(p, self.COSTS["uniform"])
-                except BracketError:
-                    # at alpha = 2.05 and densities from 2e-4 on, the
-                    # optimum lies beyond the solver's cap of 1e15 r_T
-                    opt = None
+                opt = optimal_radius(p, self.COSTS["uniform"])
                 # where there is no interior optimum (sigma * eta > log 2
                 # at alpha = 8 and 40), its limit e^-A underflows
-                radii = self.RADII + ([opt.r_O] if opt and opt.exists else [])
+                radii = self.RADII + ([opt.r_O] if opt.exists else [])
                 got = self.forms(p, np.array(radii))
                 for i, r in enumerate(radii):
                     for name, want in self.reference(p, r).items():
                         self.check(got[name][i], want, (name, p, r))
-                if opt and opt.exists:
+                if opt.exists:
                     self.check(opt.risk, self.reference(p, opt.r_O)[
                         "uniform risk"], ("optimum", p))
+
+    def test_optimum_beyond_the_float_range_raises(self):
+        # at alpha = 2.001 the crossing lies where chi = r**alpha / sigma
+        # is past 1e300, so the bracket search stops there, with no warning
+        p = ModelParams(n=2, density=2e-2, alpha=2.001, beta=5, r_T=10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BracketError, match="the optimal radius"):
+                optimal_radius(p, self.COSTS["uniform"])
